@@ -38,12 +38,18 @@ val compose : ?limit : int -> Tgd.t list -> Tgd.t list -> Tgd.t list
     {!Chase.Implication.minimize}.
 
     The result is exact — logically equivalent to the sequential
-    application — when [m12] is full. With existentials in [m12] heads it
-    is a sound under-approximation: an [m12] null consumed by two [m23]
-    triggers yields facts correlated through a shared null, which no
-    first-order tgd set expresses (composition then needs second-order
-    tgds, Fagin et al. 2005). Ground consequences are still captured,
-    since each arises from a single unfoldable derivation tree. *)
+    application — when [m12] is full and [limit] does not cut an
+    unfolding short; a cut result is a sound under-approximation. With
+    existentials in [m12] heads it is a sound under-approximation: an
+    [m12] null consumed by two [m23] triggers yields facts correlated
+    through a shared null, which no first-order tgd set expresses
+    (composition then needs second-order tgds, Fagin et al. 2005). Ground
+    consequences of the two hops are still captured, since each arises
+    from a single unfoldable derivation tree. An under-approximation used
+    as the first hop of a further composition can lose ground
+    consequences of the whole chain too, so [compose (compose m1 m2) m3]
+    and [compose m1 (compose m2 m3)] are guaranteed equivalent only when
+    [m1] and [m2] are full and no unfolding is cut. *)
 
 val compose_all : ?limit : int -> Tgd.t list list -> Tgd.t list
 (** Left fold of {!compose} over a hop list; [[]] composes to [[]]. *)

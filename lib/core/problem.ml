@@ -72,35 +72,29 @@ let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
     match cache with
     | None -> Cover.analyze ?semantics ~core ~source ~j candidates
     | Some cache ->
-      (* Same per-candidate derivation as [Cover.analyze], each candidate
-         memoized separately: one shared columnar source (or row-major
-         index on the mixed-arity fallback), a fresh chase per tgd. The
-         chase restarts its null labels per run, so the cached stats are
+      (* Same per-candidate derivation as [Cover.analyze], through one
+         [Cover.Session], each candidate memoized separately. The chase
+         restarts its null labels per run, so the cached stats are
          position-independent and [Cache.tgd_stats] can re-index them for
-         this candidate list. The data digest is computed once and the
-         chase fixture lazily — a fully warm build touches neither the
-         chase nor the source data beyond this one rendering. *)
+         this candidate list. The data digest is computed once; the
+         session builds its chase fixture and J index only on a miss, so a
+         fully warm build touches neither the chase nor the data beyond
+         this one rendering. *)
       let source_key, data_key = Cache.example_keys ~source ~j in
-      let chase =
-        lazy
-          (match Relational.Columnar.of_instance source with
-          | col -> fun tgd -> Chase.run_columnar col [ tgd ]
-          | exception Invalid_argument _ ->
-            let index = Logic.Cq.Index.build source in
-            fun tgd -> Chase.run ~index source [ tgd ])
-      in
+      let session = Cover.Session.make ~source ~j in
       (* The chase tier sits under the stats tier: a stats miss whose chase
          was already run for another target instance (a neighbouring sweep
          point) redoes only the coverage fold. *)
       let chase tgd =
-        Cache.chase cache ~source_key tgd (fun () -> (Lazy.force chase) tgd)
+        Cache.chase cache ~source_key tgd (fun () ->
+            Cover.Session.chase session tgd)
       in
       Array.of_list
         (List.mapi
            (fun index tgd ->
              Cache.tgd_stats cache ?semantics ~core ~data_key ~index tgd
                (fun () ->
-                 Cover.stats_of_result ?semantics ~core ~j ~index tgd
+                 Cover.Session.stats ?semantics ~core session ~index tgd
                    (chase tgd)))
            candidates)
   in

@@ -62,7 +62,12 @@ val stats_of_triggers :
   Chase.Trigger.t list ->
   tgd_stats
 (** Statistics of one tgd from its chase triggers. The triggers must all
-    belong to the given tgd. *)
+    belong to the given tgd. Builds a {!Session}-style index over [j] for
+    this one call: each relation a trigger tuple reaches is indexed once,
+    in time and space linear in its size, and then every match is found by
+    a posting-list probe instead of a scan. Analysing several candidates
+    against one [j] through {!analyze} or {!Session} builds that index only
+    once. *)
 
 val stats_of_result :
   ?semantics : semantics ->
@@ -77,7 +82,8 @@ val stats_of_result :
     ({!Chase.Core_solution}): trigger tuples retracted away by the core are
     dropped before coverage and errors are computed, so [produced] counts
     the cored [K_M]. The default ([false]) is {!stats_of_triggers} on the
-    result's triggers, bit-identical to the historical pipeline. *)
+    result's triggers, bit-identical to the historical pipeline. Like
+    {!stats_of_triggers} it indexes [j] for this call only. *)
 
 val analyze :
   ?semantics : semantics ->
@@ -88,9 +94,57 @@ val analyze :
   tgd_stats array
 (** Chases [source] with each candidate separately and computes statistics
     for each; [analyze] is the precomputation step of the selection
-    pipeline. The chase runs on the columnar kernel (bit-identical to the
-    row-major chase; mixed-arity relations fall back to it), and
-    [~core:true] applies the {!stats_of_result} core stage per candidate. *)
+    pipeline, run through one {!Session}. The chase runs on the columnar
+    kernel (bit-identical to the row-major chase; mixed-arity relations
+    fall back to it), and [~core:true] applies the {!stats_of_result} core
+    stage per candidate. [J] is indexed once for all candidates, so beyond
+    the chase the cost per candidate is the posting-list probes its trigger
+    groups make, not [|J|] per chase tuple. Recorded as the
+    [cover.analyze] span. *)
+
+(** One analysis of many candidates against one data example [(I, J)]: the
+    chase fixture over [I] and the index over [J], each built on first use
+    and shared by every candidate. {!analyze} is a session run over a
+    candidate list; [Core.Problem.make ~cache] runs one so that candidates
+    whose statistics are cached never build either half.
+
+    The index keeps, per relation of [J], its tuples in canonical order and
+    posting lists keyed by [(position, value)], a position's lists built
+    on its first probe. A relation is indexed on its first probe, so the
+    index costs time and space linear in the relations the candidates
+    reach. A chase tuple probes the posting list of its first constant
+    position, and scans the whole relation only when it has no constant.
+    The J-tuples it matches are its options; it is an error tuple exactly
+    when it has none, and the configurations of its trigger group are
+    enumerated over the options.
+
+    The index is mutated as it fills and as each candidate is folded: a
+    session belongs to one domain. Telemetry counts
+    [cover.relations_indexed] per session, and [cover.rows_probed]
+    (J-tuples the probes returned) and [cover.configurations]
+    (trigger-group configurations enumerated) per candidate fold, so the
+    latter two totals do not depend on the pool size. *)
+module Session : sig
+  type t
+
+  val make : source : Relational.Instance.t -> j : Relational.Instance.t -> t
+  (** Touches neither instance: the chase fixture and each relation's index
+      are built when first needed. *)
+
+  val chase : t -> Logic.Tgd.t -> Chase.result
+  (** The candidate's chase of [I] on the session's shared fixture, the
+      same result {!analyze} derives statistics from. *)
+
+  val stats :
+    ?semantics : semantics ->
+    ?core : bool ->
+    t ->
+    index : int ->
+    Logic.Tgd.t ->
+    Chase.result ->
+    tgd_stats
+  (** {!stats_of_result} against the session's shared index over [J]. *)
+end
 
 val explains : tgd_stats list -> Relational.Tuple.t -> Util.Frac.t
 (** [explains stats t] is the maximum coverage degree of [t] over the given

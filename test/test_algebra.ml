@@ -2,9 +2,9 @@
 
    Unit tests pin the hand-crafted two-hop pipeline scenario (the composed
    pool, identity laws, recovery round trips); qcheck properties check the
-   algebraic laws — associativity of composition up to logical equivalence,
-   containment reflexivity and antisymmetry — on generated multi-hop
-   chains, which also exercise joins and existentials. *)
+   algebraic laws — associativity of composition as far as its contract
+   promises it, containment reflexivity and antisymmetry — on generated
+   multi-hop chains, which also exercise joins and existentials. *)
 
 open Logic
 
@@ -164,18 +164,77 @@ let chain_gen =
 
 let mappings_of s = Ibench.Multihop.mappings s
 
+(* Associativity as [compose]'s contract states it. [compose] is exact when
+   its first hop is full and no unfolding is cut short by [limit]; with
+   existentials in the first hop it is a sound under-approximation. Both
+   association orders compose through full first hops only when [m1] and
+   [m2] are full ([m1 ; m2] is then full too), so only then must they
+   agree, and only without the unfolding budget: the chains here are small
+   enough to unfold completely. Otherwise each order must still be sound,
+   every tgd holding in the hop-by-hop semantics. *)
+let associative_per_contract m1 m2 m3 =
+  if List.for_all Tgd.is_full (m1 @ m2) then
+    let compose = Algebra.compose ~limit:max_int in
+    Algebra.equivalent (compose (compose m1 m2) m3) (compose m1 (compose m2 m3))
+  else
+    List.for_all
+      (Chase.Implication.implied_through ~hops:[ m1; m2; m3 ])
+      (Algebra.compose (Algebra.compose m1 m2) m3
+      @ Algebra.compose m1 (Algebra.compose m2 m3))
+
+let chain ~seed ~relations ~arity =
+  Ibench.Multihop.mappings
+    (Ibench.Multihop.generate
+       {
+         Ibench.Multihop.relations;
+         arity;
+         rows = 2;
+         hops = 3;
+         pi_corresp = 20;
+         pi_errors = 0;
+         pi_unexplained = 0;
+         seed;
+       })
+
+(* Two chains the unconditional law "associative up to equivalence" failed
+   on. The first is the one QCHECK_SEED=10 drew: its first hop invents a
+   null that two second-hop tgds consume, so [m1 ; m2] loses their
+   correlation and the left order misses a consequence the right one
+   keeps. The second is full throughout, but at the default [limit] the
+   right order's unfolding is cut short. *)
+let test_associativity_regressions () =
+  (match chain ~seed:560059 ~relations:2 ~arity:1 with
+  | [ m1; m2; m3 ] ->
+    Alcotest.(check bool)
+      "first hop has existentials" false
+      (List.for_all Tgd.is_full m1);
+    Alcotest.(check bool)
+      "both orders sound" true
+      (associative_per_contract m1 m2 m3)
+  | _ -> Alcotest.fail "expected three hops");
+  match chain ~seed:85 ~relations:1 ~arity:2 with
+  | [ m1; m2; m3 ] ->
+    Alcotest.(check bool)
+      "full hops" true
+      (List.for_all Tgd.is_full (m1 @ m2 @ m3));
+    Alcotest.(check bool)
+      "equivalent when unfolded completely" true
+      (associative_per_contract m1 m2 m3)
+  | _ -> Alcotest.fail "expected three hops"
+
 let qcheck_tests =
   let open QCheck2 in
   [
-    Test.make ~name:"compose is associative up to equivalence" ~count:12
+    Test.make
+      ~name:
+        "compose is associative up to equivalence on full hops, sound \
+         otherwise"
+      ~count:12
       ~print:(fun s -> Format.asprintf "%a" Ibench.Multihop.pp_summary s)
       chain_gen
       (fun s ->
         match mappings_of s with
-        | [ m1; m2; m3 ] ->
-          Algebra.equivalent
-            (Algebra.compose (Algebra.compose m1 m2) m3)
-            (Algebra.compose m1 (Algebra.compose m2 m3))
+        | [ m1; m2; m3 ] -> associative_per_contract m1 m2 m3
         | _ -> QCheck2.assume_fail ());
     Test.make ~name:"containment is reflexive on composed pools" ~count:12
       ~print:(fun s -> Format.asprintf "%a" Ibench.Multihop.pp_summary s)
@@ -204,6 +263,8 @@ let () =
           Alcotest.test_case "empty compositions" `Quick test_compose_empty;
           Alcotest.test_case "hop-by-hop chase agrees with composed chase"
             `Quick test_composed_chase_agrees;
+          Alcotest.test_case "associativity regression chains" `Quick
+            test_associativity_regressions;
         ] );
       ( "containment",
         [ Alcotest.test_case "containment and antisymmetry" `Quick test_containment ] );

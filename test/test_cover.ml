@@ -282,6 +282,303 @@ let regression_tests =
           plain);
   ]
 
+(* --- the linear-scan oracle ------------------------------------------ *)
+
+(* The coverage fold as it was before J was indexed: every chase tuple is
+   matched against every J-tuple of its relation to list its options, a
+   second scan decides its error bit, and the configurations of a trigger
+   group merge options found under the empty assignment. Kept here, and
+   only here, as the differential oracle for the indexed [Cover]. *)
+module Scan = struct
+  let match_with ~assignment ~(pattern : Tuple.t) (t : Tuple.t) =
+    if not (String.equal pattern.Tuple.rel t.Tuple.rel) then None
+    else if Array.length pattern.values <> Array.length t.values then None
+    else
+      let n = Array.length pattern.values in
+      let rec loop i asg =
+        if i >= n then Some asg
+        else
+          match pattern.values.(i) with
+          | Value.Const _ as c ->
+            if Value.equal c t.values.(i) then loop (i + 1) asg else None
+          | Value.Null _ as nul -> (
+            match Value.Map.find_opt nul asg with
+            | Some bound ->
+              if Value.equal bound t.values.(i) then loop (i + 1) asg else None
+            | None -> loop (i + 1) (Value.Map.add nul t.values.(i) asg))
+      in
+      loop 0 assignment
+
+  let options_of ~j (pattern : Tuple.t) =
+    List.filter_map
+      (fun t ->
+        Option.map
+          (fun asg -> (t, asg))
+          (match_with ~assignment:Value.Map.empty ~pattern t))
+      (Tuple.Set.elements (Instance.tuples_of j pattern.Tuple.rel))
+
+  let maps_into ~j pattern =
+    Tuple.Set.exists
+      (fun t -> Option.is_some (match_with ~assignment:Value.Map.empty ~pattern t))
+      (Instance.tuples_of j pattern.Tuple.rel)
+
+  let merge_assignments a b =
+    Value.Map.fold
+      (fun k v acc ->
+        match acc with
+        | None -> None
+        | Some m -> (
+          match Value.Map.find_opt k m with
+          | None -> Some (Value.Map.add k v m)
+          | Some v' -> if Value.equal v v' then acc else None))
+      b (Some a)
+
+  let degree_of ~semantics ~group ~matched i =
+    let pattern = group.(i) in
+    let corroborated nul =
+      List.exists
+        (fun k -> k <> i && Array.exists (Value.equal nul) group.(k).Tuple.values)
+        matched
+    in
+    let covered =
+      Array.fold_left
+        (fun n v ->
+          match (v, semantics) with
+          | Value.Const _, _ | Value.Null _, Cover.Generous -> n + 1
+          | Value.Null _, Cover.Strict -> n
+          | Value.Null _, Cover.Corroborated ->
+            if corroborated v then n + 1 else n)
+        0 pattern.Tuple.values
+    in
+    Frac.make covered (Array.length pattern.Tuple.values)
+
+  let fold_group_covers ~semantics ~j group acc =
+    let n = Array.length group in
+    let options = Array.map (options_of ~j) group in
+    let choices = Array.make n None in
+    let acc = ref acc in
+    let rec explore i assignment =
+      if i >= n then begin
+        let matched =
+          List.filter (fun k -> choices.(k) <> None) (List.init n Fun.id)
+        in
+        List.iter
+          (fun k ->
+            let d = degree_of ~semantics ~group ~matched k in
+            if not (Frac.is_zero d) then
+              acc :=
+                Tuple.Map.update (Option.get choices.(k))
+                  (function
+                    | None -> Some d
+                    | Some d' -> Some (Frac.max d d'))
+                  !acc)
+          matched
+      end
+      else begin
+        choices.(i) <- None;
+        explore (i + 1) assignment;
+        List.iter
+          (fun (t, asg) ->
+            match merge_assignments assignment asg with
+            | None -> ()
+            | Some merged ->
+              choices.(i) <- Some t;
+              explore (i + 1) merged;
+              choices.(i) <- None)
+          options.(i)
+      end
+    in
+    explore 0 Value.Map.empty;
+    !acc
+
+  let core_triggers (result : Chase.result) =
+    let c = Chase.Core_solution.core result.Chase.solution in
+    List.filter_map
+      (fun (tr : Chase.Trigger.t) ->
+        match List.filter (fun t -> Instance.mem t c) tr.Chase.Trigger.tuples with
+        | [] -> None
+        | tuples -> Some { tr with Chase.Trigger.tuples })
+      result.Chase.triggers
+
+  let stats ~semantics ~core ~j ~index tgd (result : Chase.result) =
+    let triggers = if core then core_triggers result else result.Chase.triggers in
+    let covers, errors, produced =
+      List.fold_left
+        (fun (covers, errors, produced) (tr : Chase.Trigger.t) ->
+          let group = Array.of_list tr.Chase.Trigger.tuples in
+          let covers = fold_group_covers ~semantics ~j group covers in
+          let errors =
+            Array.fold_left
+              (fun errs pattern ->
+                if maps_into ~j pattern then errs else pattern :: errs)
+              errors group
+          in
+          (covers, errors, produced + Array.length group))
+        (Tuple.Map.empty, [], 0) triggers
+    in
+    {
+      Cover.index;
+      tgd;
+      covers;
+      error_tuples = List.rev errors;
+      produced;
+      size = Logic.Tgd.size tgd;
+    }
+
+  let analyze ~semantics ~core ~source ~j tgds =
+    Array.of_list
+      (List.mapi
+         (fun index tgd ->
+           stats ~semantics ~core ~j ~index tgd (Chase.run source [ tgd ]))
+         tgds)
+end
+
+let same_stats (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
+  a.Cover.index = b.Cover.index
+  && Tuple.Map.equal Frac.equal a.Cover.covers b.Cover.covers
+  && List.equal Tuple.equal a.Cover.error_tuples b.Cover.error_tuples
+  && a.Cover.produced = b.Cover.produced
+  && a.Cover.size = b.Cover.size
+
+let same_analysis a b =
+  Array.length a = Array.length b && Array.for_all2 same_stats a b
+
+(* Random data examples for the differential: a source [proj] of arity 3;
+   a target [J] whose [task] relation mixes arities 2 and 3, with labelled
+   nulls among its values and a value domain narrower than the source's,
+   so some source constants never occur in [J]; and candidates whose heads
+   mix copied variables, existentials shared between atoms, and constants
+   that may or may not occur in [J]. *)
+let differential_gen =
+  let open QCheck2.Gen in
+  let const k = Value.Const (Printf.sprintf "c%d" k) in
+  let j_value =
+    frequency [ (4, map const (int_range 0 3)); (1, map (fun k -> Value.Null k) (int_range 0 3)) ]
+  in
+  let j_tuple =
+    let* rel, arity =
+      oneofl [ ("task", 3); ("task", 2); ("org", 2) ]
+    in
+    map (fun vs -> Tuple.make rel vs) (list_repeat arity j_value)
+  in
+  let source_tuple =
+    map (fun vs -> Tuple.make "proj" (List.map const vs)) (list_repeat 3 (int_range 0 5))
+  in
+  let term =
+    frequency
+      [
+        (4, map (fun x -> Logic.Term.Var x) (oneofl [ "P"; "E"; "O" ]));
+        (3, map (fun x -> Logic.Term.Var x) (oneofl [ "T"; "U" ]));
+        (1, map (fun k -> Logic.Term.Cst (Printf.sprintf "c%d" k)) (int_range 0 5));
+      ]
+  in
+  let atom =
+    let* rel, arity = oneofl [ ("task", 3); ("task", 2); ("org", 2) ] in
+    map (fun ts -> Logic.Atom.make rel ts) (list_repeat arity term)
+  in
+  let tgd k =
+    map
+      (fun head ->
+        Logic.Tgd.make ~label:(Printf.sprintf "d%d" k)
+          ~body:[ Logic.Atom.make "proj" Logic.Term.[ Var "P"; Var "E"; Var "O" ] ]
+          ~head ())
+      (list_size (int_range 1 3) atom)
+  in
+  let* source = list_size (int_range 0 8) source_tuple in
+  let* j = list_size (int_range 0 14) j_tuple in
+  let* tgds = list_size (int_range 1 4) (return ()) in
+  let* tgds = flatten_l (List.mapi (fun k () -> tgd k) tgds) in
+  let* semantics = oneofl Cover.[ Corroborated; Strict; Generous ] in
+  let* core = bool in
+  return (Instance.of_tuples source, Instance.of_tuples j, tgds, semantics, core)
+
+let print_differential (source, j, tgds, _, core) =
+  Format.asprintf "I = %a@.J = %a@.core %b@.%a" Instance.pp source Instance.pp j
+    core
+    (Format.pp_print_list Logic.Tgd.pp)
+    tgds
+
+let differential_tests =
+  [
+    QCheck2.Test.make ~name:"indexed analyze equals the linear scan" ~count:300
+      ~print:print_differential differential_gen
+      (fun (source, j, tgds, semantics, core) ->
+        same_analysis
+          (Cover.analyze ~semantics ~core ~source ~j tgds)
+          (Scan.analyze ~semantics ~core ~source ~j tgds))
+    |> QCheck_alcotest.to_alcotest;
+  ]
+
+(* One analysis three ways: [analyze]'s shared session, a fresh index per
+   candidate through [stats_of_result], and [Problem.make] through the
+   cache, cold and then warm. *)
+let example () =
+  let s =
+    Ibench.Generator.generate
+      {
+        Ibench.Config.default with
+        Ibench.Config.rows_per_relation = 12;
+        pi_errors = 20;
+        pi_unexplained = 20;
+        seed = 7;
+      }
+  in
+  let tgds =
+    Candgen.Generate.generate ~source:s.Ibench.Scenario.source
+      ~target:s.Ibench.Scenario.target ~src_fkeys:s.Ibench.Scenario.src_fkeys
+      ~tgt_fkeys:s.Ibench.Scenario.tgt_fkeys
+      ~corrs:s.Ibench.Scenario.correspondences
+  in
+  (s.Ibench.Scenario.instance_i, s.Ibench.Scenario.instance_j, tgds)
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Telemetry.counters ()))
+
+(* Counter deltas of [f ()] with telemetry on. *)
+let counting names f =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = List.map counter names in
+  let r = Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f in
+  (r, List.map2 (fun name b -> counter name - b) names before)
+
+let session_tests =
+  [
+    Alcotest.test_case "analyze, stats_of_result and cached make agree" `Quick
+      (fun () ->
+        let source, j, tgds = example () in
+        let analyzed = Cover.analyze ~source ~j tgds in
+        let per_call =
+          Array.of_list
+            (List.mapi
+               (fun index tgd ->
+                 Cover.stats_of_result ~j ~index tgd (Chase.run source [ tgd ]))
+               tgds)
+        in
+        let cache = Cache.create () in
+        let cold = Core.Problem.make ~cache ~source ~j tgds in
+        let warm = Core.Problem.make ~cache ~source ~j tgds in
+        Alcotest.(check bool) "non-trivial" true (Array.length analyzed > 3);
+        Alcotest.(check bool) "per call" true (same_analysis analyzed per_call);
+        Alcotest.(check bool)
+          "cached, cold" true
+          (same_analysis analyzed cold.Core.Problem.stats);
+        Alcotest.(check bool)
+          "cached, warm" true
+          (same_analysis analyzed warm.Core.Problem.stats));
+    Alcotest.test_case "a warm cached make chases nothing and indexes nothing"
+      `Quick (fun () ->
+        let source, j, tgds = example () in
+        let cache = Cache.create () in
+        let names = [ "chase.runs"; "cover.relations_indexed" ] in
+        let _, cold = counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds) in
+        let _, warm = counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds) in
+        Alcotest.(check (list int))
+          "cold build chases every candidate" [ List.length tgds ]
+          [ List.hd cold ];
+        Alcotest.(check bool) "cold build indexes J" true (List.nth cold 1 > 0);
+        Alcotest.(check (list int)) "warm build" [ 0; 0 ] warm);
+  ]
+
 let () =
   Alcotest.run "cover"
     [
@@ -290,4 +587,6 @@ let () =
       ("partial-groups", partial_group_tests);
       ("properties", property_tests);
       ("regression", regression_tests);
+      ("differential", differential_tests);
+      ("session", session_tests);
     ]

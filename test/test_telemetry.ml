@@ -204,11 +204,20 @@ let jobs_invariance_tests =
             Alcotest.(check bool)
               "some counters moved" true
               (nonzero (counter_totals seq_lines) <> []);
+            let counted name =
+              List.exists
+                (fun (n, v) -> String.equal n name && v > 0)
+                (counter_totals seq_lines)
+            in
+            Alcotest.(check bool) "pool tasks counted" true (counted "pool.tasks");
+            (* the coverage fold's work counters are among the compared
+               totals *)
             Alcotest.(check bool)
-              "pool tasks counted" true
-              (List.exists
-                 (fun (n, v) -> String.equal n "pool.tasks" && v > 0)
-                 (counter_totals seq_lines))));
+              "cover rows probed" true
+              (counted "cover.rows_probed");
+            Alcotest.(check bool)
+              "cover configurations" true
+              (counted "cover.configurations")));
   ]
 
 let () =
