@@ -152,6 +152,18 @@ let contained_in m m' = List.for_all (Chase.Implication.implied_by ~by:m) m'
 
 let equivalent m m' = contained_in m m' && contained_in m' m
 
+(* Both bracketings compose through full first hops only when [m1] and
+   [m2] are full ([m1 ; m2] is then full too), so only then must they agree,
+   and only without the unfolding budget. *)
+let associative m1 m2 m3 =
+  if List.for_all Tgd.is_full (m1 @ m2) then
+    let compose = compose ~limit:max_int in
+    equivalent (compose (compose m1 m2) m3) (compose m1 (compose m2 m3))
+  else
+    List.for_all
+      (Chase.Implication.implied_through ~hops:[ m1; m2; m3 ])
+      (compose (compose m1 m2) m3 @ compose m1 (compose m2 m3))
+
 (* --- quasi-inverse recovery ---------------------------------------------- *)
 
 let invert m =

@@ -62,6 +62,15 @@ val contained_in : Tgd.t list -> Tgd.t list -> bool
 val equivalent : Tgd.t list -> Tgd.t list -> bool
 (** Mutual containment: the two tgd sets specify the same relation. *)
 
+val associative : Tgd.t list -> Tgd.t list -> Tgd.t list -> bool
+(** [associative m1 m2 m3] checks the associativity {!compose} promises
+    for the chain [m1 ; m2 ; m3]. When [m1] and [m2] are full, both
+    bracketings, unfolded with no [limit], must be {!equivalent}.
+    Otherwise every tgd of either bracketing must be implied by chasing
+    through the three hops ({!Chase.Implication.implied_through}), so both
+    are sound. The unbudgeted unfolding makes this a check for small
+    chains (tests, fuzz cases). *)
+
 val invert : Tgd.t list -> Tgd.t list
 (** Swaps body and head of every tgd (labels gain an ["inv_"] prefix).
     Source variables not carried into the head of the original tgd become

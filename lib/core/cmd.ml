@@ -19,11 +19,6 @@ let default_options =
     squared = false;
   }
 
-type warm = {
-  model : Psl.Hlmrf.t;
-  state : Psl.Admm.state;
-}
-
 type result = {
   selection : bool array;
   objective : Frac.t;
@@ -32,7 +27,6 @@ type result = {
   num_vars : int;
   num_potentials : int;
   num_constraints : int;
-  warm_out : warm;
 }
 
 let build_model ?(squared = false) (p : Problem.t) =
@@ -73,17 +67,6 @@ let build_model ?(squared = false) (p : Problem.t) =
               ((y, 1.) :: List.map (fun (c, d) -> (c, -.d)) sup)
               0.)))
     support;
-  Array.iteri
-    (fun c (tgd : Logic.Tgd.t) ->
-      Psl.Hlmrf.set_var_name model c (Printf.sprintf "in(%s)" tgd.Logic.Tgd.label))
-    p.Problem.candidates;
-  (* Stable names for the explained-atoms too: {!Psl.Grounding.delta} matches
-     variables by name, so adjacent sweep points must agree on them. *)
-  Array.iteri
-    (fun ti tuple ->
-      Psl.Hlmrf.set_var_name model (m + ti)
-        (Printf.sprintf "ex(%s)" (Relational.Tuple.to_string tuple)))
-    p.Problem.tuples;
   model
 
 let conditional_round (p : Problem.t) fractional =
@@ -109,38 +92,16 @@ let conditional_round (p : Problem.t) fractional =
 let threshold_round (p : Problem.t) tau fractional =
   Array.init (Problem.num_candidates p) (fun c -> fractional.(c) >= tau)
 
-let solve ?(options = default_options) ?warm (p : Problem.t) =
+let solve ?(options = default_options) (p : Problem.t) =
   let reduced, model =
     Telemetry.with_span "cmd.ground" (fun () ->
         let reduced = Preprocess.run p in
         (reduced, build_model ~squared:options.squared reduced.Preprocess.problem))
   in
   let rp = reduced.Preprocess.problem in
-  let warm_state =
-    match warm with
-    | None -> None
-    | Some w ->
-      (* A transported state is applied only when the two ground models are
-         exactly isomorphic — every variable and factor matched on both
-         sides. The state then already sits at the new model's own fixed
-         point, and ADMM re-converges to the same solution in a handful of
-         iterations. Partial overlaps start cold instead: an ADMM run from a
-         foreign point can converge to a different optimum of the same
-         objective and silently change the rounded selection, breaking the
-         warm-equals-cold contract. *)
-      let d = Psl.Grounding.delta ~prev:w.model ~next:model in
-      let next_factors = Array.length d.Psl.Grounding.factor_map in
-      if
-        d.Psl.Grounding.matched_vars = d.Psl.Grounding.next_num_vars
-        && Psl.Hlmrf.num_vars w.model = d.Psl.Grounding.next_num_vars
-        && d.Psl.Grounding.matched_factors = next_factors
-        && Array.length w.state.Psl.Admm.duals = next_factors
-      then Some (Psl.Grounding.transport d w.state)
-      else None
-  in
   let admm =
     Telemetry.with_span "cmd.solve" (fun () ->
-        Psl.Admm.solve ~options:options.admm ?warm:warm_state model)
+        Psl.Admm.solve ~options:options.admm model)
   in
   let m = Problem.num_candidates p in
   let fractional = Array.sub admm.Psl.Admm.solution 0 m in
@@ -161,5 +122,4 @@ let solve ?(options = default_options) ?warm (p : Problem.t) =
     num_vars = Psl.Hlmrf.num_vars model;
     num_potentials = Psl.Hlmrf.num_potentials model;
     num_constraints = Psl.Hlmrf.num_constraints model;
-    warm_out = { model; state = admm.Psl.Admm.state };
   }

@@ -36,14 +36,6 @@ type options = {
 
 val default_options : options
 
-type warm = {
-  model : Psl.Hlmrf.t;  (** the ground model the state was captured on *)
-  state : Psl.Admm.state;
-}
-(** A warm-start handle from a previous solve of a structurally similar
-    problem (a re-served sweep point). {!solve} diffs the two ground models
-    with {!Psl.Grounding.delta} and transports the ADMM state across. *)
-
 type result = {
   selection : bool array;
   objective : Util.Frac.t;  (** exact objective of [selection] *)
@@ -52,18 +44,11 @@ type result = {
   num_vars : int;  (** variables of the ground model *)
   num_potentials : int;
   num_constraints : int;
-  warm_out : warm;  (** handle for warm-starting the next sweep point *)
 }
 
-val solve : ?options : options -> ?warm : warm -> Problem.t -> result
-(** Omitting [warm] is bit-identical to the historical cold start. With
-    [warm], the transported state is applied only when {!Psl.Grounding.delta}
-    matches the two ground models exactly — the state then sits at the new
-    model's own fixed point and ADMM re-converges in a handful of
-    iterations; any partial overlap falls back to the cold start, because a
-    foreign starting point can reach a different optimum of the same
-    objective and flip the rounded selection. Warm and cold runs therefore
-    always select identically (fuzz `warm-start` family, [test_cmd]). *)
+val solve : ?options : options -> Problem.t -> result
+(** Preprocess, ground, MAP inference, rounding and repair, as above.
+    Deterministic in the problem. *)
 
 val build_model : ?squared : bool -> Problem.t -> Psl.Hlmrf.t
 (** The ground HL-MRF for a (typically preprocessed) problem, with variables

@@ -29,7 +29,6 @@ module Ctx = struct
     mutex : Mutex.t;
     mutable pool_slot : Parallel.Pool.t option;
     mutable closed : bool;
-    warm : (string, Core.Cmd.warm) Hashtbl.t;
   }
 
   let create ?cache ?jobs () =
@@ -46,7 +45,6 @@ module Ctx = struct
       mutex = Mutex.create ();
       pool_slot = None;
       closed = false;
-      warm = Hashtbl.create 16;
     }
 
   let cache t = t.cache
@@ -83,22 +81,6 @@ module Ctx = struct
     Mutex.unlock t.mutex;
     Option.iter Parallel.Pool.shutdown p
 
-  let warm_find t key =
-    Mutex.lock t.mutex;
-    let v = Hashtbl.find_opt t.warm key in
-    Mutex.unlock t.mutex;
-    v
-
-  let warm_set t key v =
-    Mutex.lock t.mutex;
-    Hashtbl.replace t.warm key v;
-    Mutex.unlock t.mutex
-
-  let warm_clear t =
-    Mutex.lock t.mutex;
-    Hashtbl.reset t.warm;
-    Mutex.unlock t.mutex
-
   let with_ctx ?cache ?jobs f =
     let t = create ?cache ?jobs () in
     Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
@@ -116,43 +98,16 @@ type outcome = {
   runtime_ms : float;
 }
 
-let run_solver ctx ?warm_key solver (s : Ibench.Scenario.t) problem =
+let run_solver ctx solver (s : Ibench.Scenario.t) problem =
+  let impl =
+    match Core.Solver.find (registry_name solver) with
+    | Some impl -> impl
+    | None -> assert false (* every variant is registered *)
+  in
   let selection, runtime_ms =
-    match (solver, warm_key) with
-    | Cmd_solver, Some key ->
-      (* Warm-started sweep point. A re-served point (same key, same ground
-         model) restarts ADMM from its own previous fixed point and
-         re-converges in a handful of iterations; Cmd applies the state only
-         on an exact model match, so selections are bit-identical to the
-         cold path (the warm-start fuzz family and test_cmd pin this) and
-         only the wall clock changes. When the context carries a cache, the
-         selection tier short-circuits exact repeats outright — under the
-         same key Core.Solver.solve uses for the registered cmd solver, so
-         entries interoperate. *)
-      let solve () =
-        let prev = Ctx.warm_find ctx key in
-        let r =
-          Telemetry.with_span "solver.cmd" (fun () ->
-              Core.Cmd.solve ?warm:prev problem)
-        in
-        Ctx.warm_set ctx key r.Core.Cmd.warm_out;
-        r.Core.Cmd.selection
-      in
-      Timer.time_ms (fun () ->
-          match Ctx.cache ctx with
-          | None -> solve ()
-          | Some cache ->
-            Cache.selection cache ~solver:"cmd" ~seed:None
-              ~problem_key:(Core.Problem.digest problem) solve)
-    | _ ->
-      let impl =
-        match Core.Solver.find (registry_name solver) with
-        | Some impl -> impl
-        | None -> assert false (* every variant is registered *)
-      in
-      Timer.time_ms (fun () ->
-          (Core.Solver.solve impl ?cache:(Ctx.cache ctx) problem)
-            .Core.Solver.selection)
+    Timer.time_ms (fun () ->
+        (Core.Solver.solve impl ?cache:(Ctx.cache ctx) problem)
+          .Core.Solver.selection)
   in
   {
     selection;

@@ -15,8 +15,8 @@ val registry_name : solver -> string
 (** The {!Core.Solver.find} name of the variant. *)
 
 (** The solver context: every run-wide resource the suite used to keep in
-    process globals — the evaluation cache, the parallelism degree, the
-    shared worker pool and the warm-start store — bundled into one value
+    process globals — the evaluation cache, the parallelism degree and the
+    shared worker pool — bundled into one value
     threaded explicitly through the experiments. A [Ctx.t] is immutable in
     its configuration (no mid-run cache swaps or pool resizes; the old
     [set_jobs] could shut a pool down under a running sweep), and its
@@ -44,14 +44,6 @@ module Ctx : sig
       exactly one caller joins it and later {!pool} calls fail instead of
       resurrecting workers. *)
 
-  val warm_find : t -> string -> Core.Cmd.warm option
-  (** The warm-start state last stored under a sweep-point key. *)
-
-  val warm_set : t -> string -> Core.Cmd.warm -> unit
-
-  val warm_clear : t -> unit
-  (** Drops all stored warm states (e.g. between unrelated sweeps). *)
-
   val with_ctx : ?cache : Cache.t -> ?jobs : int -> (t -> 'a) -> 'a
   (** [create], run, [shutdown] — even on exceptions. *)
 end
@@ -71,24 +63,13 @@ type outcome = {
 }
 
 val run_solver :
-  Ctx.t ->
-  ?warm_key : string ->
-  solver ->
-  Ibench.Scenario.t ->
-  Core.Problem.t ->
-  outcome
-(** Runs one solver; [runtime_ms] covers only the solve, not the
-    precomputation. With [warm_key] and {!Cmd_solver}, the solve warm-starts
-    from the state stored under that key (if any) and stores its own state
-    back — sweep runners use one key per (dimension, seed, level) point, so
-    a re-served sweep restarts each ADMM from its own previous fixed point;
-    {!Core.Cmd.solve} applies the state only on an exact ground-model
-    match, so selections are bit-identical to the cold path. When the
-    context carries a cache, the warm path additionally serves exact
-    repeats from the cache's selection tier without solving at all.
-    [warm_key] is ignored for other solvers. May raise
-    {!Core.Solver_error.Error} (e.g. {!Exact_solver} on oversized
-    problems). *)
+  Ctx.t -> solver -> Ibench.Scenario.t -> Core.Problem.t -> outcome
+(** Runs one solver through {!Core.Solver.solve} under the context's cache;
+    [runtime_ms] covers only the solve, not the precomputation. A repeat
+    of a (solver, problem) pair under a cached context is answered from
+    the cache's selection tier, under the same key any other
+    {!Core.Solver.solve} caller uses. May raise {!Core.Solver_error.Error}
+    (e.g. {!Exact_solver} on oversized problems). *)
 
 val noise_config :
   ?rows : int ->

@@ -23,16 +23,8 @@ let run ctx ?(levels = E2_parameters.noise_levels)
     ?(seeds = E2_parameters.seeds)
     ?(solvers = Common.[ Cmd_solver; Greedy_solver; All_candidates ]) ~id
     dimension =
-  (* Seeds fan out over the shared pool; each CMD solve carries one warm
-     key per (sweep, seed, level) point, so a re-served sweep — a repeated
-     table, the serving daemon — restarts every ADMM from that point's own
-     previous fixed point (and, with a context cache, skips the solve via
-     the selection tier). Adjacent levels are deliberately NOT chained:
-     their ground models differ, and Cmd applies warm state only on an
-     exact model match because a foreign starting point can reach a
-     different optimum and flip the selection. Warm selections are
-     therefore bit-identical to cold ones, and regrouping by level below
-     preserves seed order, keeping the table identical to a sequential cold
+  (* Seeds fan out over the shared pool; regrouping by level below
+     preserves seed order, keeping the table identical to a sequential
      sweep. *)
   let per_seed =
     Common.parallel_map ctx
@@ -44,18 +36,8 @@ let run ctx ?(levels = E2_parameters.noise_levels)
             in
             let p = Common.problem_of_scenario ctx s in
             ( level,
-              List.map
-                (fun solver ->
-                  let warm_key =
-                    match solver with
-                    | Common.Cmd_solver ->
-                      Some
-                        (Printf.sprintf "%s:%s:%d:%d" id
-                           (dimension_name dimension) seed level)
-                    | _ -> None
-                  in
-                  Common.run_solver ctx ?warm_key solver s p)
-                solvers ))
+              List.map (fun solver -> Common.run_solver ctx solver s p) solvers
+            ))
           levels)
       seeds
   in

@@ -3,12 +3,10 @@
     For each noise level of the swept parameter (other noise parameters 0)
     and each seed, a scenario is generated, the selection problem built, and
     each solver run; the table reports the mapping-level and tuple-level F1
-    averaged over seeds. Seeds fan out over the context's pool; each CMD
-    solve carries a per-(sweep, seed, level) warm key
-    ({!Common.run_solver}'s [warm_key]), so re-serving a sweep under the
-    same context warm-starts each point from its own previous ADMM state —
-    the table is bit-identical to a cold sequential sweep for any
-    [jobs]. *)
+    averaged over seeds. Seeds fan out over the context's pool; the table
+    is bit-identical to a sequential sweep for any [jobs]. Re-serving a
+    sweep under a cached context answers every point from the cache
+    ({!Common.run_solver}). *)
 
 type dimension =
   | Errors  (** sweep piErrors — E3 *)

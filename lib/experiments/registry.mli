@@ -1,6 +1,6 @@
 (** The experiment registry: every table/figure of the reproduction, by id.
-    Runners take the solver context ({!Common.Ctx}) that carries the cache,
-    the parallelism degree and the warm-start store. *)
+    Runners take the solver context ({!Common.Ctx}) that carries the cache
+    and the parallelism degree. *)
 
 val all : (string * string * (Common.Ctx.t -> Table.t)) list
 (** [(id, one-line description, runner)] for E1..E15, in order. *)

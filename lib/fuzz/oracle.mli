@@ -2,7 +2,7 @@
     appendix (and the engine's own contracts) pin down, as named checks over
     fuzz cases.
 
-    The ten families:
+    The eleven families:
 
     - [eq4-eq9] — on full-tgd scenarios the Eq. 4 bitset fast path
       ({!Core.Full}) and the general Eq. 9 evaluator agree on every probed
@@ -37,14 +37,14 @@
       retaining every ground tuple, homomorphically equivalent to it in
       both directions, idempotent, and coring never grows the produced
       [K_M];
-    - [warm-start] — a {!Core.Cmd} solve warm-started from a previous
-      solve's ADMM state ({!Core.Cmd.warm}) returns the cold selection
-      bit-for-bit, both on the same problem (exact model match, state
-      applied) and on a neighbouring one (last candidate dropped — the
-      {!Psl.Grounding.delta} mismatch makes Cmd fall back to the cold
-      start); and a sequential {!Core.Portfolio} race is deterministic in
-      [(problem, seed)] and never beaten by an individually-run roster
-      member.
+    - [portfolio] — a sequential {!Core.Portfolio} race is deterministic
+      in [(problem, seed)] and never beaten by an individually-run roster
+      member (CMD, greedy);
+    - [algebra] — implication and containment verdicts hold on the case's
+      own data, minimisation keeps a tgd's meaning, the composed chase is
+      sound against the hop-by-hop one with identical ground facts (and
+      exact on full intermediate hops), and three-hop chains satisfy
+      {!Algebra.associative}.
 
     Checks are deterministic functions of the case: auxiliary randomness
     (probed selections, flip sequences, permutations) is derived from the
@@ -70,7 +70,7 @@ type t = {
 }
 
 val all : t list
-(** The ten families, in the order above. *)
+(** The eleven families, in the order above. *)
 
 val names : string list
 

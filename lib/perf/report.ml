@@ -401,9 +401,10 @@ let gate ?(band = 3.0) ~baseline ~fresh () =
           bad "ratio core.km_shrink fell below 1: %.3f (coring grew K_M)"
             f.value)
       fresh.ratios;
-    (* likewise a hard floor: warm-started sweeps must stay >= 5x over the
-       cold grid — the whole point of chaining chase hits and ADMM state
-       through a sweep — independent of whatever the baseline measured *)
+    (* likewise a hard floor: a sweep re-served through a cached context
+       must stay >= 5x over the uncached grid — the whole point of the
+       cache's stats and selection tiers — independent of whatever the
+       baseline measured *)
     List.iter
       (fun (f : ratio) ->
         if f.r_name = "sweep.warm_speedup" && f.value < 5.0 then

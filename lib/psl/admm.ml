@@ -7,17 +7,11 @@ type options = {
 
 let default_options = { rho = 1.0; max_iter = 10_000; eps_abs = 1e-5; eps_rel = 1e-4 }
 
-type state = {
-  consensus : float array;
-  duals : float array array;
-}
-
 type outcome = {
   solution : float array;
   iterations : int;
   converged : bool;
   energy : float;
-  state : state;
 }
 
 (* The prox operation a factor performs on its local copy. *)
@@ -72,27 +66,6 @@ let factors_of_model model =
   List.filter_map of_potential (Hlmrf.potentials model)
   @ List.filter_map of_constraint (Hlmrf.constraints model)
 
-type factor_view = {
-  f_kind : string;
-  f_vars : int array;
-  f_coeffs : float array;
-  f_constant : float;
-}
-
-let factor_views model =
-  List.map
-    (fun f ->
-      let f_kind =
-        match f.step with
-        | Prox_linear { weight } -> Printf.sprintf "lin:%h" weight
-        | Prox_hinge { weight; squared = false } -> Printf.sprintf "hinge:%h" weight
-        | Prox_hinge { weight; squared = true } -> Printf.sprintf "hinge2:%h" weight
-        | Prox_leq -> "leq"
-        | Prox_eq -> "eq"
-      in
-      { f_kind; f_vars = f.vars; f_coeffs = f.coeffs; f_constant = f.constant })
-    (factors_of_model model)
-
 let dot f v =
   let acc = ref f.constant in
   Array.iteri (fun k c -> acc := !acc +. (c *. v.(k))) f.coeffs;
@@ -129,26 +102,10 @@ let clip01 v = Float.max 0. (Float.min 1. v)
 
 let admm_iterations_counter = Telemetry.Counter.make "admm.iterations"
 
-let solve ?(options = default_options) ?warm model =
+let solve ?(options = default_options) model =
   let n = Hlmrf.num_vars model in
   let factors = factors_of_model model in
   let z = Array.make n 0. in
-  (* Warm start: seed the consensus vector and the per-factor scaled duals
-     from a previous run. Shapes that do not line up fall back to the cold
-     zeros — [warm = None] leaves every buffer exactly as the cold path
-     allocates it. *)
-  (match warm with
-  | None -> ()
-  | Some w ->
-    if Array.length w.consensus = n then Array.blit w.consensus 0 z 0 n;
-    let num_factors = List.length factors in
-    if Array.length w.duals = num_factors then
-      List.iteri
-        (fun idx f ->
-          let src = w.duals.(idx) in
-          let d = Array.length f.y in
-          if Array.length src = d then Array.blit src 0 f.y 0 d)
-        factors);
   let counts = Array.make n 0 in
   List.iter
     (fun f -> Array.iter (fun i -> counts.(i) <- counts.(i) + 1) f.vars)
@@ -218,16 +175,9 @@ let solve ?(options = default_options) ?warm model =
      done
    with Exit -> ());
   Telemetry.Counter.add admm_iterations_counter !iterations;
-  let state =
-    {
-      consensus = Array.copy z;
-      duals = Array.of_list (List.map (fun f -> Array.copy f.y) factors);
-    }
-  in
   {
     solution = z;
     iterations = !iterations;
     converged = !converged;
     energy = Hlmrf.energy model z;
-    state;
   }

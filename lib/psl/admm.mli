@@ -18,42 +18,14 @@ type options = {
 
 val default_options : options
 
-type state = {
-  consensus : float array;  (** the consensus vector [z] at exit *)
-  duals : float array array;
-      (** scaled dual [y] per retained factor, in factor order (potentials
-          first, then hard constraints, each in model insertion order,
-          skipping empty/zero-weight entries) *)
-}
-(** A snapshot of the solver's internal state, suitable for warm-starting a
-    later run on the same model — or, after {!Grounding.transport}, on a
-    structurally similar one. *)
-
 type outcome = {
   solution : float array;  (** consensus assignment, inside the box *)
   iterations : int;
   converged : bool;  (** [false] iff stopped by [max_iter] *)
   energy : float;  (** {!Hlmrf.energy} of [solution] *)
-  state : state;  (** final state, for warm-starting a neighbouring solve *)
 }
 
-type factor_view = {
-  f_kind : string;  (** prox kind + weight, canonically rendered *)
-  f_vars : int array;
-  f_coeffs : float array;
-  f_constant : float;
-}
-(** The shape of one retained factor, as the solver will build it. *)
-
-val factor_views : Hlmrf.t -> factor_view list
-(** The retained factors of a model, in solver order — the order and filter
-    {!solve} uses internally, and the row order of {!state.duals}. This is
-    what {!Grounding.delta} matches on; keeping it here means the retention
-    filter cannot drift from the solver's. *)
-
-val solve : ?options : options -> ?warm : state -> Hlmrf.t -> outcome
+val solve : ?options : options -> Hlmrf.t -> outcome
 (** Minimises the HL-MRF energy over the box subject to its hard
-    constraints. Deterministic. [warm] seeds the consensus vector and the
-    per-factor duals from a previous state; components whose shapes do not
-    match the model fall back to the cold zeros, and omitting [warm] is
-    bit-identical to the historical cold start. *)
+    constraints, starting from all-zero consensus and duals.
+    Deterministic. *)

@@ -195,11 +195,7 @@ let ground db rules =
           (Hlmrf.Hinge { weight = w; expr = p.expr; squared = p.squared }))
     (List.rev !pendings);
   let atoms = Array.make !next_var (Gatom.make "_" [ "_" ]) in
-  Gatom.Map.iter
-    (fun atom i ->
-      atoms.(i) <- atom;
-      Hlmrf.set_var_name model i (Gatom.to_string atom))
-    !var_index;
+  Gatom.Map.iter (fun atom i -> atoms.(i) <- atom) !var_index;
   let soft_groundings =
     List.rev !pendings
     |> List.filter_map (fun p ->
@@ -234,131 +230,3 @@ let rule_distances t ~num_rules x =
       d.(g.rule_index) <- d.(g.rule_index) +. (if g.squared then v *. v else v))
     t.soft_groundings;
   d
-
-(* --- deltas between adjacent ground models ----------------------------- *)
-
-type delta = {
-  next_num_vars : int;
-  next_dims : int array;  (* local dimension per retained factor of [next] *)
-  var_map : int array;  (* next var index -> prev var index, or -1 *)
-  factor_map : int array;  (* next factor index -> prev factor index, or -1 *)
-  matched_vars : int;
-  matched_factors : int;
-}
-
-(* Variable names that occur more than once in a model cannot anchor a
-   correspondence; treat them as unmatched. *)
-let name_table model =
-  let n = Hlmrf.num_vars model in
-  let tbl = Hashtbl.create (2 * n) in
-  for i = 0 to n - 1 do
-    let name = Hlmrf.var_name model i in
-    match Hashtbl.find_opt tbl name with
-    | None -> Hashtbl.replace tbl name i
-    | Some _ -> Hashtbl.replace tbl name (-1)
-  done;
-  tbl
-
-(* Canonical signature of a retained factor: prox kind + constant + the
-   (variable-name, coefficient) pairs in local order. [None] when any local
-   variable's name is ambiguous in its model — such factors never match. *)
-let factor_signature names (f : Admm.factor_view) =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf f.Admm.f_kind;
-  Buffer.add_string buf (Printf.sprintf "|%h" f.Admm.f_constant);
-  let ok = ref true in
-  Array.iteri
-    (fun k i ->
-      let name = names i in
-      if name = None then ok := false
-      else
-        Buffer.add_string buf
-          (Printf.sprintf "|%s:%h" (Option.get name) f.Admm.f_coeffs.(k)))
-    f.Admm.f_vars;
-  if !ok then Some (Buffer.contents buf) else None
-
-let delta ~prev ~next =
-  let prev_names = name_table prev and next_names = name_table next in
-  let unambiguous tbl model i =
-    let name = Hlmrf.var_name model i in
-    match Hashtbl.find_opt tbl name with
-    | Some j when j >= 0 -> Some name
-    | _ -> None
-  in
-  (* variables: matched by unambiguous name *)
-  let n_next = Hlmrf.num_vars next in
-  let matched_vars = ref 0 in
-  let var_map =
-    Array.init n_next (fun i ->
-        match unambiguous next_names next i with
-        | None -> -1
-        | Some name -> (
-          match Hashtbl.find_opt prev_names name with
-          | Some j when j >= 0 ->
-            incr matched_vars;
-            j
-          | _ -> -1))
-  in
-  (* factors: multiset-matched by canonical signature, in solver order *)
-  let prev_factors = Array.of_list (Admm.factor_views prev) in
-  let next_factors = Array.of_list (Admm.factor_views next) in
-  let prev_sig = factor_signature (unambiguous prev_names prev) in
-  let next_sig = factor_signature (unambiguous next_names next) in
-  let by_sig = Hashtbl.create (2 * Array.length prev_factors) in
-  Array.iteri
-    (fun j f ->
-      match prev_sig f with
-      | None -> ()
-      | Some s ->
-        let q =
-          match Hashtbl.find_opt by_sig s with
-          | Some q -> q
-          | None ->
-            let q = Queue.create () in
-            Hashtbl.replace by_sig s q;
-            q
-        in
-        Queue.push j q)
-    prev_factors;
-  let matched_factors = ref 0 in
-  let factor_map =
-    Array.map
-      (fun f ->
-        match next_sig f with
-        | None -> -1
-        | Some s -> (
-          match Hashtbl.find_opt by_sig s with
-          | Some q when not (Queue.is_empty q) ->
-            incr matched_factors;
-            Queue.pop q
-          | _ -> -1))
-      next_factors
-  in
-  {
-    next_num_vars = n_next;
-    next_dims = Array.map (fun f -> Array.length f.Admm.f_vars) next_factors;
-    var_map;
-    factor_map;
-    matched_vars = !matched_vars;
-    matched_factors = !matched_factors;
-  }
-
-let transport d (s : Admm.state) =
-  let consensus = Array.make d.next_num_vars 0. in
-  Array.iteri
-    (fun i j ->
-      if j >= 0 && j < Array.length s.Admm.consensus then
-        consensus.(i) <- s.Admm.consensus.(j))
-    d.var_map;
-  let duals =
-    Array.mapi
-      (fun i dim ->
-        let row = Array.make dim 0. in
-        let j = d.factor_map.(i) in
-        if j >= 0 && j < Array.length s.Admm.duals
-           && Array.length s.Admm.duals.(j) = dim
-        then Array.blit s.Admm.duals.(j) 0 row 0 dim;
-        row)
-      d.next_dims
-  in
-  { Admm.consensus; duals }

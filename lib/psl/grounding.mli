@@ -47,32 +47,3 @@ val rule_distances : t -> num_rules : int -> float array -> float array
 (** [rule_distances g ~num_rules x]: the total (unweighted) distance to
     satisfaction of each input rule's soft groundings under assignment [x],
     as an array of length [num_rules]. *)
-
-(** {2 Deltas between adjacent ground models}
-
-    Two sweep points ground to structurally near-identical HL-MRFs: most
-    variables and factors carry over, only the noise-dependent groundings
-    change. [delta] computes a conservative correspondence — variables
-    matched by (unambiguous) name, retained factors multiset-matched by a
-    canonical signature of prox kind, weight, constant and named
-    coefficients, in {!Admm.factor_views} order — and [transport] rebases an
-    {!Admm.state} across it, zero-filling everything unmatched. Transported
-    warm starts are therefore always shape-correct for the new model, and
-    degrade gracefully to the cold start as the overlap shrinks. *)
-
-type delta = {
-  next_num_vars : int;
-  next_dims : int array;  (** local dimension per retained factor of [next] *)
-  var_map : int array;  (** next var index → prev var index, or [-1] *)
-  factor_map : int array;  (** next factor index → prev factor index, or [-1] *)
-  matched_vars : int;
-  matched_factors : int;
-}
-
-val delta : prev : Hlmrf.t -> next : Hlmrf.t -> delta
-(** Pure and deterministic; ambiguous (duplicate) variable names on either
-    side are never matched. *)
-
-val transport : delta -> Admm.state -> Admm.state
-(** Rebase a state captured on [prev] onto [next]'s shapes. Unmatched
-    variables and factors start cold (zeros). *)

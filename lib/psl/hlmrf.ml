@@ -10,16 +10,9 @@ type t = {
   num_vars : int;
   mutable potentials : potential list;  (* reversed *)
   mutable constraints : constr list;  (* reversed *)
-  names : string array;
 }
 
-let create ~num_vars =
-  {
-    num_vars;
-    potentials = [];
-    constraints = [];
-    names = Array.init num_vars (Printf.sprintf "x%d");
-  }
+let create ~num_vars = { num_vars; potentials = []; constraints = [] }
 
 let num_vars t = t.num_vars
 
@@ -71,7 +64,3 @@ let feasible ?(tol = 1e-6) t x =
          | Leq e -> Linexpr.eval e x <= tol
          | Eq e -> Float.abs (Linexpr.eval e x) <= tol)
        t.constraints
-
-let var_name t i = t.names.(i)
-
-let set_var_name t i name = t.names.(i) <- name

@@ -45,7 +45,3 @@ val energy : t -> float array -> float
 
 val feasible : ?tol : float -> t -> float array -> bool
 (** Box and hard constraints satisfied up to [tol] (default 1e-6). *)
-
-val var_name : t -> int -> string
-
-val set_var_name : t -> int -> string -> unit

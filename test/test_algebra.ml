@@ -164,24 +164,6 @@ let chain_gen =
 
 let mappings_of s = Ibench.Multihop.mappings s
 
-(* Associativity as [compose]'s contract states it. [compose] is exact when
-   its first hop is full and no unfolding is cut short by [limit]; with
-   existentials in the first hop it is a sound under-approximation. Both
-   association orders compose through full first hops only when [m1] and
-   [m2] are full ([m1 ; m2] is then full too), so only then must they
-   agree, and only without the unfolding budget: the chains here are small
-   enough to unfold completely. Otherwise each order must still be sound,
-   every tgd holding in the hop-by-hop semantics. *)
-let associative_per_contract m1 m2 m3 =
-  if List.for_all Tgd.is_full (m1 @ m2) then
-    let compose = Algebra.compose ~limit:max_int in
-    Algebra.equivalent (compose (compose m1 m2) m3) (compose m1 (compose m2 m3))
-  else
-    List.for_all
-      (Chase.Implication.implied_through ~hops:[ m1; m2; m3 ])
-      (Algebra.compose (Algebra.compose m1 m2) m3
-      @ Algebra.compose m1 (Algebra.compose m2 m3))
-
 let chain ~seed ~relations ~arity =
   Ibench.Multihop.mappings
     (Ibench.Multihop.generate
@@ -210,7 +192,7 @@ let test_associativity_regressions () =
       (List.for_all Tgd.is_full m1);
     Alcotest.(check bool)
       "both orders sound" true
-      (associative_per_contract m1 m2 m3)
+      (Algebra.associative m1 m2 m3)
   | _ -> Alcotest.fail "expected three hops");
   match chain ~seed:85 ~relations:1 ~arity:2 with
   | [ m1; m2; m3 ] ->
@@ -219,7 +201,7 @@ let test_associativity_regressions () =
       (List.for_all Tgd.is_full (m1 @ m2 @ m3));
     Alcotest.(check bool)
       "equivalent when unfolded completely" true
-      (associative_per_contract m1 m2 m3)
+      (Algebra.associative m1 m2 m3)
   | _ -> Alcotest.fail "expected three hops"
 
 let qcheck_tests =
@@ -234,7 +216,7 @@ let qcheck_tests =
       chain_gen
       (fun s ->
         match mappings_of s with
-        | [ m1; m2; m3 ] -> associative_per_contract m1 m2 m3
+        | [ m1; m2; m3 ] -> Algebra.associative m1 m2 m3
         | _ -> QCheck2.assume_fail ());
     Test.make ~name:"containment is reflexive on composed pools" ~count:12
       ~print:(fun s -> Format.asprintf "%a" Ibench.Multihop.pp_summary s)

@@ -1,132 +1,12 @@
-(* Warm-started CMD solves, the portfolio race, and the experiments' solver
-   context (Ctx): the bit-identity and determinism contracts the sweep
-   machinery and `--solver portfolio` rely on. *)
+(* The portfolio race and the experiments' solver context (Ctx): the
+   determinism contract `--solver portfolio` relies on, and the cache key
+   the sweep machinery shares with every other Core.Solver caller. *)
 
 open Core
-
-(* --- warm-start bit-identity -------------------------------------------- *)
-
-let warm_equals_cold_tests =
-  let open QCheck2 in
-  [
-    Test.make ~name:"warm-started solve equals cold" ~count:30
-      Fixtures.selection_problem_gen (fun p ->
-        let cold = Cmd.solve p in
-        let warm = Cmd.solve ~warm:cold.Cmd.warm_out p in
-        warm.Cmd.selection = cold.Cmd.selection);
-    Test.make ~name:"warm state transported to a shrunk problem equals cold"
-      ~count:20 Fixtures.selection_problem_gen (fun p ->
-        let m = Problem.num_candidates p in
-        if m < 2 then true
-        else
-          let cold = Cmd.solve p in
-          let q =
-            Problem.make ~source:Fixtures.instance_i ~j:Fixtures.instance_j
-              [ Fixtures.theta1 ]
-          in
-          (* a structurally unrelated neighbour: the delta is partial, so
-             Cmd must fall back to the cold start rather than risk a
-             different ADMM optimum *)
-          let q_cold = Cmd.solve q in
-          let q_warm = Cmd.solve ~warm:cold.Cmd.warm_out q in
-          q_warm.Cmd.selection = q_cold.Cmd.selection);
-  ]
-  |> List.map QCheck_alcotest.to_alcotest
 
 let appendix_problem () =
   Problem.make ~source:Fixtures.instance_i ~j:Fixtures.instance_j
     [ Fixtures.theta1; Fixtures.theta3 ]
-
-let test_zero_warm_state_is_cold () =
-  (* an all-zero warm state is exactly the historical cold start *)
-  let p = appendix_problem () in
-  let cold = Cmd.solve p in
-  let zeroed =
-    {
-      cold.Cmd.warm_out with
-      Cmd.state =
-        {
-          Psl.Admm.consensus =
-            Array.map (fun _ -> 0.)
-              cold.Cmd.warm_out.Cmd.state.Psl.Admm.consensus;
-          duals =
-            Array.map
-              (Array.map (fun _ -> 0.))
-              cold.Cmd.warm_out.Cmd.state.Psl.Admm.duals;
-        };
-    }
-  in
-  let warm = Cmd.solve ~warm:zeroed p in
-  Alcotest.(check (array bool))
-    "selection identical" cold.Cmd.selection warm.Cmd.selection;
-  Alcotest.(check int)
-    "same iteration count (bit-identical trajectory)"
-    cold.Cmd.admm.Psl.Admm.iterations warm.Cmd.admm.Psl.Admm.iterations
-
-(* --- Grounding.delta / transport ---------------------------------------- *)
-
-let test_delta_identity () =
-  let p = appendix_problem () in
-  let cold = Cmd.solve p in
-  (* the model the state was captured on — Cmd.solve grounds the
-     preprocessed problem, so build_model on [p] would be a different
-     (larger) model *)
-  let model = cold.Cmd.warm_out.Cmd.model in
-  let d = Psl.Grounding.delta ~prev:model ~next:model in
-  Alcotest.(check int)
-    "every variable matched by name" (Psl.Hlmrf.num_vars model)
-    d.Psl.Grounding.matched_vars;
-  Alcotest.(check int)
-    "every factor matched by signature"
-    (List.length (Psl.Admm.factor_views model))
-    d.Psl.Grounding.matched_factors;
-  Array.iteri
-    (fun i j -> Alcotest.(check int) "var maps to itself" i j)
-    d.Psl.Grounding.var_map;
-  let s = cold.Cmd.warm_out.Cmd.state in
-  let t = Psl.Grounding.transport d s in
-  Alcotest.(check (array (float 1e-12)))
-    "consensus round-trips" s.Psl.Admm.consensus t.Psl.Admm.consensus;
-  Array.iteri
-    (fun i row ->
-      Alcotest.(check (array (float 1e-12)))
-        (Printf.sprintf "dual row %d round-trips" i)
-        row
-        t.Psl.Admm.duals.(i))
-    s.Psl.Admm.duals
-
-let test_delta_neighbour () =
-  (* dropping a candidate: the surviving candidate's variable and the
-     shared explained-atoms still match by name; transported state keeps
-     their values and zero-fills the rest *)
-  let p = appendix_problem () in
-  let q =
-    Problem.make ~source:Fixtures.instance_i ~j:Fixtures.instance_j
-      [ Fixtures.theta1 ]
-  in
-  let mp = Cmd.build_model p and mq = Cmd.build_model q in
-  let d = Psl.Grounding.delta ~prev:mp ~next:mq in
-  Alcotest.(check bool)
-    "some variables matched" true
-    (d.Psl.Grounding.matched_vars > 0);
-  Alcotest.(check int)
-    "shapes follow the next model" (Psl.Hlmrf.num_vars mq)
-    d.Psl.Grounding.next_num_vars;
-  Array.iter
-    (fun j ->
-      Alcotest.(check bool)
-        "var_map entries in prev range" true
-        (j = -1 || (j >= 0 && j < Psl.Hlmrf.num_vars mp)))
-    d.Psl.Grounding.var_map;
-  let s = (Cmd.solve p).Cmd.warm_out.Cmd.state in
-  let t = Psl.Grounding.transport d s in
-  Alcotest.(check int)
-    "transported consensus has next's length" (Psl.Hlmrf.num_vars mq)
-    (Array.length t.Psl.Admm.consensus);
-  Alcotest.(check int)
-    "transported duals have next's factor count"
-    (List.length (Psl.Admm.factor_views mq))
-    (Array.length t.Psl.Admm.duals)
 
 (* --- portfolio ----------------------------------------------------------- *)
 
@@ -206,101 +86,100 @@ let test_ctx_concurrent_shutdown () =
   Alcotest.(check bool)
     "all four shutdowns returned" true true
 
-let test_ctx_warm_chain_equals_cold () =
-  (* the sweep path end-to-end: even under one shared key (every level
-     offering its state to the next), run_solver must select exactly what
-     cold solves do — Cmd only applies state on an exact model match *)
-  let scenario level =
-    Ibench.Generator.generate
-      (Experiments.Common.noise_config ~seed:3 ~pi_corresp:0 ~pi_errors:level
-         ~pi_unexplained:0 ())
-  in
+let sweep_scenario ~seed level =
+  Ibench.Generator.generate
+    (Experiments.Common.noise_config ~seed ~pi_corresp:0 ~pi_errors:level
+       ~pi_unexplained:0 ())
+
+let run_cmd ctx s p =
+  (Experiments.Common.run_solver ctx Experiments.Common.Cmd_solver s p)
+    .Experiments.Common.selection
+
+(* The [hits]/[misses] [f ()] adds to [cache]'s totals, and its result. *)
+let stats_delta cache f =
+  let before = Cache.stats cache in
+  let r = f () in
+  let after = Cache.stats cache in
+  ( ( after.Cache.hits - before.Cache.hits,
+      after.Cache.misses - before.Cache.misses ),
+    r )
+
+let test_ctx_chain_equals_direct () =
+  (* the sweep path end to end: a chain of levels through run_solver, with
+     and without a cache, selects exactly what direct CMD solves do *)
   let levels = [ 0; 25; 50 ] in
-  let cold =
-    Experiments.Common.Ctx.with_ctx ~jobs:1 (fun ctx ->
+  let through ?cache () =
+    Experiments.Common.Ctx.with_ctx ?cache ~jobs:1 (fun ctx ->
         List.map
           (fun level ->
-            let s = scenario level in
+            let s = sweep_scenario ~seed:3 level in
             let p = Experiments.Common.problem_of_scenario ctx s in
-            (Experiments.Common.run_solver ctx Experiments.Common.Cmd_solver s
-               p)
-              .Experiments.Common.selection)
+            (run_cmd ctx s p, (Cmd.solve p).Cmd.selection))
           levels)
   in
-  let warm =
-    Experiments.Common.Ctx.with_ctx ~jobs:1 (fun ctx ->
-        List.map
-          (fun level ->
-            let s = scenario level in
-            let p = Experiments.Common.problem_of_scenario ctx s in
-            (Experiments.Common.run_solver ctx ~warm_key:"chain"
-               Experiments.Common.Cmd_solver s p)
-              .Experiments.Common.selection)
-          levels)
-  in
-  List.iteri
-    (fun i (c, w) ->
+  List.iter2
+    (fun level ((plain, direct), (cached, _)) ->
       Alcotest.(check (array bool))
-        (Printf.sprintf "level %d identical" (List.nth levels i))
-        c w)
-    (List.combine cold warm)
+        (Printf.sprintf "level %d uncached" level) direct plain;
+      Alcotest.(check (array bool))
+        (Printf.sprintf "level %d cached" level) direct cached)
+    levels
+    (List.combine (through ()) (through ~cache:(Cache.create ()) ()))
 
 let test_ctx_reserved_point_identity () =
   (* re-serving one sweep point under a cached context: the second pass is
-     answered from the selection tier (and would otherwise warm-start from
-     the point's own fixed point); both passes must match a cold solve *)
-  let s =
-    Ibench.Generator.generate
-      (Experiments.Common.noise_config ~seed:7 ~pi_corresp:0 ~pi_errors:25
-         ~pi_unexplained:0 ())
-  in
-  let cold =
+     a selection-tier hit, and both passes match an uncached solve *)
+  let s = sweep_scenario ~seed:7 25 in
+  let uncached =
     Experiments.Common.Ctx.with_ctx ~jobs:1 (fun ctx ->
-        let p = Experiments.Common.problem_of_scenario ctx s in
-        (Experiments.Common.run_solver ctx Experiments.Common.Cmd_solver s p)
-          .Experiments.Common.selection)
+        run_cmd ctx s (Experiments.Common.problem_of_scenario ctx s))
   in
-  Experiments.Common.Ctx.with_ctx ~cache:(Cache.create ()) ~jobs:1 (fun ctx ->
-      let solve () =
+  let cache = Cache.create () in
+  Experiments.Common.Ctx.with_ctx ~cache ~jobs:1 (fun ctx ->
+      let pass () =
         let p = Experiments.Common.problem_of_scenario ctx s in
-        (Experiments.Common.run_solver ctx ~warm_key:"pt"
-           Experiments.Common.Cmd_solver s p)
-          .Experiments.Common.selection
+        stats_delta cache (fun () -> run_cmd ctx s p)
       in
-      let first = solve () in
-      let again = solve () in
-      Alcotest.(check (array bool)) "pass 1 equals cold" cold first;
-      Alcotest.(check (array bool)) "re-served pass equals cold" cold again)
+      let first_stats, first = pass () in
+      let again_stats, again = pass () in
+      Alcotest.(check (pair int int)) "pass 1 solves" (0, 1) first_stats;
+      Alcotest.(check (pair int int))
+        "re-served pass is a selection hit" (1, 0) again_stats;
+      Alcotest.(check (array bool)) "pass 1 equals uncached" uncached first;
+      Alcotest.(check (array bool))
+        "re-served pass equals uncached" uncached again)
 
-let test_ctx_warm_store () =
-  let ctx = Experiments.Common.Ctx.create ~jobs:1 () in
-  let p = appendix_problem () in
-  let w = (Cmd.solve p).Cmd.warm_out in
-  Alcotest.(check bool)
-    "empty store" true
-    (Experiments.Common.Ctx.warm_find ctx "k" = None);
-  Experiments.Common.Ctx.warm_set ctx "k" w;
-  Alcotest.(check bool)
-    "stored" true
-    (Experiments.Common.Ctx.warm_find ctx "k" <> None);
-  Experiments.Common.Ctx.warm_clear ctx;
-  Alcotest.(check bool)
-    "cleared" true
-    (Experiments.Common.Ctx.warm_find ctx "k" = None)
+let test_ctx_shares_solver_key () =
+  (* run_solver keys CMD selections exactly as Core.Solver.solve does, so
+     an entry stored by either is a hit for the other *)
+  let s = sweep_scenario ~seed:5 10 in
+  let p =
+    Experiments.Common.Ctx.with_ctx ~jobs:1 (fun ctx ->
+        Experiments.Common.problem_of_scenario ctx s)
+  in
+  let cmd = Option.get (Solver.find "cmd") in
+  let via_registry cache () = (Solver.solve cmd ~cache p).Solver.selection in
+  let via_ctx cache () =
+    Experiments.Common.Ctx.with_ctx ~cache ~jobs:1 (fun ctx -> run_cmd ctx s p)
+  in
+  List.iter
+    (fun (order, store, lookup) ->
+      let cache = Cache.create () in
+      let stored_stats, stored = stats_delta cache (store cache) in
+      let found_stats, found = stats_delta cache (lookup cache) in
+      Alcotest.(check (pair int int)) (order ^ ": store misses") (0, 1)
+        stored_stats;
+      Alcotest.(check (pair int int)) (order ^ ": lookup hits") (1, 0)
+        found_stats;
+      Alcotest.(check (array bool)) (order ^ ": same selection") stored found)
+    [
+      ("run_solver then registry", via_ctx, via_registry);
+      ("registry then run_solver", via_registry, via_ctx);
+    ]
 
 let () =
   Alcotest.run "cmd"
     [
-      ( "warm-start",
-        warm_equals_cold_tests
-        @ [
-            Alcotest.test_case "zero warm state is the cold start" `Quick
-              test_zero_warm_state_is_cold;
-            Alcotest.test_case "delta on the identical model is total" `Quick
-              test_delta_identity;
-            Alcotest.test_case "delta transports across a dropped candidate"
-              `Quick test_delta_neighbour;
-          ] );
       ( "portfolio",
         portfolio_tests
         @ [
@@ -313,11 +192,14 @@ let () =
             test_ctx_shutdown_idempotent;
           Alcotest.test_case "concurrent shutdowns race safely" `Quick
             test_ctx_concurrent_shutdown;
-          Alcotest.test_case "warm chain equals cold through run_solver"
-            `Quick test_ctx_warm_chain_equals_cold;
+          Alcotest.test_case "sweep chain through run_solver equals direct"
+            `Quick test_ctx_chain_equals_direct;
           Alcotest.test_case "re-served point equals cold" `Quick
             test_ctx_reserved_point_identity;
-          Alcotest.test_case "warm store round-trips" `Quick
-            test_ctx_warm_store;
+        ] );
+      ( "cache-keys",
+        [
+          Alcotest.test_case "run_solver and Core.Solver share CMD entries"
+            `Quick test_ctx_shares_solver_key;
         ] );
     ]
