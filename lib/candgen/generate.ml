@@ -14,13 +14,12 @@ let prefix_vars prefix atoms =
       })
     atoms
 
-let candidate_of_pair (sa : Assoc.t) (ta : Assoc.t) corrs =
+(* [from_sa] are the correspondences out of [sa] *)
+let candidate_of_pair (sa : Assoc.t) (ta : Assoc.t) from_sa =
   let relevant =
     List.filter
-      (fun (c : Correspondence.t) ->
-        Assoc.mem sa c.Correspondence.src_rel
-        && Assoc.mem ta c.Correspondence.tgt_rel)
-      corrs
+      (fun (c : Correspondence.t) -> Assoc.mem ta c.Correspondence.tgt_rel)
+      from_sa
   in
   if relevant = [] then None
   else begin
@@ -57,23 +56,82 @@ let candidate_of_pair (sa : Assoc.t) (ta : Assoc.t) corrs =
     Some (Tgd.make ~body ~head ())
   end
 
+(* The multiset of atom shapes (relation plus constant pattern) on each side,
+   as one string. [Tgd.equal_up_to_renaming a b] implies
+   [shape_key a = shape_key b], so a duplicate always lands in the bucket of
+   the candidate it duplicates. *)
+let shape_key (t : Tgd.t) =
+  let b = Buffer.create 64 in
+  let side atoms =
+    List.map
+      (fun (a : Atom.t) ->
+        Buffer.clear b;
+        Buffer.add_string b a.Atom.rel;
+        Array.iter
+          (function
+            | Term.Var _ -> Buffer.add_string b "|_"
+            | Term.Cst c ->
+              Buffer.add_char b '|';
+              Buffer.add_string b (string_of_int (String.length c));
+              Buffer.add_char b ':';
+              Buffer.add_string b c)
+          a.Atom.args;
+        Buffer.contents b)
+      atoms
+    |> List.sort String.compare |> String.concat ";"
+  in
+  side t.Tgd.body ^ " -> " ^ side t.Tgd.head
+
+let pairs_counter = Telemetry.Counter.make "candgen.pairs"
+
+let duplicates_counter = Telemetry.Counter.make "candgen.duplicates"
+
+let renaming_checks_counter = Telemetry.Counter.make "candgen.renaming_checks"
+
 let generate ~source ~target ~src_fkeys ~tgt_fkeys ~corrs =
+  Telemetry.with_span "candgen" @@ fun () ->
   let src_assocs = Assoc.all ~schema:source ~fkeys:src_fkeys in
   let tgt_assocs = Assoc.all ~schema:target ~fkeys:tgt_fkeys in
   let raw =
     List.concat_map
       (fun sa ->
-        List.filter_map (fun ta -> candidate_of_pair sa ta corrs) tgt_assocs)
+        let from_sa =
+          List.filter
+            (fun (c : Correspondence.t) -> Assoc.mem sa c.Correspondence.src_rel)
+            corrs
+        in
+        List.filter_map (fun ta -> candidate_of_pair sa ta from_sa) tgt_assocs)
       src_assocs
   in
+  (* kept candidates by shape key, newest first within a bucket; a raw
+     candidate is a duplicate iff it renames onto one of its bucket *)
+  let buckets = Hashtbl.create 16 in
+  let checks = ref 0 in
   let deduped =
     List.fold_left
       (fun acc tgd ->
-        if List.exists (Tgd.equal_up_to_renaming tgd) acc then acc
-        else tgd :: acc)
+        let key = shape_key tgd in
+        let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+        if
+          List.exists
+            (fun kept ->
+              incr checks;
+              Tgd.equal_up_to_renaming tgd kept)
+            bucket
+        then acc
+        else begin
+          Hashtbl.replace buckets key (tgd :: bucket);
+          tgd :: acc
+        end)
       [] raw
     |> List.rev
   in
+  if Telemetry.enabled () then begin
+    let n_raw = List.length raw in
+    Telemetry.Counter.add pairs_counter n_raw;
+    Telemetry.Counter.add duplicates_counter (n_raw - List.length deduped);
+    Telemetry.Counter.add renaming_checks_counter !checks
+  end;
   List.mapi
     (fun i tgd -> Tgd.relabel (Printf.sprintf "theta%d" (i + 1)) tgd)
     deduped

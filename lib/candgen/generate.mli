@@ -6,7 +6,23 @@
     the target association with corresponded positions carrying the matched
     source variables and all remaining target positions carrying fresh
     existential variables. Candidates are de-duplicated up to variable
-    renaming and labelled [theta1, theta2, ...] in generation order.
+    renaming ({!Logic.Tgd.equal_up_to_renaming}), keeping the first of each
+    duplicate class, and labelled [theta1, theta2, ...] in generation order.
+
+    De-duplication is bucketed by a shape key: the multiset of atom shapes
+    (relation plus constant pattern) of the body and of the head. Renaming
+    maps an atom only onto one of the same shape, so two candidates equal up
+    to renaming always share a key, and comparing a raw candidate only with
+    the kept candidates of its own bucket takes exactly the decisions of
+    comparing it with every kept candidate. The cost is one shape key per
+    raw candidate plus renaming checks inside a bucket, instead of one
+    renaming check per pair of candidates.
+
+    Runs in the [candgen] telemetry span and adds, once per call, the
+    counters [candgen.pairs] (association pairs with a relevant
+    correspondence, i.e. raw candidates), [candgen.duplicates] (raw
+    candidates dropped) and [candgen.renaming_checks] (calls to
+    {!Logic.Tgd.equal_up_to_renaming}).
 
     When the correspondences are those induced by a ground-truth mapping
     whose tgds are association-shaped (as in the iBench scenarios), the

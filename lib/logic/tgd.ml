@@ -95,54 +95,70 @@ let compare a b = structural_compare a b
 
 let equal a b = compare a b = 0
 
-(* For renaming-insensitive equality we canonicalise under every atom order?
-   That is exponential in general; instead we canonicalise after sorting the
-   atoms by (relation, term shapes), which is a sound and — for the candidate
-   tgds arising in schema mapping, where atoms within a side rarely share a
-   relation symbol — complete normal form. When several atoms of the same
-   side share a relation name we fall back to trying all permutations of that
-   relation's atoms (the groups are tiny in practice). *)
+(* For renaming-insensitive equality we canonicalise after sorting the atoms
+   of each side by shape (relation, constant pattern), which is a sound and —
+   for the candidate tgds arising in schema mapping, where atoms within a side
+   rarely share a shape — complete normal form. When it fails we fall back to
+   trying every reordering of [a]'s atoms within each group of equal shape
+   (an atom can only be renamed onto one of its own shape), permuting
+   positions rather than atoms, so that a physically shared duplicate atom
+   still counts twice. Sides of more than six atoms are not searched. *)
 let equal_up_to_renaming a b =
   let shape (x : Atom.t) =
     ( x.Atom.rel,
       Array.to_list x.Atom.args
       |> List.map (function Term.Cst c -> Some c | Term.Var _ -> None) )
   in
-  let normalise t =
-    let sort atoms =
-      List.stable_sort (fun x y -> Stdlib.compare (shape x) (shape y)) atoms
-    in
-    canonicalize { t with body = sort t.body; head = sort t.head }
+  let by_shape atoms =
+    List.stable_sort (fun x y -> Stdlib.compare (shape x) (shape y)) atoms
   in
-  let quick = equal (normalise a) (normalise b) in
-  if quick then true
-  else begin
-    (* Permutation fallback, bounded: only worth attempting when both sides
-       have the same multiset of shapes. *)
-    let shapes t = List.sort Stdlib.compare (List.map shape (t.body @ t.head)) in
-    if shapes a <> shapes b then false
-    else begin
-      let rec permutations = function
-        | [] -> [ [] ]
-        | l ->
-          List.concat_map
-            (fun x ->
-              let rest = List.filter (fun y -> y != x) l in
-              List.map (fun p -> x :: p) (permutations rest))
-            l
-      in
-      let bounded l = List.length l <= 6 in
-      if not (bounded a.body && bounded a.head) then false
-      else
-        List.exists
-          (fun body ->
-            List.exists
-              (fun head ->
-                equal (canonicalize { a with body; head }) (canonicalize b))
-              (permutations a.head))
-          (permutations a.body)
-    end
-  end
+  let normalise t =
+    canonicalize { t with body = by_shape t.body; head = by_shape t.head }
+  in
+  let target = normalise b in
+  equal (normalise a) target
+  ||
+  let shapes atoms = List.map shape (by_shape atoms) in
+  let bounded l = List.length l <= 6 in
+  shapes a.body = shapes b.body
+  && shapes a.head = shapes b.head
+  && bounded a.body && bounded a.head
+  &&
+  (* every ordering of [l] by position *)
+  let rec permutations = function
+    | [] -> [ [] ]
+    | l ->
+      List.concat
+        (List.mapi
+           (fun i x ->
+             List.map (fun p -> x :: p)
+               (permutations (List.filteri (fun j _ -> j <> i) l)))
+           l)
+  in
+  (* [by_shape atoms] with each run of equal shape reordered every way *)
+  let arrangements atoms =
+    let groups =
+      List.fold_right
+        (fun x acc ->
+          match acc with
+          | (y :: _ as g) :: rest when shape x = shape y -> (x :: g) :: rest
+          | _ -> [ x ] :: acc)
+        (by_shape atoms) []
+    in
+    List.fold_right
+      (fun g acc ->
+        List.concat_map
+          (fun p -> List.map (fun rest -> p @ rest) acc)
+          (permutations g))
+      groups [ [] ]
+  in
+  let heads = arrangements a.head in
+  List.exists
+    (fun body ->
+      List.exists
+        (fun head -> equal (canonicalize { a with body; head }) target)
+        heads)
+    (arrangements a.body)
 
 let rename_apart ~suffix t = map_vars (fun v -> v ^ suffix) t
 

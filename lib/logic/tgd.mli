@@ -52,7 +52,15 @@ val canonicalize : t -> t
 
 val equal_up_to_renaming : t -> t -> bool
 (** Structural equality modulo variable names, insensitive to the order of
-    atoms within body and head. *)
+    atoms within body and head. True only if both tgds have the same
+    multiset of atom shapes (relation plus constant pattern) in the body and
+    in the head.
+
+    Approximation: the first check sorts each side's atoms by shape and
+    compares canonical forms. When that fails, every reordering of the atoms
+    within each group of equal shape is tried, but only if both sides have
+    at most six atoms. A side of more than six atoms that needs this search
+    answers [false], which may be a false negative. *)
 
 val equal : t -> t -> bool
 (** Strict structural equality (including variable names); labels ignored. *)

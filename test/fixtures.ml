@@ -275,3 +275,15 @@ let cq_gen =
         return (Atom.make "r3" [ a; b; c ])
     in
     list_size (int_range 1 3) atom_gen)
+
+(* --- telemetry ------------------------------------------------------- *)
+
+let counter name = Option.value ~default:0 (List.assoc_opt name (Telemetry.counters ()))
+
+(* Counter deltas of [f ()] with telemetry on. *)
+let counting names f =
+  let was = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  let before = List.map counter names in
+  let r = Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f in
+  (r, List.map2 (fun name b -> counter name - b) names before)

@@ -531,16 +531,6 @@ let example () =
   in
   (s.Ibench.Scenario.instance_i, s.Ibench.Scenario.instance_j, tgds)
 
-let counter name = Option.value ~default:0 (List.assoc_opt name (Telemetry.counters ()))
-
-(* Counter deltas of [f ()] with telemetry on. *)
-let counting names f =
-  let was = Telemetry.enabled () in
-  Telemetry.set_enabled true;
-  let before = List.map counter names in
-  let r = Fun.protect ~finally:(fun () -> Telemetry.set_enabled was) f in
-  (r, List.map2 (fun name b -> counter name - b) names before)
-
 let session_tests =
   [
     Alcotest.test_case "analyze, stats_of_result and cached make agree" `Quick
@@ -570,8 +560,12 @@ let session_tests =
         let source, j, tgds = example () in
         let cache = Cache.create () in
         let names = [ "chase.runs"; "cover.relations_indexed" ] in
-        let _, cold = counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds) in
-        let _, warm = counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds) in
+        let _, cold =
+          Fixtures.counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds)
+        in
+        let _, warm =
+          Fixtures.counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds)
+        in
         Alcotest.(check (list int))
           "cold build chases every candidate" [ List.length tgds ]
           [ List.hd cold ];

@@ -275,6 +275,48 @@ let tgd_tests =
         Alcotest.(check bool)
           "reordered equal" true
           (Tgd.equal_up_to_renaming Fixtures.theta3 reordered));
+    Alcotest.test_case
+      "equal_up_to_renaming counts a physically shared atom twice" `Quick
+      (fun () ->
+        (* the quick path fails on all three (one shape, differing order),
+           so the permutation fallback decides; it must permute positions,
+           not atoms, or the shared a1 drops out of every ordering *)
+        let a1 = Atom.make "r" [ v "X"; v "Y" ] in
+        let a2 = Atom.make "r" [ v "Y"; v "X" ] in
+        let head = [ Atom.make "t" [ v "X" ] ] in
+        let shared = Tgd.make ~body:[ a1; a1; a2 ] ~head () in
+        let unshared =
+          Tgd.make
+            ~body:
+              [
+                Atom.make "r" [ v "X"; v "Y" ];
+                Atom.make "r" [ v "X"; v "Y" ];
+                Atom.make "r" [ v "Y"; v "X" ];
+              ]
+            ~head ()
+        in
+        let renamed =
+          Tgd.make
+            ~body:
+              [
+                Atom.make "r" [ v "U"; v "W" ];
+                Atom.make "r" [ v "W"; v "U" ];
+                Atom.make "r" [ v "W"; v "U" ];
+              ]
+            ~head:[ Atom.make "t" [ v "W" ] ]
+            ()
+        in
+        Alcotest.(check bool) "structurally equal" true (Tgd.equal shared unshared);
+        Alcotest.(check bool)
+          "unshared" true
+          (Tgd.equal_up_to_renaming unshared renamed);
+        Alcotest.(check bool)
+          "shared" true
+          (Tgd.equal_up_to_renaming shared renamed);
+        Alcotest.(check bool)
+          "not a renaming" false
+          (Tgd.equal_up_to_renaming shared
+             (Tgd.make ~body:[ a1; a2; a2 ] ~head ())));
     Alcotest.test_case "canonicalize is idempotent" `Quick (fun () ->
         let c1 = Tgd.canonicalize Fixtures.theta3 in
         let c2 = Tgd.canonicalize c1 in

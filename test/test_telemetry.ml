@@ -217,7 +217,15 @@ let jobs_invariance_tests =
               (counted "cover.rows_probed");
             Alcotest.(check bool)
               "cover configurations" true
-              (counted "cover.configurations")));
+              (counted "cover.configurations");
+            (* and so are candidate generation's *)
+            Alcotest.(check bool) "candgen pairs" true (counted "candgen.pairs");
+            List.iter
+              (fun name ->
+                Alcotest.(check bool)
+                  name true
+                  (List.mem_assoc name (counter_totals seq_lines)))
+              [ "candgen.duplicates"; "candgen.renaming_checks" ]));
   ]
 
 let () =
