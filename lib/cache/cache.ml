@@ -3,25 +3,42 @@ open Util
 
 (* --- canonical keys ----------------------------------------------------- *)
 
+(* Bytes fed to MD5 by key derivation, added once per digest. *)
+let key_bytes_counter = Telemetry.Counter.make "cache.key_bytes"
+
 module Key = struct
   (* Percent-encode everything outside [A-Za-z0-9_.~-] so renderings can be
      joined with spaces/commas and split back unambiguously (the disk format
      reuses this). *)
-  let enc s =
-    let plain = function
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '~' | '-' -> true
-      | _ -> false
-    in
-    if String.for_all plain s then s
-    else begin
-      let buf = Buffer.create (String.length s + 8) in
-      String.iter
-        (fun c ->
-          if plain c then Buffer.add_char buf c
-          else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-        s;
-      Buffer.contents buf
-    end
+  let plain = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '~' | '-' -> true
+    | _ -> false
+
+  (* Key rendering is the cost of a cache hit, so the writers below are
+     closure-free loops over a lookup table. *)
+  let plain_table =
+    String.init 256 (fun i -> if plain (Char.chr i) then '1' else '0')
+
+  let is_plain c = String.unsafe_get plain_table (Char.code c) = '1'
+
+  let rec all_plain s i n =
+    i >= n || (is_plain (String.unsafe_get s i) && all_plain s (i + 1) n)
+
+  let hex_digits = "0123456789ABCDEF"
+
+  let add_enc buf s =
+    let n = String.length s in
+    if all_plain s 0 n then Buffer.add_string buf s
+    else
+      for i = 0 to n - 1 do
+        let c = String.unsafe_get s i in
+        if is_plain c then Buffer.add_char buf c
+        else begin
+          Buffer.add_char buf '%';
+          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
+          Buffer.add_char buf hex_digits.[Char.code c land 15]
+        end
+      done
 
   let dec s =
     let n = String.length s in
@@ -48,30 +65,93 @@ module Key = struct
     in
     go 0
 
-  let digest parts =
-    let buf = Buffer.create 256 in
+  (* [string_of_int], digit by digit: [n <= 0] here, so [min_int] needs no
+     negation. *)
+  let rec add_nonpos buf n =
+    if n <= -10 then add_nonpos buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+  let add_int buf n =
+    if n < 0 then begin
+      Buffer.add_char buf '-';
+      add_nonpos buf n
+    end
+    else add_nonpos buf (-n)
+
+  let add_value buf = function
+    | Value.Const s ->
+      Buffer.add_char buf 'C';
+      add_enc buf s
+    | Value.Null n ->
+      Buffer.add_char buf 'N';
+      add_int buf n
+
+  let add_tuple buf (t : Tuple.t) =
+    Buffer.add_char buf 'R';
+    add_enc buf t.Tuple.rel;
+    let values = t.Tuple.values in
+    for i = 0 to Array.length values - 1 do
+      Buffer.add_char buf ' ';
+      add_value buf (Array.unsafe_get values i)
+    done
+
+  (* [Instance.tuples] order: relations ascending, each relation's tuples
+     in descending set order. *)
+  let add_instance buf inst =
+    let first = ref true in
     List.iter
-      (fun p ->
-        Buffer.add_string buf (string_of_int (String.length p));
-        Buffer.add_char buf ':';
-        Buffer.add_string buf p)
-      parts;
-    Digest.to_hex (Digest.string (Buffer.contents buf))
+      (fun rel ->
+        Seq.iter
+          (fun t ->
+            if !first then first := false else Buffer.add_char buf ',';
+            add_tuple buf t)
+          (Tuple.Set.to_rev_seq (Instance.tuples_of inst rel)))
+      (Instance.relations inst)
 
-  let value = function
-    | Value.Const s -> "C" ^ enc s
-    | Value.Null n -> "N" ^ string_of_int n
+  let add_frac buf f =
+    add_int buf (Frac.num f);
+    Buffer.add_char buf '/';
+    add_int buf (Frac.den f)
 
-  let tuple (t : Tuple.t) =
-    let fields = Array.to_list t.Tuple.values |> List.map value in
-    String.concat " " (("R" ^ enc t.Tuple.rel) :: fields)
+  let add_string_part frame p =
+    add_int frame (String.length p);
+    Buffer.add_char frame ':';
+    Buffer.add_string frame p
 
-  let instance inst =
-    Instance.tuples inst |> List.map tuple |> String.concat ","
+  let add_part frame part =
+    add_int frame (Buffer.length part);
+    Buffer.add_char frame ':';
+    Buffer.add_buffer frame part
+
+  let md5_hex frame = Digest.to_hex (Digest.string (Buffer.contents frame))
+
+  let digest_frame frame =
+    if Telemetry.enabled () then
+      Telemetry.Counter.add key_bytes_counter (Buffer.length frame);
+    md5_hex frame
+
+  let digest parts =
+    let frame = Buffer.create 256 in
+    List.iter (add_string_part frame) parts;
+    digest_frame frame
+
+  let render size add x =
+    let buf = Buffer.create size in
+    add buf x;
+    Buffer.contents buf
+
+  let enc s =
+    if all_plain s 0 (String.length s) then s else render 16 add_enc s
+
+  let value v = render 16 add_value v
+
+  let tuple t = render 64 add_tuple t
+
+  let instance inst = render 4096 add_instance inst
 
   let tgd t = enc (Logic.Tgd.to_string t)
 
-  let frac f = Printf.sprintf "%d/%d" (Frac.num f) (Frac.den f)
+  let frac f = render 16 add_frac f
 
   let semantics = function
     | Cover.Corroborated -> "corroborated"
@@ -441,18 +521,29 @@ let sync t =
 
 (* --- typed entry points ------------------------------------------------- *)
 
-(* Rendering both instances is linear in the data; digesting them once per
-   (source, j) pair keeps the per-candidate key derivation O(|tgd|). *)
-let data_key ~source ~j =
-  Key.digest [ "data"; Key.instance source; Key.instance j ]
-
-let source_key ~source = Key.digest [ "src"; Key.instance source ]
-
-(* A problem build needs both keys; rendering the source once for the pair
-   halves the dominant cost of a fully warm build. *)
+(* A problem build needs both keys and, on a fully warm build, key
+   derivation is its dominant cost: each instance is rendered once, the
+   source framed into both digests, and one frame buffer sized for the
+   larger digest serves both. *)
 let example_keys ~source ~j =
-  let src = Key.instance source in
-  (Key.digest [ "src"; src ], Key.digest [ "data"; src; Key.instance j ])
+  Telemetry.with_span "cache.key" (fun () ->
+      let src = Buffer.create 4096 in
+      Key.add_instance src source;
+      let tgt = Buffer.create (Buffer.length src + 16) in
+      Key.add_instance tgt j;
+      let frame = Buffer.create (Buffer.length src + Buffer.length tgt + 48) in
+      Key.add_string_part frame "src";
+      Key.add_part frame src;
+      let src_bytes = Buffer.length frame in
+      let source_key = Key.md5_hex frame in
+      Buffer.clear frame;
+      Key.add_string_part frame "data";
+      Key.add_part frame src;
+      Key.add_part frame tgt;
+      if Telemetry.enabled () then
+        Telemetry.Counter.add key_bytes_counter
+          (src_bytes + Buffer.length frame);
+      (source_key, Key.md5_hex frame))
 
 (* The chase depends on (source, tgd) only — not on the target instance —
    so a sweep over noise levels that perturb only [J] reuses every chase

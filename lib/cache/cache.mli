@@ -75,18 +75,56 @@ val default : unit -> t option
 (** Canonical renderings of the engine's values, for key derivation. Each
     rendering is injective on its type (length-prefixed and
     percent-encoded where needed), so distinct inputs never share a
-    digest other than by hash collision. *)
+    digest other than by hash collision.
+
+    The [add_*] writers append a rendering to a buffer; the string
+    functions are thin wrappers over them. Every key in the system is
+    derived through these writers, and {b every key byte is the old one}:
+    the writers emit exactly what the string-concatenating renderers
+    emitted, so disk tiers filled by earlier builds, pinned problem digests
+    and the serving daemon's wire digests stay valid. *)
 module Key : sig
+  val add_enc : Buffer.t -> string -> unit
+  (** Percent-encodes every byte outside [[A-Za-z0-9_.~-]] as [%XX]
+      (upper-case hex). *)
+
+  val add_int : Buffer.t -> int -> unit
+  (** Decimal, exactly [string_of_int]. *)
+
+  val add_value : Buffer.t -> Relational.Value.t -> unit
+  (** [C<enc const>] or [N<label>]. *)
+
+  val add_tuple : Buffer.t -> Relational.Tuple.t -> unit
+  (** [R<enc rel>] then a space before each value. *)
+
+  val add_instance : Buffer.t -> Relational.Instance.t -> unit
+  (** Tuples in [Relational.Instance.tuples] order, comma-separated. *)
+
+  val add_frac : Buffer.t -> Util.Frac.t -> unit
+  (** [<num>/<den>] of the reduced fraction. *)
+
+  val add_string_part : Buffer.t -> string -> unit
+  (** [add_string_part frame p] appends the framed part [<len>:<p>]. *)
+
+  val add_part : Buffer.t -> Buffer.t -> unit
+  (** [add_part frame part] appends [<len>:<contents of part>], so a part
+      can be rendered into a reusable buffer with the writers and framed
+      without building its string. [part] is left as it was. *)
+
+  val digest_frame : Buffer.t -> string
+  (** Hex MD5 of a frame built by {!add_part}/{!add_string_part}. Adds the
+      frame's length to the [cache.key_bytes] counter. *)
+
   val digest : string list -> string
   (** Hex digest of a part list; parts are length-prefixed, so the digest
-      is injective in the list (no concatenation ambiguity). *)
+      is injective in the list (no concatenation ambiguity). Equal to
+      {!digest_frame} over the parts framed with {!add_string_part}. *)
 
   val value : Relational.Value.t -> string
 
   val tuple : Relational.Tuple.t -> string
 
   val instance : Relational.Instance.t -> string
-  (** Tuples in the instance's canonical order. *)
 
   val tgd : Logic.Tgd.t -> string
   (** The exact rendering, label and variable names included — variable
@@ -98,12 +136,20 @@ module Key : sig
   val semantics : Cover.semantics -> string
 end
 
-val data_key :
-  source : Relational.Instance.t -> j : Relational.Instance.t -> string
-(** Digest of a data example, the expensive half of a {!tgd_stats} key.
+val example_keys :
+  source : Relational.Instance.t ->
+  j : Relational.Instance.t ->
+  string * string
+(** [(source_key, data_key)] of one data example: the digests of
+    [["src"; source]] and of [["data"; source; j]], the instances rendered
+    by {!Key.add_instance}. [data_key] is the expensive half of a
+    {!tgd_stats} key and [source_key] the key half of the {!chase} tier.
     Rendering the instances is linear in the data, so callers looking up
-    many candidates against one [(source, j)] pair compute this once and
-    pass it to every lookup. *)
+    many candidates against one [(source, j)] pair derive these once and
+    pass them to every lookup; on a fully warm problem build this is the
+    dominant cost, so each instance is rendered once. Runs inside a
+    [cache.key] span and adds the bytes of both frames to
+    [cache.key_bytes] once. *)
 
 val tgd_stats :
   t ->
@@ -116,7 +162,7 @@ val tgd_stats :
   Cover.tgd_stats
 (** [tgd_stats t ~data_key ~index tgd compute] is [compute ()] memoized
     under the digest of [(semantics, core, tgd, data_key)], with [data_key]
-    from {!data_key} on the example [compute] evaluates against. The [core]
+    from {!example_keys} on the example [compute] evaluates against. The [core]
     flag (default [false]) must say whether [compute] runs the core stage
     ({!Cover.stats_of_result}): cored statistics differ from uncored ones
     on the same example, so the flag is part of the key — uncored entries
@@ -125,19 +171,6 @@ val tgd_stats :
     [index], so one cached analysis serves a candidate wherever it appears
     in a list. [compute] must derive its result from exactly the keyed
     inputs (chase [source] with [tgd], fold against [j]). *)
-
-val source_key : source : Relational.Instance.t -> string
-(** Digest of the source instance alone — the key half of the chase tier.
-    Computed once per source, like {!data_key}. *)
-
-val example_keys :
-  source : Relational.Instance.t ->
-  j : Relational.Instance.t ->
-  string * string
-(** [(source_key, data_key)] of one data example, rendering the source
-    instance once instead of twice — exactly {!source_key} and {!data_key},
-    byte for byte. Problem builds need both, and on a fully warm build the
-    key derivation is the dominant cost. *)
 
 val chase :
   t ->

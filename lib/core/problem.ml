@@ -100,36 +100,67 @@ let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
   in
   of_stats ?weights ~j stats
 
+(* One pass into one frame, byte for byte the length-prefixed part list
+   ["problem"; weights; each J tuple; each candidate's statistics]. Every J
+   tuple is rendered once into [jtext]; a cover entry reuses its tuple's
+   bytes through [t.covers], whose per-candidate order is the covers map's
+   (every covered tuple is a tuple of J, so nothing in the map is missed). *)
 let digest t =
-  let stat_part (s : Cover.tgd_stats) =
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf (Cache.Key.tgd s.Cover.tgd);
-    Buffer.add_string buf "|cost ";
-    Buffer.add_string buf (Cache.Key.frac t.cand_cost.(s.Cover.index));
-    Tuple.Map.iter
-      (fun tu d ->
-        Buffer.add_string buf "|cover ";
-        Buffer.add_string buf (Cache.Key.tuple tu);
-        Buffer.add_char buf ' ';
-        Buffer.add_string buf (Cache.Key.frac d))
-      s.Cover.covers;
-    List.iter
-      (fun tu ->
-        Buffer.add_string buf "|error ";
-        Buffer.add_string buf (Cache.Key.tuple tu))
-      s.Cover.error_tuples;
-    Buffer.add_string buf
-      (Printf.sprintf "|produced %d|size %d" s.Cover.produced s.Cover.size);
-    Buffer.contents buf
-  in
-  Cache.Key.digest
-    ([
-       "problem";
-       Printf.sprintf "w %d %d %d" t.weights.w_unexplained t.weights.w_errors
-         t.weights.w_size;
-     ]
-    @ List.map Cache.Key.tuple (Array.to_list t.tuples)
-    @ List.map stat_part (Array.to_list t.stats))
+  Telemetry.with_span "cache.key" (fun () ->
+      let module K = Cache.Key in
+      let jbuf = Buffer.create (64 * Array.length t.tuples) in
+      let ends =
+        Array.map
+          (fun tu ->
+            K.add_tuple jbuf tu;
+            Buffer.length jbuf)
+          t.tuples
+      in
+      let jtext = Buffer.contents jbuf in
+      let add_j buf i =
+        let start = if i = 0 then 0 else ends.(i - 1) in
+        Buffer.add_substring buf jtext start (ends.(i) - start)
+      in
+      let frame = Buffer.create ((4 * String.length jtext) + 256) in
+      let part = Buffer.create 256 in
+      K.add_string_part frame "problem";
+      Buffer.add_string part "w ";
+      K.add_int part t.weights.w_unexplained;
+      Buffer.add_char part ' ';
+      K.add_int part t.weights.w_errors;
+      Buffer.add_char part ' ';
+      K.add_int part t.weights.w_size;
+      K.add_part frame part;
+      for i = 0 to Array.length t.tuples - 1 do
+        Buffer.clear part;
+        add_j part i;
+        K.add_part frame part
+      done;
+      Array.iteri
+        (fun c (s : Cover.tgd_stats) ->
+          Buffer.clear part;
+          K.add_enc part (Logic.Tgd.to_string s.Cover.tgd);
+          Buffer.add_string part "|cost ";
+          K.add_frac part t.cand_cost.(s.Cover.index);
+          Array.iter
+            (fun (i, d) ->
+              Buffer.add_string part "|cover ";
+              add_j part i;
+              Buffer.add_char part ' ';
+              K.add_frac part d)
+            t.covers.(c);
+          List.iter
+            (fun tu ->
+              Buffer.add_string part "|error ";
+              K.add_tuple part tu)
+            s.Cover.error_tuples;
+          Buffer.add_string part "|produced ";
+          K.add_int part s.Cover.produced;
+          Buffer.add_string part "|size ";
+          K.add_int part s.Cover.size;
+          K.add_part frame part)
+        t.stats;
+      K.digest_frame frame)
 
 let num_candidates t = Array.length t.candidates
 

@@ -29,7 +29,8 @@ let observe atom value t =
     if p.Predicate.arity <> Array.length atom.Gatom.args then
       invalid_arg
         (Printf.sprintf "Database.observe: arity mismatch for %s" atom.Gatom.pred));
-  if value < 0. || value > 1. then
+  (* written so that NaN, which fails every comparison, is rejected too *)
+  if not (value >= 0. && value <= 1.) then
     invalid_arg "Database.observe: truth value outside [0,1]";
   { t with observed = Gatom.Map.add atom value t.observed }
 

@@ -16,7 +16,8 @@ val predicates : t -> Predicate.t list
 
 val observe : Gatom.t -> float -> t -> t
 (** Records a truth value. Raises [Invalid_argument] if the predicate is
-    unknown, the arity mismatches, or the value lies outside [0,1].
+    unknown, the arity mismatches, or the value lies outside [0,1] (NaN
+    included).
     Re-observing an atom overwrites. *)
 
 val observe_all : (Gatom.t * float) list -> t -> t

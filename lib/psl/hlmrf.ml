@@ -16,19 +16,30 @@ let create ~num_vars = { num_vars; potentials = []; constraints = [] }
 
 let num_vars t = t.num_vars
 
+(* A NaN or infinite number anywhere in the model turns every ADMM update
+   into NaN, which the convergence test never catches. *)
+let check_finite what x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Hlmrf: non-finite %s %g" what x)
+
 let check_expr t expr =
   List.iter
-    (fun i ->
+    (fun (i, c) ->
       if i < 0 || i >= t.num_vars then
-        invalid_arg (Printf.sprintf "Hlmrf: variable index %d out of range" i))
-    (Linexpr.vars expr)
+        invalid_arg (Printf.sprintf "Hlmrf: variable index %d out of range" i);
+      check_finite "coefficient" c)
+    expr.Linexpr.coeffs;
+  check_finite "constant" expr.Linexpr.constant
 
 let add_potential t p =
   (match p with
   | Hinge { weight; expr; _ } ->
+    check_finite "weight" weight;
     if weight < 0. then invalid_arg "Hlmrf.add_potential: negative hinge weight";
     check_expr t expr
-  | Linear { expr; _ } -> check_expr t expr);
+  | Linear { weight; expr } ->
+    check_finite "weight" weight;
+    check_expr t expr);
   t.potentials <- p :: t.potentials
 
 let add_constraint t c =

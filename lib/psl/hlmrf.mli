@@ -27,9 +27,13 @@ val create : num_vars : int -> t
 val num_vars : t -> int
 
 val add_potential : t -> potential -> unit
-(** Raises [Invalid_argument] on a negative hinge weight. *)
+(** Raises [Invalid_argument] on a negative hinge weight, a variable index
+    out of range, or a weight, coefficient or constant that is NaN or
+    infinite. *)
 
 val add_constraint : t -> constr -> unit
+(** Raises [Invalid_argument] on a variable index out of range or a
+    coefficient or constant that is NaN or infinite. *)
 
 val potentials : t -> potential list
 (** In insertion order. *)

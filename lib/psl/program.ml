@@ -110,9 +110,10 @@ let parse_observe_line rest =
   | [ atom; value ] -> (
     let name, args = parse_application atom in
     List.iter (fun a -> ignore (check_ident "argument" a)) args;
-    match float_of_string_opt (String.trim value) with
-    | Some v -> (Gatom.make name args, v)
-    | None -> fail "bad truth value %s" value)
+    let value = String.trim value in
+    match float_of_string_opt value with
+    | Some v when v >= 0. && v <= 1. -> (Gatom.make name args, v)
+    | Some _ | None -> fail "bad truth value %s (expected a number in [0,1])" value)
   | _ -> fail "expected atom = value, got %s" rest
 
 let parse_rule_line rest =

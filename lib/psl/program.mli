@@ -15,9 +15,11 @@
     v}
 
     Identifiers starting with an uppercase letter or underscore are rule
-    variables; everything else is a constant. A rule's weight is a number,
-    or [hard]; [squared] after the weight squares the hinge. Either side of
-    [->] may be empty. *)
+    variables; everything else is a constant. A rule's weight is a finite
+    non-negative number, or [hard]; [squared] after the weight squares the
+    hinge. Either side of [->] may be empty. An observed truth value is a
+    number in [0,1]. A weight or truth value outside its range ([nan] and
+    [inf] included) is an error on its line. *)
 
 type t = {
   predicates : Predicate.t list;

@@ -23,6 +23,7 @@ type t = {
 let make ?(label = "rule") ?(squared = false) ~weight ~body ~head () =
   if body = [] && head = [] then invalid_arg "Rule.make: empty rule";
   (match weight with
+  | Some w when not (Float.is_finite w) -> invalid_arg "Rule.make: non-finite weight"
   | Some w when w < 0. -> invalid_arg "Rule.make: negative weight"
   | Some _ | None -> ());
   { label; weight; squared; body; head }

@@ -39,7 +39,7 @@ val make :
   unit ->
   t
 (** Raises [Invalid_argument] if both sides are empty or the weight is
-    negative. *)
+    negative, NaN or infinite. *)
 
 val vars : t -> string list
 (** All rule variables, each once, in first-occurrence order. *)

@@ -209,6 +209,328 @@ let test_disk_corruption_recomputes () =
   Alcotest.(check int)
     "corrupt file is a miss" 1 (Cache.stats reloaded).Cache.misses
 
+(* --- key byte-identity oracle -------------------------------------------- *)
+
+(* The string-concatenating renderers that every key was derived with
+   before the buffer writers, kept verbatim as the oracle: the writers must
+   reproduce them byte for byte, or warm disk tiers, pinned digests and the
+   daemon's wire digests silently go stale. *)
+module Reference = struct
+  open Relational
+  open Util
+
+  let enc s =
+    let plain = function
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '~' | '-' -> true
+      | _ -> false
+    in
+    if String.for_all plain s then s
+    else begin
+      let buf = Buffer.create (String.length s + 8) in
+      String.iter
+        (fun c ->
+          if plain c then Buffer.add_char buf c
+          else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
+        s;
+      Buffer.contents buf
+    end
+
+  let frame parts =
+    let buf = Buffer.create 256 in
+    List.iter
+      (fun p ->
+        Buffer.add_string buf (string_of_int (String.length p));
+        Buffer.add_char buf ':';
+        Buffer.add_string buf p)
+      parts;
+    Buffer.contents buf
+
+  let digest parts = Digest.to_hex (Digest.string (frame parts))
+
+  let value = function
+    | Value.Const s -> "C" ^ enc s
+    | Value.Null n -> "N" ^ string_of_int n
+
+  let tuple (t : Tuple.t) =
+    let fields = Array.to_list t.Tuple.values |> List.map value in
+    String.concat " " (("R" ^ enc t.Tuple.rel) :: fields)
+
+  let instance inst =
+    Instance.tuples inst |> List.map tuple |> String.concat ","
+
+  let tgd t = enc (Logic.Tgd.to_string t)
+
+  let frac f = Printf.sprintf "%d/%d" (Frac.num f) (Frac.den f)
+
+  let example_keys ~source ~j =
+    let src = instance source in
+    (digest [ "src"; src ], digest [ "data"; src; instance j ])
+
+  let problem_parts (t : Problem.t) =
+    let stat_part (s : Cover.tgd_stats) =
+      let buf = Buffer.create 128 in
+      Buffer.add_string buf (tgd s.Cover.tgd);
+      Buffer.add_string buf "|cost ";
+      Buffer.add_string buf (frac t.Problem.cand_cost.(s.Cover.index));
+      Tuple.Map.iter
+        (fun tu d ->
+          Buffer.add_string buf "|cover ";
+          Buffer.add_string buf (tuple tu);
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf (frac d))
+        s.Cover.covers;
+      List.iter
+        (fun tu ->
+          Buffer.add_string buf "|error ";
+          Buffer.add_string buf (tuple tu))
+        s.Cover.error_tuples;
+      Buffer.add_string buf
+        (Printf.sprintf "|produced %d|size %d" s.Cover.produced s.Cover.size);
+      Buffer.contents buf
+    in
+    let w = t.Problem.weights in
+    [
+      "problem";
+      Printf.sprintf "w %d %d %d" w.Problem.w_unexplained w.Problem.w_errors
+        w.Problem.w_size;
+    ]
+    @ List.map tuple (Array.to_list t.Problem.tuples)
+    @ List.map stat_part (Array.to_list t.Problem.stats)
+
+  let problem_digest t = digest (problem_parts t)
+end
+
+(* Constants drawn to stress the percent-encoding: separators the key
+   format itself uses (space, comma, '|', '%', ':'), non-ASCII bytes, and
+   the empty string, beside plain tokens. *)
+let awkward_const_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [ ""; " "; "%"; "%25"; ","; "|"; "a b"; "1:2"; "\xc3\xa9t\xc3\xa9"; "\xff\x00" ];
+        map (Printf.sprintf "c%d") (int_range 0 3);
+        string_size ~gen:char (int_range 0 6);
+      ])
+
+let awkward_value_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (3, map (fun s -> Relational.Value.Const s) awkward_const_gen);
+        ( 1,
+          map
+            (fun n -> Relational.Value.Null n)
+            (oneof [ int_range (-50) 50; oneofl [ min_int; max_int; 0; -1 ] ]) );
+      ])
+
+(* Mixed arities under one relation name, awkward relation names, and the
+   empty instance (list size 0). *)
+let awkward_instance_gen =
+  QCheck2.Gen.(
+    let tuple =
+      let* rel = oneofl [ "r"; "s"; "r s"; ""; "t%" ] in
+      let* values = list_size (int_range 0 4) awkward_value_gen in
+      return (Relational.Tuple.make rel values)
+    in
+    map Relational.Instance.of_tuples (list_size (int_range 0 12) tuple))
+
+let frac_gen =
+  QCheck2.Gen.(
+    let* num =
+      oneof [ int_range (-1000) 1000; oneofl [ max_int; min_int + 1 ] ]
+    in
+    let* den = oneof [ int_range 1 1000; oneofl [ max_int ] ] in
+    return (Util.Frac.make num den))
+
+(* A selection problem whose J tuples carry awkward constants: the
+   appendix vocabulary over a small constant pool, so the candidates'
+   chases do cover some of J. *)
+let awkward_problem_gen =
+  QCheck2.Gen.(
+    let const = oneofl [ "a b"; "%"; ","; "\xc3\xa9"; ""; "x" ] in
+    let mk rel arity =
+      map
+        (fun cs -> Relational.Tuple.of_consts rel cs)
+        (list_size (return arity) const)
+    in
+    let* source = list_size (int_range 1 5) (mk "proj" 3) in
+    let* tasks = list_size (int_range 0 6) (mk "task" 3) in
+    let* orgs = list_size (int_range 0 4) (mk "org" 2) in
+    let* mask =
+      list_size (return (List.length Fixtures.selection_candidate_pool)) bool
+    in
+    let* w1 = int_range 1 5 and* w2 = int_range 1 5 and* w3 = int_range 1 5 in
+    let cands =
+      List.filteri (fun i _ -> List.nth mask i) Fixtures.selection_candidate_pool
+    in
+    return
+      (Problem.make
+         ~weights:{ Problem.w_unexplained = w1; w_errors = w2; w_size = w3 }
+         ~source:(Relational.Instance.of_tuples source)
+         ~j:(Relational.Instance.of_tuples (tasks @ orgs))
+         cands))
+
+let ibench_problem_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 1 1000 in
+    let* rows = int_range 2 8 in
+    let* pi_corresp = int_range 0 50 in
+    let* pi_errors = int_range 0 50 in
+    let* pi_unexplained = int_range 0 50 in
+    let* w1 = int_range 1 4 and* w2 = int_range 1 4 and* w3 = int_range 1 4 in
+    let s =
+      Ibench.Generator.generate
+        (Experiments.Common.noise_config ~rows ~seed ~pi_corresp ~pi_errors
+           ~pi_unexplained ())
+    in
+    return
+      (Problem.make
+         ~weights:{ Problem.w_unexplained = w1; w_errors = w2; w_size = w3 }
+         ~source:s.Ibench.Scenario.instance_i ~j:s.Ibench.Scenario.instance_j
+         s.Ibench.Scenario.candidates))
+
+let problem_digest_matches p =
+  let expected = Reference.problem_digest p in
+  String.equal expected (Problem.digest p)
+  (* the digest of a preprocessed problem walks remapped cover indices *)
+  && String.equal
+       (Reference.problem_digest (Preprocess.run p).Preprocess.problem)
+       (Problem.digest (Preprocess.run p).Preprocess.problem)
+
+let key_oracle_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck2.Test.make ~count:300 ~name:"writers render the old bytes"
+        ~print:(fun (i, j) ->
+          Reference.instance i ^ " || " ^ Reference.instance j)
+        QCheck2.Gen.(pair awkward_instance_gen awkward_instance_gen)
+        (fun (source, j) ->
+          let module K = Cache.Key in
+          let tuples = Relational.Instance.tuples source in
+          List.for_all
+            (fun t ->
+              String.equal (Reference.tuple t) (K.tuple t)
+              && Array.for_all
+                   (fun v -> String.equal (Reference.value v) (K.value v))
+                   t.Relational.Tuple.values)
+            tuples
+          && String.equal (Reference.instance source) (K.instance source)
+          && String.equal (Reference.instance j) (K.instance j)
+          && Reference.example_keys ~source ~j = Cache.example_keys ~source ~j
+          && String.equal
+               (Reference.digest
+                  (List.map Reference.tuple tuples @ [ ""; "a:b" ]))
+               (K.digest (List.map K.tuple tuples @ [ ""; "a:b" ])));
+      QCheck2.Test.make ~count:300 ~name:"fractions and ints render the old bytes"
+        QCheck2.Gen.(pair frac_gen int)
+        (fun (f, n) ->
+          let b = Buffer.create 16 in
+          Cache.Key.add_int b n;
+          String.equal (Reference.frac f) (Cache.Key.frac f)
+          && String.equal (string_of_int n) (Buffer.contents b));
+      QCheck2.Test.make ~count:100 ~name:"problem digest equals the part list's"
+        awkward_problem_gen problem_digest_matches;
+      QCheck2.Test.make ~count:40
+        ~name:"problem digest equals the part list's on iBench problems"
+        ibench_problem_gen problem_digest_matches;
+    ]
+  @ [
+      Alcotest.test_case "int extremes render as string_of_int" `Quick
+        (fun () ->
+          List.iter
+            (fun n ->
+              let b = Buffer.create 16 in
+              Cache.Key.add_int b n;
+              Alcotest.(check string) "int" (string_of_int n) (Buffer.contents b))
+            [ 0; 1; -1; 9; 10; -10; max_int; min_int ]);
+      Alcotest.test_case "oracle problems cover, err and encode" `Quick
+        (fun () ->
+          (* guards the generators against drifting into trivial problems:
+             the sample must render covers, error tuples with nulls, and
+             covered tuples whose constants need percent-encoding *)
+          let rand = Random.State.make [| 15 |] in
+          let sample gen =
+            List.init 30 (fun _ -> QCheck2.Gen.generate1 ~rand gen)
+          in
+          let texts =
+            List.map
+              (fun p -> String.concat "\n" (Reference.problem_parts p))
+              (sample awkward_problem_gen @ sample ibench_problem_gen)
+          in
+          let contains sub t =
+            let n = String.length sub in
+            let rec go i =
+              i + n <= String.length t && (String.sub t i n = sub || go (i + 1))
+            in
+            go 0
+          in
+          List.iter
+            (fun sub ->
+              Alcotest.(check bool) sub true (List.exists (contains sub) texts))
+            [ "|cover "; "|error "; " N"; "|cover Rtask Ca%20b" ]);
+      Alcotest.test_case "E1 problem digest is pinned" `Quick (fun () ->
+          let p = make_problem () in
+          Alcotest.(check string)
+            "reference" "b5fc0caa89cc8925a22214fa4beaaf33"
+            (Reference.problem_digest p);
+          Alcotest.(check string)
+            "writers" "b5fc0caa89cc8925a22214fa4beaaf33" (Problem.digest p));
+    ]
+
+(* --- key telemetry -------------------------------------------------------- *)
+
+let span_count name =
+  Option.value ~default:0 (List.assoc_opt name (Telemetry.span_counts ()))
+
+let key_telemetry_tests =
+  [
+    Alcotest.test_case "cache.key_bytes counts the bytes fed to MD5" `Quick
+      (fun () ->
+        let source = Fixtures.instance_i and j = Fixtures.instance_j in
+        let p = make_problem () in
+        let spans_before = span_count "cache.key" in
+        let key_bytes f = snd (Fixtures.counting [ "cache.key_bytes" ] f) in
+        let keys = key_bytes (fun () -> Cache.example_keys ~source ~j) in
+        let digest = key_bytes (fun () -> Problem.digest p) in
+        let build =
+          key_bytes (fun () -> make_problem ~cache:(Cache.create ()) ())
+        in
+        Alcotest.(check int)
+          "one cache.key span each" 3
+          (span_count "cache.key" - spans_before);
+        (* the pinned figures, then where they come from *)
+        Alcotest.(check (list int)) "example_keys" [ 188 ] keys;
+        Alcotest.(check (list int)) "Problem.digest" [ 498 ] digest;
+        Alcotest.(check (list int)) "cold cached build" [ 732 ] build;
+        let frame_bytes parts = String.length (Reference.frame parts) in
+        let src = Reference.instance source in
+        Alcotest.(check (list int))
+          "example_keys = both frames"
+          [
+            frame_bytes [ "src"; src ]
+            + frame_bytes [ "data"; src; Reference.instance j ];
+          ]
+          keys;
+        Alcotest.(check (list int))
+          "Problem.digest = its frame"
+          [ frame_bytes (Reference.problem_parts p) ]
+          digest;
+        let source_key, data_key = Reference.example_keys ~source ~j in
+        let per_candidate tgd =
+          frame_bytes [ "chase"; Reference.tgd tgd; source_key ]
+          + frame_bytes [ "stats"; "corroborated"; Reference.tgd tgd; data_key ]
+        in
+        Alcotest.(check (list int))
+          "build = example_keys + a chase and a stats key per candidate"
+          [
+            List.fold_left
+              (fun acc tgd -> acc + per_candidate tgd)
+              (List.hd keys) appendix_candidates;
+          ]
+          build);
+  ]
+
 (* --- experiments plumbing ----------------------------------------------- *)
 
 let test_experiments_cache_identity () =
@@ -260,6 +582,8 @@ let () =
           Alcotest.test_case "Experiments.Common honours the shared cache"
             `Quick test_experiments_cache_identity;
         ] );
+      ("key-oracle", key_oracle_tests);
+      ("key-bytes", key_telemetry_tests);
       ( "disk",
         [
           Alcotest.test_case "candidate stats reload from disk" `Quick

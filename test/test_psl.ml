@@ -499,6 +499,92 @@ let admm_options_tests =
         Alcotest.(check bool) "same solution" true (a.Admm.solution = b.Admm.solution));
   ]
 
+(* --- non-finite numbers ----------------------------------------------------- *)
+
+(* NaN slips through any [x < 0.] range check; each entry point must
+   reject NaN and infinities itself, or ADMM runs to its iteration cap and
+   reports NaN as an answer. *)
+let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let raises_invalid f =
+  match f () with exception Invalid_argument _ -> true | _ -> false
+
+let smokers_text weight observed =
+  String.concat "\n"
+    [
+      "predicate friend/2 closed";
+      "predicate smokes/1";
+      "observe friend(anna, bob) = 1.0";
+      "observe smokes(bob) = " ^ observed;
+      "rule influence " ^ weight ^ ": friend(X, Y) & smokes(X) -> smokes(Y)";
+    ]
+
+let non_finite_tests =
+  [
+    Alcotest.test_case "Rule.make rejects non-finite weights" `Quick (fun () ->
+        List.iter
+          (fun w ->
+            Alcotest.(check bool)
+              (Printf.sprintf "weight %g" w) true
+              (raises_invalid (fun () ->
+                   Rule.make ~weight:(Some w)
+                     ~body:[ Rule.pos "p" [ Rule.V "X" ] ]
+                     ~head:[] ())))
+          non_finite);
+    Alcotest.test_case "Database.observe rejects non-finite truth values"
+      `Quick (fun () ->
+        let db = smokers_db [] in
+        List.iter
+          (fun v ->
+            Alcotest.(check bool)
+              (Printf.sprintf "value %g" v) true
+              (raises_invalid (fun () ->
+                   Database.observe (Gatom.make "smokes" [ "a" ]) v db)))
+          non_finite);
+    Alcotest.test_case "Hlmrf rejects non-finite weights, coefficients, constants"
+      `Quick (fun () ->
+        List.iter
+          (fun x ->
+            let m = Hlmrf.create ~num_vars:1 in
+            let name what = Printf.sprintf "%s %g" what x in
+            Alcotest.(check bool) (name "hinge weight") true
+              (raises_invalid (fun () -> Hlmrf.add_potential m (hinge x [ (0, 1.) ] 0.)));
+            Alcotest.(check bool) (name "linear weight") true
+              (raises_invalid (fun () -> Hlmrf.add_potential m (linear x [ (0, 1.) ] 0.)));
+            Alcotest.(check bool) (name "coefficient") true
+              (raises_invalid (fun () -> Hlmrf.add_potential m (hinge 1. [ (0, x) ] 0.)));
+            Alcotest.(check bool) (name "constant") true
+              (raises_invalid (fun () -> Hlmrf.add_potential m (hinge 1. [ (0, 1.) ] x)));
+            Alcotest.(check bool) (name "constraint coefficient") true
+              (raises_invalid (fun () ->
+                   Hlmrf.add_constraint m (Hlmrf.Leq (Linexpr.make [ (0, x) ] 0.))));
+            Alcotest.(check bool) (name "constraint constant") true
+              (raises_invalid (fun () ->
+                   Hlmrf.add_constraint m (Hlmrf.Eq (Linexpr.make [ (0, 1.) ] x))));
+            Alcotest.(check int) "nothing was added" 0
+              (Hlmrf.num_potentials m + Hlmrf.num_constraints m))
+          non_finite);
+    Alcotest.test_case "parse reports the line of a non-finite number" `Quick
+      (fun () ->
+        let line_of text =
+          match Program.parse text with
+          | Ok _ -> None
+          | Error e -> Some e.Program.line
+        in
+        Alcotest.(check (option int)) "finite program parses" None
+          (line_of (smokers_text "0.2" "1.0"));
+        List.iter
+          (fun w ->
+            Alcotest.(check (option int)) ("rule weight " ^ w) (Some 5)
+              (line_of (smokers_text w "1.0")))
+          [ "nan"; "inf"; "-inf"; "infinity" ];
+        List.iter
+          (fun v ->
+            Alcotest.(check (option int)) ("truth value " ^ v) (Some 4)
+              (line_of (smokers_text "0.2" v)))
+          [ "nan"; "inf"; "-nan"; "1.5" ]);
+  ]
+
 let () =
   Alcotest.run "psl"
     [
@@ -510,4 +596,5 @@ let () =
       ("learning", learning_tests);
       ("program", program_tests);
       ("admm-options", admm_options_tests);
+      ("non-finite", non_finite_tests);
     ]

@@ -220,6 +220,10 @@ let jobs_invariance_tests =
               (counted "cover.configurations");
             (* and so are candidate generation's *)
             Alcotest.(check bool) "candgen pairs" true (counted "candgen.pairs");
+            (* and so are the bytes key derivation hashes *)
+            Alcotest.(check bool)
+              "cache key bytes" true
+              (counted "cache.key_bytes");
             List.iter
               (fun name ->
                 Alcotest.(check bool)
