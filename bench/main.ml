@@ -170,20 +170,6 @@ let cq_indexed_fixture =
     (let inst, q = Lazy.force cq_fixture in
      (Logic.Cq.Index.build inst, q))
 
-(* The same ME source dictionary-encoded: the columnar CQ/chase kernels run
-   the exact workload of their row-major counterparts (bit-identical
-   results), so the relational ratios below compare representation cost
-   only. *)
-let columnar_fixture =
-  lazy
-    (let s = Lazy.force me_scenario in
-     (s, Relational.Columnar.of_instance s.Ibench.Scenario.instance_i))
-
-let cq_columnar_fixture =
-  lazy
-    (let inst, q = Lazy.force cq_fixture in
-     (Relational.Columnar.of_instance inst, q))
-
 let egd_fixture =
   lazy
     (let entry = Option.get (Scenarios.Zoo.find "hr") in
@@ -338,20 +324,6 @@ let tests =
         (stage (fun () ->
              let s = Lazy.force me_scenario in
              Chase.Implication.minimize s.Ibench.Scenario.candidates));
-      (* relational kernels: the dictionary-encoded column store against
-         the row-major counterparts (substrate-cq-indexed, substrate-chase) *)
-      Test.make ~name:"relational-columnar-build"
-        (stage (fun () ->
-             let s = Lazy.force me_scenario in
-             Relational.Columnar.of_instance s.Ibench.Scenario.instance_i));
-      Test.make ~name:"relational-cq-columnar"
-        (stage (fun () ->
-             let col, q = Lazy.force cq_columnar_fixture in
-             Logic.Cq.Columnar.answers col q));
-      Test.make ~name:"relational-chase-columnar"
-        (stage (fun () ->
-             let s, col = Lazy.force columnar_fixture in
-             Chase.run_columnar col s.Ibench.Scenario.ground_truth));
     ]
 
 let benchmark () =
@@ -644,10 +616,6 @@ let derive_ratios rows pool cache =
   @ ratio "cq-plain-over-indexed" "substrate-cq-plain" "substrate-cq-indexed"
   @ ratio "cache-build-cold-over-warm" "cache-problem-build-cold"
       "cache-problem-build-warm"
-  @ ratio "cq-indexed-over-columnar" "substrate-cq-indexed"
-      "relational-cq-columnar"
-  @ ratio "chase-row-over-columnar" "substrate-chase"
-      "relational-chase-columnar"
   @ [
       {
         Perf.Report.r_name = "cache-warm-speedup";

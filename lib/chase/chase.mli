@@ -57,12 +57,9 @@ val run_columnar :
   Relational.Columnar.t ->
   Logic.Tgd.t list ->
   result
-(** The chase over a columnar source. Byte-identical to {!run} on the
-    corresponding row-major instance — the columnar evaluator enumerates
-    body homomorphisms in the row-major order, so triggers fire in the same
-    sequence and draw the same null labels (the [columnar-identity] fuzz
-    family holds every build to this). Build the columnar instance once
-    with {!Relational.Columnar.of_instance} and chase it per candidate. *)
+(** [run ?nulls ~index:col (Relational.Index.instance col) tgds], under
+    the name the pipeline benchmark's traced path still calls; build [col]
+    once per source with {!Relational.Columnar.of_instance}. *)
 
 val check_result :
   source : Relational.Instance.t -> result -> (unit, string) Stdlib.result

@@ -23,12 +23,9 @@ type result = {
   triggers : Trigger.t list;
 }
 
-(* Instantiate one tgd over its body homomorphisms, inventing fresh nulls
-   per firing. Shared by the row-major and columnar frontiers: the two only
-   differ in how [answers] was computed, and since the columnar evaluator
-   returns the same answer list in the same order, null labels — and hence
-   the whole result — are byte-identical between the two paths. *)
-let fire_answers ~nulls ~tgd_index (tgd : Tgd.t) answers =
+(* Instantiate one tgd over its body homomorphisms into the indexed source,
+   inventing fresh nulls per firing. *)
+let fire_tgd ~nulls ~tgd_index (tgd : Tgd.t) index =
   let existentials = String_set.elements (Tgd.existential_vars tgd) in
   let fire subst =
     let subst, invented =
@@ -41,10 +38,7 @@ let fire_answers ~nulls ~tgd_index (tgd : Tgd.t) answers =
     let tuples = List.map (Subst.apply_atom_exn subst) tgd.Tgd.head in
     { Trigger.tgd_index; tgd; subst; tuples; nulls = invented }
   in
-  List.map fire answers
-
-let fire_tgd ~nulls ~tgd_index (tgd : Tgd.t) index =
-  fire_answers ~nulls ~tgd_index tgd (Cq.answers_indexed index tgd.Tgd.body)
+  List.map fire (Cq.answers_indexed index tgd.Tgd.body)
 
 let runs_counter = Telemetry.Counter.make "chase.runs"
 
@@ -54,7 +48,16 @@ let tuples_counter = Telemetry.Counter.make "chase.tuples_produced"
 
 let triggers_hist = Telemetry.Histogram.make "chase.triggers_per_run"
 
-let finish triggers =
+let run ?nulls ?index src tgds =
+  Telemetry.with_span "chase.run" @@ fun () ->
+  let nulls = match nulls with Some n -> n | None -> Null_source.create () in
+  (* one index over the source serves every tgd body; callers chasing the
+     same source repeatedly (e.g. once per candidate) should build it once
+     and pass it in *)
+  let index = match index with Some i -> i | None -> Cq.Index.build src in
+  let triggers =
+    List.concat (List.mapi (fun i tgd -> fire_tgd ~nulls ~tgd_index:i tgd index) tgds)
+  in
   let solution =
     List.fold_left
       (fun inst (tr : Trigger.t) -> Instance.add_all tr.Trigger.tuples inst)
@@ -72,32 +75,10 @@ let finish triggers =
   end;
   { solution; triggers }
 
-let run ?nulls ?index src tgds =
-  Telemetry.with_span "chase.run" @@ fun () ->
-  let nulls = match nulls with Some n -> n | None -> Null_source.create () in
-  (* one index over the source serves every tgd body; callers chasing the
-     same source repeatedly (e.g. once per candidate) should build it once
-     and pass it in *)
-  let index = match index with Some i -> i | None -> Cq.Index.build src in
-  let triggers =
-    List.concat (List.mapi (fun i tgd -> fire_tgd ~nulls ~tgd_index:i tgd index) tgds)
-  in
-  finish triggers
-
 let universal_solution ?nulls ?index src tgds = (run ?nulls ?index src tgds).solution
 
 let run_columnar ?nulls col tgds =
-  Telemetry.with_span "chase.run" @@ fun () ->
-  let nulls = match nulls with Some n -> n | None -> Null_source.create () in
-  let triggers =
-    List.concat
-      (List.mapi
-         (fun i tgd ->
-           fire_answers ~nulls ~tgd_index:i tgd
-             (Cq.Columnar.answers col tgd.Tgd.body))
-         tgds)
-  in
-  finish triggers
+  run ?nulls ~index:col (Relational.Index.instance col) tgds
 
 let check_result ~source { solution; triggers } =
   let union =

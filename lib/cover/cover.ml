@@ -385,16 +385,10 @@ module Session = struct
   type t = { chase : (Tgd.t -> Chase.result) Lazy.t; jx : j_index }
 
   let make ~source ~j =
-    (* the columnar chase is bit-identical to the row-major one; only a
-       mixed-arity relation (expressible row-major, not columnar) falls
-       back *)
     let chase =
       lazy
-        (match Columnar.of_instance source with
-        | col -> fun tgd -> Chase.run_columnar col [ tgd ]
-        | exception Invalid_argument _ ->
-          let source_index = Logic.Cq.Index.build source in
-          fun tgd -> Chase.run ~index:source_index source [ tgd ])
+        (let source_index = Logic.Cq.Index.build source in
+         fun tgd -> Chase.run ~index:source_index source [ tgd ])
     in
     { chase; jx = index_j j }
 

@@ -94,13 +94,12 @@ val analyze :
   tgd_stats array
 (** Chases [source] with each candidate separately and computes statistics
     for each; [analyze] is the precomputation step of the selection
-    pipeline, run through one {!Session}. The chase runs on the columnar
-    kernel (bit-identical to the row-major chase; mixed-arity relations
-    fall back to it), and [~core:true] applies the {!stats_of_result} core
-    stage per candidate. [J] is indexed once for all candidates, so beyond
-    the chase the cost per candidate is the posting-list probes its trigger
-    groups make, not [|J|] per chase tuple. Recorded as the
-    [cover.analyze] span. *)
+    pipeline, run through one {!Session}. [I] is indexed once and each
+    candidate is chased over that index with {!Chase.run}, and [~core:true]
+    applies the {!stats_of_result} core stage per candidate. [J] is indexed
+    once for all candidates, so beyond the chase the cost per candidate is
+    the posting-list probes its trigger groups make, not [|J|] per chase
+    tuple. Recorded as the [cover.analyze] span. *)
 
 (** One analysis of many candidates against one data example [(I, J)]: the
     chase fixture over [I] and the index over [J], each built on first use

@@ -439,103 +439,6 @@ let check_cache_identity ctx =
       in
       match mismatch with Some msg -> Fail msg | None -> Pass)
 
-(* --- columnar-identity: the column store is bit-identical to row-major -- *)
-
-(* The differential oracle behind the columnar kernel's contract: the
-   dictionary-encoded store round-trips losslessly, and the columnar CQ
-   evaluator and chase return exactly — list order, null labels and all —
-   what the row-major indexed pipeline returns. The metamorph rebuilds the
-   store from a permuted tuple list: interning order must not show through,
-   because row ids follow the canonical tuple order, not insertion order. *)
-let check_columnar_identity ctx =
-  match ctx.case.Case.payload with
-  | Case.Setcover _ | Case.Multihop _ -> Skip
-  | Case.Mapping m -> (
-    match
-      (Columnar.of_instance m.Case.source, Columnar.of_instance m.Case.j)
-    with
-    | exception Invalid_argument _ -> Skip (* mixed-arity: row-major only *)
-    | col_src, col_j ->
-      let rng = rng_of ctx 7 in
-      let check_inst tag inst col queries =
-        if not (Instance.equal (Columnar.to_instance col) inst) then
-          Some (tag ^ ": to_instance (of_instance i) <> i")
-        else
-          let index = Cq.Index.build inst in
-          let col' =
-            Columnar.of_instance
-              (Instance.of_tuples (shuffle rng (Instance.tuples inst)))
-          in
-          List.find_map
-            (fun q ->
-              let indexed = Cq.answers_indexed index q in
-              let columnar = Cq.Columnar.answers col q in
-              if not (List.equal Subst.equal indexed columnar) then
-                Some
-                  (Printf.sprintf
-                     "%s: columnar answers differ from indexed on a %d-atom \
-                      query (%d vs %d answers)"
-                     tag (List.length q) (List.length indexed)
-                     (List.length columnar))
-              else if
-                not
-                  (List.equal Subst.equal indexed (Cq.Columnar.answers col' q))
-              then
-                Some
-                  (tag
-                 ^ ": columnar answers change when the store is rebuilt from \
-                    permuted tuples")
-              else
-                let vars =
-                  List.fold_left
-                    (fun acc a -> String_set.union acc (Atom.vars a))
-                    String_set.empty q
-                  |> String_set.elements
-                in
-                match
-                  (vars, Value.Set.elements (Instance.constants inst))
-                with
-                | [], _ | _, [] -> None
-                | vs, consts ->
-                  let x =
-                    List.nth vs (Random.State.int rng (List.length vs))
-                  in
-                  let value =
-                    List.nth consts (Random.State.int rng (List.length consts))
-                  in
-                  let s = Subst.singleton x value in
-                  let indexed_ext = Cq.extensions_indexed index s q in
-                  let columnar_ext = Cq.Columnar.extensions col s q in
-                  if List.equal Subst.equal indexed_ext columnar_ext then None
-                  else
-                    Some
-                      (tag
-                     ^ ": columnar extensions differ from extensions_indexed"))
-            queries
-      in
-      let bodies =
-        List.map (fun (t : Tgd.t) -> t.Tgd.body) m.Case.candidates
-      in
-      let heads = List.map (fun (t : Tgd.t) -> t.Tgd.head) m.Case.candidates in
-      (match check_inst "source" m.Case.source col_src bodies with
-      | Some msg -> Fail msg
-      | None -> (
-        match check_inst "target" m.Case.j col_j heads with
-        | Some msg -> Fail msg
-        | None ->
-          let r_row = Chase.run m.Case.source m.Case.candidates in
-          let r_col = Chase.run_columnar col_src m.Case.candidates in
-          let col_src' =
-            Columnar.of_instance
-              (Instance.of_tuples (shuffle rng (Instance.tuples m.Case.source)))
-          in
-          let r_col' = Chase.run_columnar col_src' m.Case.candidates in
-          if not (results_equal r_row r_col) then
-            Fail "columnar chase differs from the row-major chase"
-          else if not (results_equal r_row r_col') then
-            Fail "columnar chase differs on a store built from permuted tuples"
-          else Pass)))
-
 (* --- core-solution: the core is a minimal homomorphic retract ----------- *)
 
 let tuple_is_ground (t : Tuple.t) =
@@ -803,11 +706,6 @@ let all =
       name = "cache-identity";
       doc = "cached problems and selections are bit-identical to uncached";
       check = check_cache_identity;
-    };
-    {
-      name = "columnar-identity";
-      doc = "columnar CQ evaluation and chase are bit-identical to row-major";
-      check = check_columnar_identity;
     };
     {
       name = "core-solution";

@@ -2,7 +2,7 @@
     appendix (and the engine's own contracts) pin down, as named checks over
     fuzz cases.
 
-    The eleven families:
+    The ten families:
 
     - [eq4-eq9] — on full-tgd scenarios the Eq. 4 bitset fast path
       ({!Core.Full}) and the general Eq. 9 evaluator agree on every probed
@@ -27,12 +27,6 @@
       {!Cache.t} (cold and warm) and solving through it yields problems
       and selections byte-identical to the uncached pipeline, and a warm
       rebuild recomputes nothing;
-    - [columnar-identity] — {!Relational.Columnar.of_instance} round-trips
-      losslessly, {!Logic.Cq.Columnar} returns exactly the indexed
-      row-major answer lists (order included) on bodies and heads, with
-      and without a seeded partial substitution, {!Chase.run_columnar}
-      equals {!Chase.run} trigger for trigger, and none of it changes when
-      the store is rebuilt from a permuted tuple list;
     - [core-solution] — the core of the chased target is a sub-instance
       retaining every ground tuple, homomorphically equivalent to it in
       both directions, idempotent, and coring never grows the produced
@@ -70,7 +64,7 @@ type t = {
 }
 
 val all : t list
-(** The eleven families, in the order above. *)
+(** The ten families, in the order above. *)
 
 val names : string list
 

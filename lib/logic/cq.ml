@@ -70,25 +70,7 @@ let answers inst atoms = extensions inst Subst.empty atoms
 let answers_seq inst atoms = List.to_seq (answers inst atoms)
 
 module Index = struct
-  type t = {
-    inst : Instance.t;
-    table : (string * int * Value.t, Tuple.t list) Hashtbl.t;
-  }
-
-  let build inst =
-    let table = Hashtbl.create 256 in
-    Instance.iter
-      (fun tu ->
-        Array.iteri
-          (fun pos v ->
-            let key = (tu.Tuple.rel, pos, v) in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt table key) in
-            Hashtbl.replace table key (tu :: prev))
-          tu.Tuple.values)
-      inst;
-    { inst; table }
-
-  let instance t = t.inst
+  include Relational.Index
 
   (* Candidate tuples for an atom under a substitution: probe the first
      bound position, or fall back to the full relation. *)
@@ -101,9 +83,8 @@ module Index = struct
         | None -> first_bound (i + 1)
     in
     match first_bound 0 with
-    | Some (pos, v) ->
-      Option.value ~default:[] (Hashtbl.find_opt t.table (a.Atom.rel, pos, v))
-    | None -> Tuple.Set.elements (Instance.tuples_of t.inst a.Atom.rel)
+    | Some (pos, v) -> find t a.Atom.rel pos v
+    | None -> Tuple.Set.elements (Instance.tuples_of (instance t) a.Atom.rel)
 end
 
 let extensions_indexed index s atoms =
@@ -122,162 +103,6 @@ let extensions_indexed index s atoms =
   List.rev (eval s ordered [])
 
 let answers_indexed index atoms = extensions_indexed index Subst.empty atoms
-
-(* Columnar evaluation: index-nested-loop joins over dictionary codes.
-
-   The enumeration replicates [extensions_indexed] exactly — same greedy
-   atom order, same first-bound-position probe (constants always count as
-   bound), same candidate order (posting lists descending, full scans
-   ascending, matching the row-major bucket and [Tuple.Set] orders) — so
-   the answer list is byte-identical after dictionary decode. The columnar
-   win is that all joins compare machine ints, and atoms with several
-   constant positions are pre-filtered by one bitset semi-join computed
-   once per query instead of per candidate row. *)
-module Columnar = struct
-  module Store = Relational.Columnar
-  module Env = Map.Make (String)
-
-  type slot =
-    | K of int  (* constant code; -1 when the constant is not in the dict *)
-    | V of string
-
-  type catom = {
-    slots : slot array;
-    tbl : Store.table option;  (* None: unmatchable (missing/arity/constant) *)
-    mask : Util.Bitset.t option;  (* semi-join over the constant positions *)
-  }
-
-  let compile store (a : Atom.t) =
-    let dict = Store.dict store in
-    let slots =
-      Array.map
-        (function
-          | Term.Cst c -> (
-            match Dict.find_opt dict (Value.Const c) with
-            | Some k -> K k
-            | None -> K (-1))
-          | Term.Var x -> V x)
-        a.Atom.args
-    in
-    let unmatchable =
-      Array.exists (function K k -> k < 0 | V _ -> false) slots
-    in
-    let tbl =
-      match Store.table store a.Atom.rel with
-      | Some t when (not unmatchable) && t.Store.arity = Array.length slots ->
-        Some t
-      | _ -> None
-    in
-    let mask =
-      match tbl with
-      | None -> None
-      | Some t -> (
-        let ks = ref [] in
-        Array.iteri
-          (fun pos -> function K k -> ks := (pos, k) :: !ks | V _ -> ())
-          slots;
-        match !ks with
-        | (p0, k0) :: ((_ :: _) as rest) ->
-          let m = Column.mask_of t.Store.columns.(p0) k0 in
-          List.iter
-            (fun (p, k) ->
-              Util.Bitset.inter_into m (Column.mask_of t.Store.columns.(p) k))
-            rest;
-          Some m
-        | [] | [ _ ] -> None)
-    in
-    { slots; tbl; mask }
-
-  let first_bound slots env =
-    let n = Array.length slots in
-    let rec go i =
-      if i >= n then None
-      else
-        match slots.(i) with
-        | K k -> Some (i, k)
-        | V x -> (
-          match Env.find_opt x env with
-          | Some k -> Some (i, k)
-          | None -> go (i + 1))
-    in
-    go 0
-
-  let match_row (tbl : Store.table) slots env row =
-    let n = Array.length slots in
-    let rec loop i env =
-      if i >= n then Some env
-      else
-        let cell = Column.get tbl.Store.columns.(i) row in
-        match slots.(i) with
-        | K k -> if k = cell then loop (i + 1) env else None
-        | V x -> (
-          match Env.find_opt x env with
-          | Some k -> if k = cell then loop (i + 1) env else None
-          | None -> loop (i + 1) (Env.add x cell env))
-    in
-    loop 0 env
-
-  let extensions store s atoms =
-    let ordered = order_atoms atoms in
-    let dict = Store.dict store in
-    let qvars =
-      List.fold_left
-        (fun acc a -> String_set.union acc (Atom.vars a))
-        String_set.empty ordered
-    in
-    (* a seed binding outside the dictionary can never match a cell; code
-       -1 makes the probe come back empty, like the row-major bucket miss *)
-    let env0 =
-      List.fold_left
-        (fun env (x, v) ->
-          if not (String_set.mem x qvars) then env
-          else
-            Env.add x
-              (match Dict.find_opt dict v with Some k -> k | None -> -1)
-              env)
-        Env.empty (Subst.bindings s)
-    in
-    let compiled = List.map (compile store) ordered in
-    let subst_of env =
-      Env.fold
-        (fun x code acc ->
-          if Subst.mem x acc then acc
-          else Subst.bind_exn x (Dict.decode dict code) acc)
-        env s
-    in
-    let rec eval env atoms acc =
-      match atoms with
-      | [] -> subst_of env :: acc
-      | ca :: tl -> (
-        match ca.tbl with
-        | None -> acc
-        | Some tbl ->
-          let consider acc row =
-            if
-              match ca.mask with
-              | None -> true
-              | Some m -> Util.Bitset.get m row
-            then
-              match match_row tbl ca.slots env row with
-              | None -> acc
-              | Some env' -> eval env' tl acc
-            else acc
-          in
-          (match first_bound ca.slots env with
-          | Some (pos, k) ->
-            List.fold_left consider acc
-              (Column.rows_with tbl.Store.columns.(pos) k)
-          | None ->
-            let acc = ref acc in
-            for row = 0 to tbl.Store.nrows - 1 do
-              acc := consider !acc row
-            done;
-            !acc))
-    in
-    List.rev (eval env0 compiled [])
-
-  let answers store atoms = extensions store Subst.empty atoms
-end
 
 let holds inst atoms =
   let ordered = order_atoms atoms in

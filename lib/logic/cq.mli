@@ -28,13 +28,14 @@ val order_atoms : Atom.t list -> Atom.t list
 
 (** Hash indexes over an instance, for repeated evaluation.
 
-    The plain evaluator scans a whole relation per atom; an index maps
-    [(relation, position, value)] to the matching tuples, so atoms with at
-    least one bound position (a constant or an already-bound variable) probe
-    only candidates. Build once per instance and reuse across queries — the
-    chase does this for every tgd body it fires over the same source. *)
+    The plain evaluator scans a whole relation per atom; an index
+    ({!Relational.Index}) maps [(relation, position, value)] to the matching
+    tuples, so atoms with at least one bound position (a constant or an
+    already-bound variable) probe only candidates. Build once per instance
+    and reuse across queries — the chase does this for every tgd body it
+    fires over the same source. *)
 module Index : sig
-  type t
+  type t = Relational.Index.t
 
   val build : Relational.Instance.t -> t
 
@@ -45,19 +46,3 @@ val answers_indexed : Index.t -> Atom.t list -> Subst.t list
 (** Same results as {!answers} on the indexed instance. *)
 
 val extensions_indexed : Index.t -> Subst.t -> Atom.t list -> Subst.t list
-
-(** Columnar evaluation over a {!Relational.Columnar.t}.
-
-    Joins compare dictionary codes (machine ints) and probe per-column hash
-    indexes; atoms with two or more constant positions are pre-filtered by a
-    bitset semi-join computed once per query. The enumeration order is the
-    row-major indexed order exactly, so after decoding, the answer {e list}
-    (not just the answer set) is identical to {!answers_indexed} on the
-    corresponding row-major instance — the [columnar-identity] fuzz family
-    holds every run to that. *)
-module Columnar : sig
-  val answers : Relational.Columnar.t -> Atom.t list -> Subst.t list
-
-  val extensions :
-    Relational.Columnar.t -> Subst.t -> Atom.t list -> Subst.t list
-end

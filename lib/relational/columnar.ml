@@ -1,75 +1,3 @@
-type table = {
-  arity : int;
-  nrows : int;
-  columns : Column.t array;
-}
+type t = Index.t
 
-type t = {
-  dict : Dict.t;
-  tables : (string, table) Hashtbl.t;
-  rels : string list;
-}
-
-let dict t = t.dict
-
-let relations t = t.rels
-
-let table t rel = Hashtbl.find_opt t.tables rel
-
-let cardinal t =
-  Hashtbl.fold (fun _ tbl acc -> acc + tbl.nrows) t.tables 0
-
-let of_instance inst =
-  let dict = Dict.create () in
-  let tables = Hashtbl.create 16 in
-  let rels = Instance.relations inst in
-  List.iter
-    (fun rel ->
-      let tuples = Tuple.Set.elements (Instance.tuples_of inst rel) in
-      let arity =
-        match tuples with
-        | [] -> 0
-        | t :: rest ->
-          let a = Array.length t.Tuple.values in
-          List.iter
-            (fun (t' : Tuple.t) ->
-              if Array.length t'.values <> a then
-                invalid_arg
-                  (Printf.sprintf
-                     "Columnar.of_instance: relation %s mixes arities" rel))
-            rest;
-          a
-      in
-      let nrows = List.length tuples in
-      let cols = Array.init arity (fun _ -> Array.make nrows 0) in
-      (* [Tuple.Set.elements] is ascending, so row ids follow the canonical
-         tuple order of the relation — the invariant every columnar
-         evaluator relies on for bit-identity with the row-major path *)
-      List.iteri
-        (fun row (t : Tuple.t) ->
-          Array.iteri (fun pos v -> cols.(pos).(row) <- Dict.intern dict v) t.values)
-        tuples;
-      Hashtbl.replace tables rel
-        { arity; nrows; columns = Array.map Column.of_array cols })
-    rels;
-  { dict; tables; rels }
-
-let tuple_of_row t tbl rel row =
-  let values =
-    Array.init tbl.arity (fun pos ->
-        Dict.decode t.dict (Column.get tbl.columns.(pos) row))
-  in
-  { Tuple.rel; values }
-
-let to_instance t =
-  List.fold_left
-    (fun inst rel ->
-      match table t rel with
-      | None -> inst
-      | Some tbl ->
-        let acc = ref inst in
-        for row = 0 to tbl.nrows - 1 do
-          acc := Instance.add (tuple_of_row t tbl rel row) !acc
-        done;
-        !acc)
-    Instance.empty t.rels
+let of_instance = Index.build

@@ -1,37 +1,8 @@
-(** Dictionary-encoded, column-major instances.
+(** An alias of {!Index}, kept only because the pipeline benchmark's
+    traced path still names it: a source is indexed once with
+    {!of_instance} and chased per candidate through [Chase.run_columnar],
+    which is the row-major chase over this index. *)
 
-    A columnar instance is the same set of tuples as a {!Instance.t}, stored
-    as one {!Column.t} of dense {!Dict.t} codes per attribute position, with
-    a per-column hash index from code to rows. Within each relation, row ids
-    follow the canonical (ascending) tuple order of the row-major instance,
-    so the columnar CQ evaluator and chase enumerate homomorphisms in
-    exactly the row-major order and stay bit-identical to it.
-
-    The conversion is lossless: [to_instance (of_instance i)] equals [i]
-    (pinned by the [columnar-identity] fuzz family and qcheck suites). *)
-
-type table = {
-  arity : int;
-  nrows : int;
-  columns : Column.t array;
-}
-
-type t
+type t = Index.t
 
 val of_instance : Instance.t -> t
-(** Raises [Invalid_argument] if some relation mixes tuple arities (the
-    row-major representation allows it; a column store cannot). *)
-
-val to_instance : t -> Instance.t
-
-val dict : t -> Dict.t
-
-val table : t -> string -> table option
-
-val relations : t -> string list
-(** Relation names, ascending (the row-major canonical order). *)
-
-val cardinal : t -> int
-
-val tuple_of_row : t -> table -> string -> int -> Tuple.t
-(** Decodes one row back to a tuple. *)

@@ -37,10 +37,6 @@ let union_into dst src =
   check_same dst src;
   Array.iteri (fun k w -> dst.words.(k) <- dst.words.(k) lor w) src.words
 
-let inter_into dst src =
-  check_same dst src;
-  Array.iteri (fun k w -> dst.words.(k) <- dst.words.(k) land w) src.words
-
 let popcount w =
   let rec loop w acc = if w = 0 then acc else loop (w lsr 1) (acc + (w land 1)) in
   loop w 0

@@ -19,9 +19,6 @@ val copy : t -> t
 val union_into : t -> t -> unit
 (** [union_into dst src] ors [src] into [dst]. Widths must match. *)
 
-val inter_into : t -> t -> unit
-(** [inter_into dst src] ands [src] into [dst]. Widths must match. *)
-
 val count : t -> int
 (** Number of set bits. *)
 

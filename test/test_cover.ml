@@ -531,19 +531,61 @@ let example () =
   in
   (s.Ibench.Scenario.instance_i, s.Ibench.Scenario.instance_j, tgds)
 
+(* Data examples whose source relation [proj] mixes arities 3 and 2, and
+   candidates whose bodies read either arity (or both, joined): the shared
+   source index of [Cover.analyze] must give what a per-candidate
+   [Chase.run] gives. *)
+let mixed_arity_gen =
+  let open QCheck2.Gen in
+  let const k = Value.Const (Printf.sprintf "c%d" k) in
+  let proj_tuple =
+    let* arity = oneofl [ 2; 3 ] in
+    map (fun vs -> Tuple.make "proj" (List.map const vs)) (list_repeat arity (int_range 0 3))
+  in
+  let j_tuple =
+    let* arity = oneofl [ 2; 3 ] in
+    map (fun vs -> Tuple.make "task" (List.map const vs)) (list_repeat arity (int_range 0 3))
+  in
+  let var x = Logic.Term.Var x in
+  let body_atom =
+    oneofl
+      [
+        Logic.Atom.make "proj" [ var "P"; var "E"; var "O" ];
+        Logic.Atom.make "proj" [ var "P"; var "E" ];
+        Logic.Atom.make "proj" [ var "E"; var "O" ];
+      ]
+  in
+  let head_atom =
+    let* arity = oneofl [ 2; 3 ] in
+    map
+      (fun ts -> Logic.Atom.make "task" ts)
+      (list_repeat arity (map var (oneofl [ "P"; "E"; "O"; "T" ])))
+  in
+  let tgd k =
+    let* body = list_size (int_range 1 2) body_atom in
+    let* head = list_size (int_range 1 2) head_atom in
+    return (Logic.Tgd.make ~label:(Printf.sprintf "m%d" k) ~body ~head ())
+  in
+  let* source = list_size (int_range 1 8) proj_tuple in
+  let* j = list_size (int_range 0 8) j_tuple in
+  let* n = int_range 1 4 in
+  let* tgds = flatten_l (List.init n tgd) in
+  return (Instance.of_tuples source, Instance.of_tuples j, tgds)
+
+let per_candidate ~source ~j tgds =
+  Array.of_list
+    (List.mapi
+       (fun index tgd ->
+         Cover.stats_of_result ~j ~index tgd (Chase.run source [ tgd ]))
+       tgds)
+
 let session_tests =
   [
     Alcotest.test_case "analyze, stats_of_result and cached make agree" `Quick
       (fun () ->
         let source, j, tgds = example () in
         let analyzed = Cover.analyze ~source ~j tgds in
-        let per_call =
-          Array.of_list
-            (List.mapi
-               (fun index tgd ->
-                 Cover.stats_of_result ~j ~index tgd (Chase.run source [ tgd ]))
-               tgds)
-        in
+        let per_call = per_candidate ~source ~j tgds in
         let cache = Cache.create () in
         let cold = Core.Problem.make ~cache ~source ~j tgds in
         let warm = Core.Problem.make ~cache ~source ~j tgds in
@@ -571,6 +613,65 @@ let session_tests =
           [ List.hd cold ];
         Alcotest.(check bool) "cold build indexes J" true (List.nth cold 1 > 0);
         Alcotest.(check (list int)) "warm build" [ 0; 0 ] warm);
+    Alcotest.test_case "a mixed-arity source analyzes like per-candidate chases"
+      `Quick (fun () ->
+        let source =
+          Instance.of_tuples
+            [
+              Tuple.of_consts "proj" [ "ML"; "Alice"; "SAP" ];
+              Tuple.of_consts "proj" [ "ML"; "Alice" ];
+              Tuple.of_consts "proj" [ "DB"; "Bob" ];
+            ]
+        in
+        let j =
+          Instance.of_tuples
+            [
+              Tuple.of_consts "task" [ "ML"; "Alice" ];
+              Tuple.of_consts "task" [ "DB"; "Bob"; "IBM" ];
+            ]
+        in
+        let var x = Logic.Term.Var x in
+        let tgds =
+          [
+            Logic.Tgd.make ~label:"short"
+              ~body:[ Logic.Atom.make "proj" [ var "P"; var "E" ] ]
+              ~head:[ Logic.Atom.make "task" [ var "P"; var "E" ] ]
+              ();
+            Logic.Tgd.make ~label:"long"
+              ~body:[ Logic.Atom.make "proj" [ var "P"; var "E"; var "O" ] ]
+              ~head:[ Logic.Atom.make "task" [ var "P"; var "E"; var "T" ] ]
+              ();
+            (* the second body atom probes [proj] by [P] across both arities *)
+            Logic.Tgd.make ~label:"joined"
+              ~body:
+                [
+                  Logic.Atom.make "proj" [ var "P"; var "E" ];
+                  Logic.Atom.make "proj" [ var "P"; var "E"; var "O" ];
+                ]
+              ~head:[ Logic.Atom.make "task" [ var "P"; var "E"; var "O" ] ]
+              ();
+          ]
+        in
+        let analyzed = Cover.analyze ~source ~j tgds in
+        Alcotest.(check (list int))
+          "produced" [ 2; 1; 1 ]
+          (Array.to_list (Array.map (fun s -> s.Cover.produced) analyzed));
+        Alcotest.(check bool)
+          "per candidate" true
+          (same_analysis analyzed (per_candidate ~source ~j tgds)));
+    QCheck2.Test.make ~name:"mixed-arity analyze equals per-candidate chases"
+      ~count:200 mixed_arity_gen (fun (source, j, tgds) ->
+        same_analysis (Cover.analyze ~source ~j tgds)
+          (per_candidate ~source ~j tgds)
+        && same_analysis
+             (Cover.analyze ~core:true ~source ~j tgds)
+             (Array.of_list
+                (List.mapi
+                   (fun index tgd ->
+                     Cover.stats_of_result ~core:true ~j ~index tgd
+                       (Chase.run source [ tgd ]))
+                   tgds)))
+    |> QCheck_alcotest.to_alcotest;
   ]
 
 let () =

@@ -439,6 +439,47 @@ let bitset_tests =
         Alcotest.(check (list int)) "bits" bits (Bitset.to_list (Bitset.of_list 80 bits)));
   ]
 
+(* Relational.Index: posting lists against a naive scan of the relation.
+   The descending order is the contract the indexed CQ evaluator, and with
+   it the chase's null numbering, depends on. *)
+let index_qcheck =
+  (* r2/r3 from the fixture plus a relation "m" mixing arities 1 and 2 *)
+  let gen =
+    QCheck2.Gen.(
+      let* base = Fixtures.nullable_instance_gen in
+      let* ones = list_size (int_range 0 4) (Fixtures.nullable_tuple_gen ~rel:"m" ~arity:1) in
+      let* twos = list_size (int_range 0 4) (Fixtures.nullable_tuple_gen ~rel:"m" ~arity:2) in
+      return (Instance.add_all (ones @ twos) base))
+  in
+  let naive inst rel pos v =
+    List.rev
+      (List.filter
+         (fun (t : Tuple.t) ->
+           pos < Array.length t.values && Value.equal t.values.(pos) v)
+         (Tuple.Set.elements (Instance.tuples_of inst rel)))
+  in
+  [
+    QCheck2.Test.make ~name:"find is the descending naive scan" ~count:300 gen
+      (fun inst ->
+        let idx = Index.build inst in
+        Instance.fold
+          (fun (t : Tuple.t) ok ->
+            ok
+            && Array.for_all Fun.id
+                 (Array.mapi
+                    (fun pos v ->
+                      List.equal Tuple.equal (Index.find idx t.rel pos v)
+                        (naive inst t.rel pos v))
+                    t.values))
+          inst true);
+    QCheck2.Test.make ~name:"find misses absent keys" ~count:200 gen (fun inst ->
+        let idx = Index.build inst in
+        Index.find idx "r2" 0 (Value.Const "absent") = []
+        && Index.find idx "r2" 2 (Value.Const "c0") = []
+        && Index.find idx "none" 0 (Value.Const "c0") = []);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let stats_tests =
   let open Util in
   [
@@ -477,5 +518,6 @@ let () =
       ("csv", csv_tests);
       ("csv-properties", csv_qcheck_tests);
       ("bitset", bitset_tests);
+      ("index", index_qcheck);
       ("stats", stats_tests);
     ]
