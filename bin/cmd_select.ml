@@ -1,5 +1,6 @@
-(* The mapping-selection CLI: load a scenario document (or generate one with
-   iBench) and run a selection solver on it. Solvers are resolved by name
+(* The mapping-selection CLI: load a scenario (through Fuzz.Corpus, like the
+   daemon and the rtest runner) or generate one with iBench, and run a
+   selection solver on it. Solvers are resolved by name
    through the Core.Solver registry, so a newly registered solver is
    immediately selectable here. *)
 
@@ -55,10 +56,30 @@ let run_problem ~solver ~jobs ~cache ~weights ~candidates ~source ~j ~truth =
     Format.printf "mapping-level vs ground truth: %a@." Metrics.pp
       (Metrics.mapping_level ~candidates ~truth selection)
 
-(* Multi-hop mode: generate an S -> T -> U chain, compose the per-hop
-   candidate pools end-to-end with the mapping algebra, and select over the
-   composed pool against the final observed instance. The ground truth for
-   the mapping-level metric is the composition of the per-hop truths. *)
+(* The end-to-end selection problem of a loaded or generated scenario. *)
+let end_to_end ~what payload =
+  match Fuzz.Case.end_to_end payload with
+  | Some m -> m
+  | None ->
+    Cli.die "%s is a SET COVER case; cmd_select solves mapping selection" what
+
+(* A chain is selected over the composition of its per-hop candidate pools
+   against its final observed instance. The ground truth for the
+   mapping-level metric is the composition of the per-hop truths. *)
+let run_chain ~solver ~jobs ~cache ~weights ~truth_pools
+    (mh : Fuzz.Case.multihop) =
+  List.iteri
+    (fun i (pool, _) ->
+      Format.printf "hop %d: %d candidate tgds@." (i + 1) (List.length pool))
+    mh.Fuzz.Case.hops;
+  let m = end_to_end ~what:"the chain" (Fuzz.Case.Multihop mh) in
+  Format.printf "composed: %d end-to-end candidates@."
+    (List.length m.Fuzz.Case.candidates);
+  run_problem ~solver ~jobs ~cache ~weights ~candidates:m.Fuzz.Case.candidates
+    ~source:m.Fuzz.Case.source ~j:m.Fuzz.Case.j
+    ~truth:(Algebra.compose_all truth_pools)
+
+(* Multi-hop mode: generate an S -> T -> U chain with iBench. *)
 let run_multihop ~solver ~jobs ~cache ~weights ~seed ~rows ~hops ~pi_corresp
     ~pi_errors ~pi_unexplained =
   let config =
@@ -77,21 +98,12 @@ let run_multihop ~solver ~jobs ~cache ~weights ~seed ~rows ~hops ~pi_corresp
   | Error msg -> Cli.die "%s" msg);
   let s = Ibench.Multihop.generate config in
   Format.printf "%a@." Ibench.Multihop.pp_summary s;
-  let pools = Ibench.Multihop.mappings s in
-  List.iteri
-    (fun i pool ->
-      Format.printf "hop %d: %d candidate tgds@." (i + 1) (List.length pool))
-    pools;
-  let candidates = Algebra.compose_all pools in
-  let truth =
-    Algebra.compose_all
+  run_chain ~solver ~jobs ~cache ~weights
+    ~truth_pools:
       (List.map
          (fun (h : Ibench.Multihop.hop) -> h.Ibench.Multihop.ground_truth)
          s.Ibench.Multihop.hops)
-  in
-  Format.printf "composed: %d end-to-end candidates@." (List.length candidates);
-  run_problem ~solver ~jobs ~cache ~weights ~candidates
-    ~source:s.Ibench.Multihop.source ~j:(Ibench.Multihop.target s) ~truth
+    (Fuzz.Case.of_multihop ~weights s)
 
 let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
     pi_unexplained rows w1 w2 w3 =
@@ -113,16 +125,13 @@ let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
     (* the hand-crafted two-hop chain: compose the per-hop pools and select
        end-to-end, like --hops but deterministic and human-readable *)
     Format.printf "scenario pipeline: %s@." Scenarios.Pipeline.description;
-    List.iteri
-      (fun i pool ->
-        Format.printf "hop %d: %d candidate tgds@." (i + 1) (List.length pool))
-      Scenarios.Pipeline.pools;
-    let candidates = Algebra.compose_all Scenarios.Pipeline.pools in
-    Format.printf "composed: %d end-to-end candidates@."
-      (List.length candidates);
-    run_problem ~solver ~jobs ~cache ~weights ~candidates
-      ~source:Scenarios.Pipeline.initial ~j:Scenarios.Pipeline.final
-      ~truth:(Algebra.compose_all Scenarios.Pipeline.truth_pools)
+    run_chain ~solver ~jobs ~cache ~weights
+      ~truth_pools:Scenarios.Pipeline.truth_pools
+      {
+        Fuzz.Case.initial = Scenarios.Pipeline.initial;
+        hops = Scenarios.Pipeline.hops;
+        hop_weights = weights;
+      }
   | Some name, _ -> (
     match Scenarios.Zoo.find name with
     | None ->
@@ -139,26 +148,15 @@ let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
         ~j:doc.Serialize.Document.instance_j
         ~truth:entry.Scenarios.Zoo.ground_truth)
   | None, Some path -> (
-    match Serialize.Parser.parse_file path with
-    | Error e ->
-      Format.eprintf "%s: %a@." path Serialize.Parser.pp_error e;
+    match Fuzz.Corpus.load_scenario path with
+    | Error msg ->
+      prerr_endline msg;
       exit 1
-    | Ok doc ->
-      let candidates =
-        match doc.Serialize.Document.tgds with
-        | [] ->
-          (* no explicit candidates: generate them Clio-style from the
-             document's correspondences *)
-          Candgen.Generate.generate ~source:doc.Serialize.Document.source
-            ~target:doc.Serialize.Document.target
-            ~src_fkeys:doc.Serialize.Document.src_fkeys
-            ~tgt_fkeys:doc.Serialize.Document.tgt_fkeys
-            ~corrs:doc.Serialize.Document.correspondences
-        | tgds -> tgds
-      in
-      run_problem ~solver ~jobs ~cache ~weights ~candidates
-        ~source:doc.Serialize.Document.instance_i
-        ~j:doc.Serialize.Document.instance_j ~truth:[])
+    | Ok payload ->
+      let m = end_to_end ~what:path payload in
+      run_problem ~solver ~jobs ~cache ~weights
+        ~candidates:m.Fuzz.Case.candidates ~source:m.Fuzz.Case.source
+        ~j:m.Fuzz.Case.j ~truth:[])
   | None, None ->
     let config =
       {
@@ -179,7 +177,9 @@ let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
 
 let file =
   Arg.(value & opt (some file) None & info [ "f"; "file" ] ~docv:"FILE"
-         ~doc:"Scenario document to load; a scenario is generated when omitted.")
+         ~doc:"Scenario to load: a $(b,.scn) corpus entry or a scenario \
+               document (candidates are generated from its correspondences \
+               when it lists no tgds). A scenario is generated when omitted.")
 
 let scenario =
   Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"

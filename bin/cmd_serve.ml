@@ -8,7 +8,7 @@
 
 open Cmdliner
 
-let run socket port jobs queue batch deadline_ms cache trace =
+let run socket port jobs queue deadline_ms cache trace =
   Cli.install_trace trace;
   Telemetry.set_enabled true;
   let endpoint =
@@ -22,7 +22,6 @@ let run socket port jobs queue batch deadline_ms cache trace =
       Server.Daemon.endpoint;
       jobs = Cli.resolve_jobs jobs;
       queue;
-      batch;
       deadline_ms = Cli.resolve_deadline deadline_ms;
     }
   in
@@ -44,16 +43,12 @@ let queue =
          ~doc:"Admission-queue capacity; a full queue sheds with a typed \
                $(i,overloaded) error.")
 
-let batch =
-  Arg.(value & opt int 64 & info [ "batch" ] ~docv:"N"
-         ~doc:"Maximum calls drained into one scheduler round.")
-
 let cmd =
   let doc = "Serve mapping selection over line-delimited JSON-RPC" in
   Cmd.v
     (Cmd.info "cmd_serve" ~doc)
     Term.(
-      const run $ Cli.socket $ Cli.port $ Cli.jobs $ queue $ batch
+      const run $ Cli.socket $ Cli.port $ Cli.jobs $ queue
       $ Cli.deadline_ms $ Cli.cache $ Cli.trace)
 
 let () = exit (Cmd.eval cmd)

@@ -24,8 +24,10 @@
 
     - [scenario inline] followed by a [---]-delimited document in the
       {!Serialize.Document} textual format, or [scenario file PATH] — a
-      reference to a corpus entry ([corpus/*.scn], parsed by
-      {!Fuzz.Corpus}) or to a bare scenario document. Mandatory.
+      reference to a corpus entry ([corpus/*.scn]) or to a bare scenario
+      document, loaded by {!Fuzz.Corpus.load_scenario}. A document without
+      tgds generates its candidates from its correspondences, as in the
+      daemon and [cmd_select --file]. Mandatory.
     - [solver NAMES] — comma-separated {!Core.Solver} registry names
       (including the registry's [all], the select-everything solver);
       every expectation below must hold for each listed solver. Omitted:

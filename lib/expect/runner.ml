@@ -76,57 +76,39 @@ let weights_override (test : Rtest.test) =
       { Core.Problem.w_unexplained = w1; w_errors = w2; w_size = w3 })
     test.weights
 
-let problem_of_doc ?(core = false) ?cache ?weights (doc : Serialize.Document.t) =
-  Core.Problem.make ?weights ~core ?cache
-    ~source:doc.Serialize.Document.instance_i
-    ~j:doc.Serialize.Document.instance_j doc.Serialize.Document.tgds
-
 let problem_of_source ~rtest ?cache (test : Rtest.test) source =
   let weights = weights_override test in
-  let core = test.core in
-  match source with
-  | Src_inline body -> (
-    match Serialize.Parser.parse (String.concat "\n" body) with
-    | Ok doc -> problem_of_doc ~core ?cache ?weights doc
-    | Error e ->
-      scenario_error ~path:rtest "inline scenario: %s"
-        (Format.asprintf "%a" Serialize.Parser.pp_error e))
-  | Src_file path when Filename.check_suffix path ".scn" -> (
-    match Fuzz.Corpus.load path with
+  let name, loaded =
+    match source with
+    | Src_inline body ->
+      ( "inline scenario",
+        Result.map_error
+          (fun msg -> "inline scenario: " ^ msg)
+          (Fuzz.Corpus.scenario_of_string (String.concat "\n" body)) )
+    | Src_file path -> (path, Fuzz.Corpus.load_scenario path)
+  in
+  let payload =
+    match loaded with
+    | Ok payload -> payload
     | Error msg -> scenario_error ~path:rtest "%s" msg
-    | Ok entry -> (
-      match entry.Fuzz.Corpus.case.Fuzz.Case.payload with
-      | Fuzz.Case.Mapping m ->
-        let weights = Option.value weights ~default:m.Fuzz.Case.weights in
-        Core.Problem.make ~weights ~core ?cache ~source:m.Fuzz.Case.source
-          ~j:m.Fuzz.Case.j m.Fuzz.Case.candidates
-      | Fuzz.Case.Multihop mh ->
-        (* the end-to-end view of the chain: initial instance, final
-           observed instance, composed candidate pool *)
-        if not test.compose then
-          scenario_error ~path:rtest
-            "%s is a multi-hop corpus entry; add 'compose on'" path;
-        let weights = Option.value weights ~default:mh.Fuzz.Case.hop_weights in
-        let j =
-          match List.rev mh.Fuzz.Case.hops with
-          | (_, observed) :: _ -> observed
-          | [] -> Relational.Instance.empty
-        in
-        Core.Problem.make ~weights ~core ?cache ~source:mh.Fuzz.Case.initial ~j
-          (Algebra.compose_all (List.map fst mh.Fuzz.Case.hops))
-      | Fuzz.Case.Setcover inst -> (
-        (* a reduced SET COVER problem is prebuilt; [core] has no chase to
-           act on and is ignored *)
-        let red = Core.Setcover.reduce inst in
-        match weights with
-        | Some w -> Core.Problem.with_weights red.Core.Setcover.problem w
-        | None -> red.Core.Setcover.problem)))
-  | Src_file path -> (
-    match Serialize.Parser.parse_file path with
-    | Ok doc -> problem_of_doc ~core ?cache ?weights doc
-    | Error e ->
-      scenario_error ~path:rtest "%s: %s" path
-        (Format.asprintf "%a" Serialize.Parser.pp_error e))
+  in
+  match payload with
+  | Fuzz.Case.Setcover inst -> (
+    (* a reduced SET COVER problem is prebuilt; [core] has no chase to act
+       on and is ignored *)
+    let red = Core.Setcover.reduce inst in
+    match weights with
+    | Some w -> Core.Problem.with_weights red.Core.Setcover.problem w
+    | None -> red.Core.Setcover.problem)
+  | Fuzz.Case.Multihop _ when not test.compose ->
+    scenario_error ~path:rtest
+      "%s is a multi-hop corpus entry; add 'compose on'" name
+  | Fuzz.Case.Mapping _ | Fuzz.Case.Multihop _ ->
+    let m = Option.get (Fuzz.Case.end_to_end payload) in
+    Core.Problem.make
+      ~weights:(Option.value weights ~default:m.Fuzz.Case.weights)
+      ~core:test.core ?cache ~source:m.Fuzz.Case.source ~j:m.Fuzz.Case.j
+      m.Fuzz.Case.candidates
 
 (* --- evaluation ---------------------------------------------------------- *)
 

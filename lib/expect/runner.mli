@@ -2,9 +2,9 @@
 
     The runner compiles each {!Rtest.test} onto {!Core.Solver.solve}: the
     scenario becomes a {!Core.Problem.t} (inline documents through
-    {!Serialize.Parser}, file references through {!Fuzz.Corpus} for
-    [*.scn] corpus entries and {!Serialize.Parser.parse_file} for bare
-    documents), every listed solver runs on it, and each expectation is
+    {!Fuzz.Corpus.scenario_of_string}, file references through
+    {!Fuzz.Corpus.load_scenario}, then {!Fuzz.Case.end_to_end} — the
+    daemon's loader), every listed solver runs on it, and each expectation is
     checked exactly (objectives as {!Util.Frac}, selections as label
     multisets, counters against {!Telemetry} totals).
 

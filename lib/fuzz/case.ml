@@ -29,17 +29,54 @@ let problem ?cache m =
   Core.Problem.make ?cache ~weights:m.weights ~source:m.source ~j:m.j
     m.candidates
 
-(* The end-to-end selection problem of a multi-hop case: candidates are the
-   composed hop pools, the data example is (initial, last observed). *)
-let multihop_problem ?cache mh =
-  let composed = Algebra.compose_all (List.map fst mh.hops) in
-  let j =
-    match List.rev mh.hops with
-    | (_, observed) :: _ -> observed
-    | [] -> Instance.empty
+let of_document (doc : Serialize.Document.t) =
+  let candidates =
+    match doc.Serialize.Document.tgds with
+    | [] ->
+      (* no explicit candidates: generate them Clio-style from the
+         document's correspondences *)
+      Candgen.Generate.generate ~source:doc.Serialize.Document.source
+        ~target:doc.Serialize.Document.target
+        ~src_fkeys:doc.Serialize.Document.src_fkeys
+        ~tgt_fkeys:doc.Serialize.Document.tgt_fkeys
+        ~corrs:doc.Serialize.Document.correspondences
+    | tgds -> tgds
   in
-  Core.Problem.make ?cache ~weights:mh.hop_weights ~source:mh.initial ~j
-    composed
+  Mapping
+    {
+      source = doc.Serialize.Document.instance_i;
+      j = doc.Serialize.Document.instance_j;
+      candidates;
+      weights = Core.Problem.default_weights;
+    }
+
+let of_multihop ~weights (s : Ibench.Multihop.t) =
+  {
+    initial = s.Ibench.Multihop.source;
+    hops =
+      List.map
+        (fun (h : Ibench.Multihop.hop) ->
+          (h.Ibench.Multihop.tgds, h.Ibench.Multihop.observed))
+        s.Ibench.Multihop.hops;
+    hop_weights = weights;
+  }
+
+(* A chain selects over the composed hop pools, with the data example
+   (initial, last observed). *)
+let end_to_end = function
+  | Mapping m -> Some m
+  | Setcover _ -> None
+  | Multihop mh ->
+    Some
+      {
+        source = mh.initial;
+        j =
+          (match List.rev mh.hops with
+          | (_, observed) :: _ -> observed
+          | [] -> Instance.empty);
+        candidates = Algebra.compose_all (List.map fst mh.hops);
+        weights = mh.hop_weights;
+      }
 
 let num_candidates t =
   match t.payload with

@@ -44,10 +44,22 @@ val problem : ?cache : Cache.t -> mapping -> Core.Problem.t
     analysis (bit-identical on or off — the cache-identity oracle holds the
     whole campaign to that). *)
 
-val multihop_problem : ?cache : Cache.t -> multihop -> Core.Problem.t
-(** The end-to-end problem of a multi-hop case: candidates are
-    [Algebra.compose_all] of the hop pools, the data example is the initial
-    instance paired with the last hop's observed instance. *)
+val of_document : Serialize.Document.t -> payload
+(** A scenario document as a {!Mapping} under the default weights. A
+    document without tgds gets its candidates from
+    {!Candgen.Generate.generate} over its correspondences. *)
+
+val of_multihop :
+  weights : Core.Problem.weights -> Ibench.Multihop.t -> multihop
+(** An iBench chain as a multi-hop case: its initial source, and per hop
+    the candidate pool and observed instance. *)
+
+val end_to_end : payload -> mapping option
+(** The selection problem a payload poses end to end. A mapping case is
+    itself. A chain selects over [Algebra.compose_all] of its hop pools,
+    with the initial instance as source and the last hop's observed
+    instance as J, under [hop_weights]. A SET COVER case has none. This is
+    the one place a chain's composed pool is built for selection. *)
 
 val num_candidates : t -> int
 (** Candidate tgds of a mapping case; sets of a SET COVER case; total tgds

@@ -305,6 +305,20 @@ let load path =
     | Ok e -> Ok e
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
+let scenario_of_string text =
+  match Serialize.Parser.parse text with
+  | Ok doc -> Ok (Case.of_document doc)
+  | Error e -> Error (Format.asprintf "%a" Serialize.Parser.pp_error e)
+
+let load_scenario path =
+  if Filename.check_suffix path ".scn" then
+    Result.map (fun e -> e.case.Case.payload) (load path)
+  else
+    match read_file path with
+    | exception Sys_error msg -> Error msg
+    | text ->
+      Result.map_error (Printf.sprintf "%s: %s" path) (scenario_of_string text)
+
 let load_dir dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then Ok []
   else

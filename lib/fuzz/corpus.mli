@@ -52,3 +52,13 @@ val load_dir : string -> (entry list, string) result
 (** Loads every [*.scn] file of a directory in lexicographic filename
     order. Returns [Ok []] if the directory does not exist; the first
     malformed file aborts the load. *)
+
+val scenario_of_string : string -> (Case.payload, string) result
+(** A scenario document in the {!Serialize.Document} format, through
+    {!Case.of_document}. The error is the positioned parse error. *)
+
+val load_scenario : string -> (Case.payload, string) result
+(** The one way a scenario file becomes a payload: a [*.scn] file is a
+    corpus entry and yields its case's payload; any other file is a bare
+    document read by {!scenario_of_string}. Errors name the path, and an
+    unreadable file is an [Error], never a [Sys_error]. *)

@@ -213,15 +213,7 @@ let multihop_gen rng =
     }
   in
   let s = Ibench.Multihop.generate config in
-  {
-    Case.initial = s.Ibench.Multihop.source;
-    hops =
-      List.map
-        (fun (h : Ibench.Multihop.hop) ->
-          (h.Ibench.Multihop.tgds, h.Ibench.Multihop.observed))
-        s.Ibench.Multihop.hops;
-    hop_weights = weights_gen rng;
-  }
+  Case.of_multihop ~weights:(weights_gen rng) s
 
 (* --- family dispatch ---------------------------------------------------- *)
 

@@ -67,8 +67,6 @@ let extensions inst s atoms = extensions_ordered inst s (order_atoms atoms)
 
 let answers inst atoms = extensions inst Subst.empty atoms
 
-let answers_seq inst atoms = List.to_seq (answers inst atoms)
-
 module Index = struct
   include Relational.Index
 

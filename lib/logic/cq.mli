@@ -11,9 +11,6 @@ val answers : Relational.Instance.t -> Atom.t list -> Subst.t list
 (** All satisfying substitutions, each binding exactly the variables of the
     query. The empty query has the single answer [Subst.empty]. *)
 
-val answers_seq : Relational.Instance.t -> Atom.t list -> Subst.t Seq.t
-(** Lazy variant of {!answers}; substitutions are produced on demand. *)
-
 val holds : Relational.Instance.t -> Atom.t list -> bool
 (** [true] iff the query has at least one answer. *)
 

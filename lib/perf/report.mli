@@ -3,7 +3,7 @@
     [bench/main.exe --json PATH] serialises its measurements — microkernel
     timings, sequential-vs-pool comparisons, the cache cold/warm build
     section and the telemetry overhead probe — into one JSON document per
-    run. The committed [BENCH_8.json] is the baseline; CI regenerates a
+    run. The committed [BENCH_9.json] is the baseline; CI regenerates a
     fresh report and {!gate}s it against the baseline with a
     multiplicative tolerance band, so the ROADMAP's raw-speed claims are
     tracked numbers instead of prose.
@@ -81,7 +81,7 @@ type server_section = {
 
 type t = {
   schema_version : int;  (** 1 (bench-only) or 2 (optional sections) *)
-  bench : int;  (** the trajectory index; 8 for [BENCH_8.json] *)
+  bench : int;  (** the trajectory index; 9 for [BENCH_9.json] *)
   jobs : int;  (** pool size used for the parallel/serving section *)
   kernels : kernel list;
       (** may be empty in a v2 server report — {!validate} then requires

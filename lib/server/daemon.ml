@@ -10,7 +10,6 @@ type config = {
   endpoint : [ `Unix_socket of string | `Tcp of string * int ];
   jobs : int;
   queue : int;
-  batch : int;
   deadline_ms : float option;
 }
 
@@ -228,14 +227,16 @@ let install_signals stop =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
 
+(* Max calls drained into one scheduler round. *)
+let batch = 64
+
 let run_pending st =
-  match Batcher.drain ~max:st.config.batch st.batcher with
+  match Batcher.drain ~max:batch st.batcher with
   | [] -> ()
   | jobs -> Scheduler.run_batch st.engine ~pool:st.pool jobs
 
 let serve ?cache ?(stop = Atomic.make false) ?on_ready config =
   if config.jobs < 1 then invalid_arg "Daemon.serve: jobs < 1";
-  if config.batch < 1 then invalid_arg "Daemon.serve: batch < 1";
   Scheduler.install_tap ();
   install_signals stop;
   let engine = Engine.create ?cache () in

@@ -29,7 +29,6 @@ type config = {
           [on_ready]) *)
   jobs : int;  (** pool workers; [1] solves inline in the dispatcher *)
   queue : int;  (** admission-queue capacity; full ⇒ typed [overloaded] *)
-  batch : int;  (** max calls drained into one scheduler round *)
   deadline_ms : float option;
       (** default per-call deadline; a call's own [deadline_ms] overrides *)
 }

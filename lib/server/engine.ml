@@ -63,90 +63,36 @@ exception Fail of Protocol.error_kind * string
 
 let fail kind fmt = Printf.ksprintf (fun m -> raise (Fail (kind, m))) fmt
 
-type resolved = {
-  source : Relational.Instance.t;
-  j : Relational.Instance.t;
-  candidates : Logic.Tgd.t list;
-      (** the end-to-end pool: the scenario's own candidates for a
-          single-hop scenario, [Algebra.compose_all hops] for a multi-hop
-          one *)
-  hops : Logic.Tgd.t list list;
-      (** the hop chain behind [candidates]; a singleton for single-hop
-          scenarios, so [compose] is total over every scenario kind *)
-  scenario_weights : Core.Problem.weights;
-}
-
-let of_document doc =
-  let candidates =
-    match doc.Serialize.Document.tgds with
-    | [] ->
-      (* no explicit candidates: generate them Clio-style from the
-         correspondences, exactly as cmd_select does *)
-      Candgen.Generate.generate ~source:doc.Serialize.Document.source
-        ~target:doc.Serialize.Document.target
-        ~src_fkeys:doc.Serialize.Document.src_fkeys
-        ~tgt_fkeys:doc.Serialize.Document.tgt_fkeys
-        ~corrs:doc.Serialize.Document.correspondences
-    | tgds -> tgds
+(* A scenario reference becomes its end-to-end selection problem through
+   Fuzz.Corpus and Fuzz.Case, as in every other front end. Also returns the
+   hop count [compose] reports: 1 unless the scenario is a chain, so
+   [compose] is total over every scenario kind. *)
+let resolve scenario =
+  let what, payload =
+    match scenario with
+    | Protocol.Inline text -> (
+      match Fuzz.Corpus.scenario_of_string text with
+      | Ok payload -> ("inline scenario", payload)
+      | Error msg -> fail Protocol.Bad_scenario "scenario: %s" msg)
+    | Protocol.File path -> (
+      match Fuzz.Corpus.load_scenario path with
+      | Ok payload -> (path, payload)
+      | Error msg -> fail Protocol.Bad_scenario "%s" msg)
+    | Protocol.Case_seed seed ->
+      let case = Fuzz.Gen.case ~seed in
+      ( Printf.sprintf "case_seed %d (tag %s)" seed case.Fuzz.Case.tag,
+        case.Fuzz.Case.payload )
   in
-  {
-    source = doc.Serialize.Document.instance_i;
-    j = doc.Serialize.Document.instance_j;
-    candidates;
-    hops = [ candidates ];
-    scenario_weights = Core.Problem.default_weights;
-  }
-
-let of_case ~what = function
-  | Fuzz.Case.Mapping m ->
-    {
-      source = m.Fuzz.Case.source;
-      j = m.Fuzz.Case.j;
-      candidates = m.Fuzz.Case.candidates;
-      hops = [ m.Fuzz.Case.candidates ];
-      scenario_weights = m.Fuzz.Case.weights;
-    }
-  | Fuzz.Case.Multihop mh ->
-    (* end-to-end view of the chain: select over the composed pool against
-       the final observed instance *)
-    let hops = List.map fst mh.Fuzz.Case.hops in
-    {
-      source = mh.Fuzz.Case.initial;
-      j =
-        (match List.rev mh.Fuzz.Case.hops with
-        | (_, observed) :: _ -> observed
-        | [] -> Relational.Instance.empty);
-      candidates = Algebra.compose_all hops;
-      hops;
-      scenario_weights = mh.Fuzz.Case.hop_weights;
-    }
-  | Fuzz.Case.Setcover _ ->
+  let hops =
+    match payload with
+    | Fuzz.Case.Multihop mh -> List.length mh.Fuzz.Case.hops
+    | Fuzz.Case.Mapping _ | Fuzz.Case.Setcover _ -> 1
+  in
+  match Fuzz.Case.end_to_end payload with
+  | Some m -> (hops, m)
+  | None ->
     fail Protocol.Unsupported_case
       "%s is a SET COVER case; the service solves mapping selection" what
-
-let resolve = function
-  | Protocol.Inline text -> (
-    match Serialize.Parser.parse text with
-    | Ok doc -> of_document doc
-    | Error e ->
-      fail Protocol.Bad_scenario "scenario: %s"
-        (Format.asprintf "%a" Serialize.Parser.pp_error e))
-  | Protocol.File path when Filename.check_suffix path ".scn" -> (
-    match Fuzz.Corpus.load path with
-    | Ok entry -> of_case ~what:path entry.Fuzz.Corpus.case.Fuzz.Case.payload
-    | Error msg -> fail Protocol.Bad_scenario "%s" msg)
-  | Protocol.File path -> (
-    match Serialize.Parser.parse_file path with
-    | Ok doc -> of_document doc
-    | Error e ->
-      fail Protocol.Bad_scenario "%s: %s" path
-        (Format.asprintf "%a" Serialize.Parser.pp_error e)
-    | exception Sys_error msg -> fail Protocol.Bad_scenario "%s" msg)
-  | Protocol.Case_seed seed ->
-    let case = Fuzz.Gen.case ~seed in
-    of_case
-      ~what:(Printf.sprintf "case_seed %d (tag %s)" seed case.Fuzz.Case.tag)
-      case.Fuzz.Case.payload
 
 (* --- solving ------------------------------------------------------------ *)
 
@@ -174,13 +120,11 @@ let solve ?(compose = false) t ~progress (p : Protocol.solve_params) =
         (String.concat ", " (Core.Solver.names ()))
   in
   emit progress ~event:"started" ();
-  let r = resolve p.Protocol.scenario in
-  let weights =
-    match p.Protocol.weights with Some w -> w | None -> r.scenario_weights
-  in
+  let hops, m = resolve p.Protocol.scenario in
+  let weights = Option.value p.Protocol.weights ~default:m.Fuzz.Case.weights in
   let problem =
-    Core.Problem.make ~weights ~cache:t.cache ~source:r.source ~j:r.j
-      r.candidates
+    Core.Problem.make ~weights ~cache:t.cache ~source:m.Fuzz.Case.source
+      ~j:m.Fuzz.Case.j m.Fuzz.Case.candidates
   in
   let digest = Core.Problem.digest problem in
   emit progress ~event:"resolved" ~name:digest ();
@@ -200,11 +144,12 @@ let solve ?(compose = false) t ~progress (p : Protocol.solve_params) =
     if not compose then []
     else
       [
-        ("hops", Json.Num (float_of_int (List.length r.hops)));
+        ("hops", Json.Num (float_of_int hops));
         ( "composed",
           Json.List
-            (List.map (fun c -> Json.Str (Logic.Tgd.to_string c)) r.candidates)
-        );
+            (List.map
+               (fun c -> Json.Str (Logic.Tgd.to_string c))
+               m.Fuzz.Case.candidates) );
       ]
   in
   Json.Obj

@@ -28,12 +28,13 @@
 
 type scenario =
   | Inline of string
-      (** a {!Serialize.Document} in its textual format; candidates are
-          generated Clio-style from the correspondences when the document
-          lists no tgds (mirrors [cmd_select --file]) *)
+      (** a {!Serialize.Document} in its textual format, read by
+          {!Fuzz.Corpus.scenario_of_string}: candidates are generated
+          Clio-style from the correspondences when the document lists no
+          tgds, as [cmd_select --file] and the rtest runner do *)
   | File of string
-      (** server-side path: a [*.scn] corpus entry ({!Fuzz.Corpus}) or a
-          bare scenario document *)
+      (** server-side path, read by {!Fuzz.Corpus.load_scenario}: a
+          [*.scn] corpus entry or a bare scenario document *)
   | Case_seed of int
       (** generate the scenario with {!Fuzz.Gen.case} — tiny request,
           full-size workload; the seed pins the content *)

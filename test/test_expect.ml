@@ -394,6 +394,99 @@ let test_filter () =
   Alcotest.(check int) "only alpha ran" 1 report.Expect.Runner.passed;
   Alcotest.(check int) "beta filtered out" 0 report.Expect.Runner.failed
 
+(* A document with correspondences and no tgds: every front end must
+   generate the same candidates from it, so the runner, the daemon and the
+   shared loader all report one objective. *)
+let tgdless_doc =
+  String.concat "\n"
+    [
+      "source relation emp(name, dept)";
+      "target relation staff(name, dept)";
+      "correspondence emp.name ~> staff.name";
+      "correspondence emp.dept ~> staff.dept";
+      "source tuple emp(Alice, DB)";
+      "source tuple emp(Bob, ML)";
+      "source tuple emp(Carl, DB)";
+      "source tuple emp(Dana, OS)";
+      "target tuple staff(Alice, DB)";
+      "target tuple staff(Bob, ML)";
+      "target tuple staff(Carl, DB)";
+      "target tuple staff(Dana, OS)";
+    ]
+
+let test_tgdless_document_agrees () =
+  let shared =
+    match Serialize.Parser.parse tgdless_doc with
+    | Error _ -> Alcotest.fail "document did not parse"
+    | Ok doc ->
+      let problem =
+        Fuzz.Case.problem
+          (Option.get (Fuzz.Case.end_to_end (Fuzz.Case.of_document doc)))
+      in
+      Alcotest.(check bool) "candidates generated" true
+        (Core.Problem.num_candidates problem > 0);
+      (* the empty selection leaves all of J unexplained; the generated
+         candidates must do better, or an empty pool would go unnoticed *)
+      let empty = Array.make (Core.Problem.num_candidates problem) false in
+      let impl = Option.get (Core.Solver.find "exact") in
+      let best =
+        Core.Objective.value problem
+          (Core.Solver.solve impl problem).Core.Solver.selection
+      in
+      Alcotest.(check bool) "candidates explain J" true
+        Util.Frac.(best < Core.Objective.value problem empty);
+      best
+  in
+  let daemon =
+    let request =
+      {
+        Server.Protocol.id = Util.Json.Str "d";
+        call =
+          Server.Protocol.Solve
+            {
+              Server.Protocol.scenario = Server.Protocol.Inline tgdless_doc;
+              solver = "exact";
+              seed = None;
+              weights = None;
+              deadline_ms = None;
+              progress = false;
+            };
+      }
+    in
+    match Server.Engine.handle (Server.Engine.create ()) request with
+    | Server.Protocol.Result { body; _ } ->
+      let total =
+        Option.bind (Util.Json.member "objective" body)
+          (Util.Json.member "total")
+      in
+      let part name =
+        Option.get
+          (Option.bind total (fun t ->
+               Option.bind (Util.Json.member name t) Util.Json.to_int))
+      in
+      Util.Frac.make (part "num") (part "den")
+    | Server.Protocol.Error { message; _ } ->
+      Alcotest.failf "daemon rejected the document: %s" message
+  in
+  Alcotest.(check string) "daemon = shared loader"
+    (Util.Frac.to_string shared) (Util.Frac.to_string daemon);
+  let suite =
+    String.concat "\n"
+      [
+        "test tgdless"; "solver exact"; "scenario inline"; "---"; tgdless_doc;
+        "---";
+        Printf.sprintf "expect objective %d/%d" (Util.Frac.num shared)
+          (Util.Frac.den shared);
+      ]
+  in
+  match run_one suite with
+  | Expect.Runner.Pass -> ()
+  | Expect.Runner.Fail
+      [ Expect.Runner.Mismatch { actual = Some (Rtest.Objective f); _ } ] ->
+    Alcotest.failf "runner objective %s, daemon and loader %s"
+      (Util.Frac.to_string f) (Util.Frac.to_string shared)
+  | _ -> Alcotest.fail "the runner did not evaluate the document"
+
 let runner_tests =
   [
     Alcotest.test_case "committed expect/ suite is green" `Quick
@@ -404,6 +497,8 @@ let runner_tests =
     Alcotest.test_case "promote skips flagged tests" `Quick
       test_promote_skips_flagged;
     Alcotest.test_case "--filter selects by substring" `Quick test_filter;
+    Alcotest.test_case "tgd-less document: runner = daemon = loader" `Quick
+      test_tgdless_document_agrees;
   ]
 
 let () =

@@ -185,10 +185,6 @@ let cq_property_tests =
       (fun (inst, q) ->
         let index = Cq.Index.build inst in
         subst_set_equal (Cq.answers inst q) (Cq.answers_indexed index q));
-    Test.make ~name:"answers_seq enumerates exactly the answers" ~count:200
-      (Gen.pair Fixtures.nullable_instance_gen Fixtures.cq_gen)
-      (fun (inst, q) ->
-        subst_set_equal (Cq.answers inst q) (List.of_seq (Cq.answers_seq inst q)));
     Test.make ~name:"indexed extensions agree on instances with nulls"
       ~count:100 (Gen.pair Fixtures.nullable_instance_gen Fixtures.cq_gen)
       (fun (inst, q) ->

@@ -301,7 +301,6 @@ let test_socket_round_trip () =
             Server.Daemon.endpoint = `Unix_socket path;
             jobs = 2;
             queue = 32;
-            batch = 16;
             deadline_ms = None;
           })
   in
