@@ -84,7 +84,7 @@ let run seed budget oracle_spec fault jobs cache trace corpus_dir replay
     list_oracles =
   Cli.install_trace trace;
   let cache = Cli.resolve_cache cache in
-  Cli.install_signal_flush ?cache ();
+  Cli.install_signal_flush ();
   if list_oracles then begin
     List.iter
       (fun (o : Fuzz.Oracle.t) ->

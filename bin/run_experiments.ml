@@ -17,7 +17,7 @@ let render format table =
 let run_ids format jobs cache trace ids =
   Cli.install_trace trace;
   let cache = Cli.resolve_cache cache in
-  Cli.install_signal_flush ?cache ();
+  Cli.install_signal_flush ();
   let ctx =
     Experiments.Common.Ctx.create ?cache ~jobs:(Cli.resolve_jobs jobs) ()
   in

@@ -31,6 +31,7 @@ let run primitives seed cache trace rows pi_corresp pi_errors pi_unexplained
     stats output =
  try
   Cli.install_trace trace;
+  let cache = Cli.resolve_cache cache in
   let primitives =
     match primitives with
     | None -> List.map (fun k -> (k, 1)) Ibench.Primitive.all
@@ -72,7 +73,7 @@ let run primitives seed cache trace rows pi_corresp pi_errors pi_unexplained
        configured) and report what the selection pipeline would see *)
     let p =
       Core.Problem.make
-        ?cache:(Cli.resolve_cache cache)
+        ?cache
         ~source:s.Ibench.Scenario.instance_i ~j:s.Ibench.Scenario.instance_j
         s.Ibench.Scenario.candidates
     in
@@ -89,7 +90,7 @@ let run primitives seed cache trace rows pi_corresp pi_errors pi_unexplained
   | None -> print_string (Serialize.Document.to_string doc)
   | Some path -> Serialize.Document.save path doc
  with Sys_error msg ->
-  (* a dangling --cache or --output reference is a usage error, not a crash *)
+  (* an unwritable --output path is a usage error, not a crash *)
   Cli.die "scenario_gen: %s" msg
 
 let primitives =

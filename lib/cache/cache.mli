@@ -27,23 +27,18 @@
       {!Parallel.Pool} size (as long as the working set fits the capacity;
       an eviction can turn a would-be hit into a recomputed miss).
 
-    The in-memory tier is a bounded LRU over completed entries. The
-    optional disk tier stores one content-addressed file per key
-    ([<digest>.cache], written atomically via a temp file and rename);
-    eviction only drops the in-memory copy, and an unreadable or corrupt
-    file is treated as a miss and rewritten. *)
+    The cache lives in memory only: a bounded LRU over completed entries,
+    gone with the process. Its keys carry no code version, so nothing
+    computed by one build is ever read by another. *)
 
 type t
 
-val create : ?capacity : int -> ?dir : string -> unit -> t
-(** [create ()] is a fresh in-memory cache holding at most [capacity]
-    completed entries (default 16384). [dir] adds the disk tier, creating
-    the directory if needed. Raises [Invalid_argument] when
+val create : ?capacity : int -> unit -> t
+(** [create ()] is a fresh cache holding at most [capacity] completed
+    entries (default 16384). Raises [Invalid_argument] when
     [capacity < 1]. *)
 
 val capacity : t -> int
-
-val dir : t -> string option
 
 type stats = {
   hits : int;  (** lookups served without running the computation *)
@@ -55,22 +50,15 @@ val stats : t -> stats
 (** Per-cache totals; the [cache.hits]/[cache.misses]/[cache.evictions]
     telemetry counters aggregate the same events across all caches. *)
 
-val sync : t -> unit
-(** Re-persists every completed in-memory entry whose disk file is missing
-    (a no-op without a disk tier). Entries are normally written as they
-    complete, so this only repairs files lost to a failed or raced write —
-    long-lived processes (the serving daemon, campaign drivers) call it
-    from their SIGTERM/SIGINT path so a kill never strands warm state that
-    the next process could have reloaded. *)
+val of_spec : string -> (t option, string) result
+(** Maps the [--cache]/[CACHE_DIR] spelling to a cache: [""] is [Ok None]
+    (no cache), ["mem"] a fresh cache, and any other spelling an [Error]
+    whose message names it. *)
 
-val of_spec : string -> t option
-(** Maps the [--cache]/[CACHE_DIR] spelling to a cache: [""] is no cache,
-    ["mem"] an in-memory cache, anything else a directory-backed one. *)
-
-val default : unit -> t option
+val default : unit -> (t option, string) result
 (** The process-wide cache configured by the [CACHE_DIR] environment
-    variable ({!of_spec} on its value; [None] when unset). Evaluated once,
-    so every call shares one cache. *)
+    variable ({!of_spec} on its value; [Ok None] when unset). Evaluated
+    once, so every call shares one cache. *)
 
 (** Canonical renderings of the engine's values, for key derivation. Each
     rendering is injective on its type (length-prefixed and
@@ -81,8 +69,8 @@ val default : unit -> t option
     functions are thin wrappers over them. Every key in the system is
     derived through these writers, and {b every key byte is the old one}:
     the writers emit exactly what the string-concatenating renderers
-    emitted, so disk tiers filled by earlier builds, pinned problem digests
-    and the serving daemon's wire digests stay valid. *)
+    emitted, so pinned problem digests and the serving daemon's wire
+    digests stay valid. *)
 module Key : sig
   val add_enc : Buffer.t -> string -> unit
   (** Percent-encodes every byte outside [[A-Za-z0-9_.~-]] as [%XX]
@@ -182,9 +170,8 @@ val chase :
     source under [(tgd, source_key)]. The chase depends only on the source
     and the tgd (null labels are deterministic per run), never on the
     target instance — so a noise sweep that perturbs only [J] hits this
-    tier at every level. Memory-only: entries are never written to the disk
-    tier and vanish with the cache. The returned result is shared, not
-    copied; callers must treat it as immutable. *)
+    tier at every level. The returned result is shared, not copied;
+    callers must treat it as immutable. *)
 
 val selection :
   t ->

@@ -32,18 +32,21 @@ let cache =
   Arg.(
     value
     & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
+    & info [ "cache" ] ~docv:"mem"
         ~doc:
-          "Content-addressed evaluation cache: memoizes per-candidate chase \
-           statistics and solver selections. $(docv) is a directory for the \
-           persistent tier, or $(b,mem) for in-memory only. Default: the \
-           $(b,CACHE_DIR) environment variable (same spellings; empty or \
-           unset disables). Results are bit-identical with and without the \
-           cache.")
+          "In-memory evaluation cache: memoizes per-candidate chase \
+           statistics and solver selections. The only spelling is \
+           $(b,mem); empty disables. Default: the $(b,CACHE_DIR) \
+           environment variable (same spellings; unset disables). Results \
+           are bit-identical with and without the cache.")
 
-let resolve_cache = function
-  | None -> Cache.default ()
-  | Some spec -> Cache.of_spec spec
+let resolve_cache spec =
+  let source, cache =
+    match spec with
+    | None -> ("CACHE_DIR", Cache.default ())
+    | Some spec -> ("--cache", Cache.of_spec spec)
+  in
+  match cache with Ok cache -> cache | Error msg -> die "%s: %s" source msg
 
 let socket =
   Arg.(
@@ -89,9 +92,8 @@ let resolve_deadline = function
   | Some ms when ms > 0. -> Some ms
   | Some ms -> die "--deadline-ms must be positive, got %g" ms
 
-let install_signal_flush ?cache () =
+let install_signal_flush () =
   let graceful status (_ : int) =
-    Option.iter Cache.sync cache;
     (* [exit] runs the at_exit chain, which holds the telemetry flush when
        tracing is on — the handler itself never writes to the sinks *)
     exit status

@@ -33,14 +33,14 @@ val seed : default:int -> doc:string -> int Cmdliner.Term.t
 (** [--seed N] with the binary's default. *)
 
 val cache : string option Cmdliner.Term.t
-(** [--cache DIR] (or [--cache mem]); [None] when omitted. Resolve with
-    {!resolve_cache}. *)
+(** [--cache mem]; [None] when omitted. Resolve with {!resolve_cache}. *)
 
 val resolve_cache : string option -> Cache.t option
 (** The effective evaluation cache: the flag's spelling when given, else
     the [CACHE_DIR] environment variable ({!Cache.of_spec} either way —
-    [""] disables, ["mem"] is in-memory, anything else directory-backed).
-    Purely an optimisation: results are bit-identical with and without. *)
+    [""] disables, ["mem"] is an in-memory cache). Any other spelling exits
+    with status 2, naming its source ([--cache] or [CACHE_DIR]). Purely an
+    optimisation: results are bit-identical with and without. *)
 
 val socket : string option Cmdliner.Term.t
 (** [--socket PATH]: a Unix-domain socket endpoint, for the serving
@@ -66,15 +66,14 @@ val deadline_ms : float option Cmdliner.Term.t
 
 val resolve_deadline : float option -> float option
 
-val install_signal_flush : ?cache:Cache.t -> unit -> unit
+val install_signal_flush : unit -> unit
 (** Installs SIGTERM/SIGINT handlers that end the process through [exit]
-    (status 143/130) instead of the default immediate kill, after
-    {!Cache.sync}ing [cache]. Because [exit] runs the [at_exit] chain,
-    the telemetry sinks installed by {!install_trace} (or the [TELEMETRY]
-    hook) are flushed too — a campaign or serving process killed
-    mid-stream never truncates its JSONL trace or strands its disk-tier
-    cache. Long-running binaries call this once at startup; the serving
-    daemon installs its own handlers (graceful drain) instead. *)
+    (status 143/130) instead of the default immediate kill. Because [exit]
+    runs the [at_exit] chain, the telemetry sinks installed by
+    {!install_trace} (or the [TELEMETRY] hook) are flushed — a campaign
+    killed mid-stream never truncates its JSONL trace. Long-running
+    binaries call this once at startup; the serving daemon installs its own
+    handlers (graceful drain) instead. *)
 
 type trace = {
   trace : bool;  (** [--trace]: human report to stderr at exit *)

@@ -106,8 +106,6 @@ type test = {
 
 type file = test list
 
-val equal_test : test -> test -> bool
-
 val equal_file : file -> file -> bool
 
 val parse : string -> (file, string) result

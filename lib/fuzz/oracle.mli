@@ -48,10 +48,6 @@ type ctx
 (** A case plus its lazily shared precomputation ({!Core.Problem.make}
     chases once per candidate; the oracles share one problem per case). *)
 
-val make_ctx : ?cache : Cache.t -> Case.t -> ctx
-(** [cache] is used for the context's shared problem construction — results
-    are identical with or without it. *)
-
 type verdict =
   | Pass
   | Skip  (** the oracle does not apply to this case shape *)
@@ -71,8 +67,9 @@ val names : string list
 val find : string -> t option
 
 val run : ?cache : Cache.t -> t -> Case.t -> verdict
-(** [check] on a fresh context (built with [cache] when given), with
-    exceptions converted to [Fail]. *)
+(** [check] on a fresh context, with exceptions converted to [Fail].
+    [cache], when given, serves the context's shared problem construction;
+    verdicts are identical with or without it. *)
 
 val is_failure : ?cache : Cache.t -> t -> Case.t -> bool
 (** The shrinking predicate: does the oracle fail (or raise) on this case? *)

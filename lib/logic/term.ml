@@ -11,8 +11,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let is_var = function Var _ -> true | Cst _ -> false
-
 let var_name = function Var v -> Some v | Cst _ -> None
 
 (* The textual grammar (Serialize.Parser) reads a bare identifier with a

@@ -11,8 +11,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val is_var : t -> bool
-
 val var_name : t -> string option
 
 val pp : Format.formatter -> t -> unit

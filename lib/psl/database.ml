@@ -53,5 +53,3 @@ let observed_of t name =
     (fun a v acc -> if String.equal a.Gatom.pred name then (a, v) :: acc else acc)
     t.observed []
   |> List.rev
-
-let fold_observed f t init = Gatom.Map.fold f t.observed init

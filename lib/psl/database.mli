@@ -31,5 +31,3 @@ val truth_closed : t -> Gatom.t -> float
 
 val observed_of : t -> string -> (Gatom.t * float) list
 (** All observations of one predicate, ascending by atom. *)
-
-val fold_observed : (Gatom.t -> float -> 'a -> 'a) -> t -> 'a -> 'a

@@ -12,7 +12,5 @@ val create : ?first : int -> unit -> t
 val fresh : t -> Value.t
 (** The next unused labeled null. *)
 
-val fresh_label : t -> int
-
 val count : t -> int
 (** How many nulls have been handed out. *)

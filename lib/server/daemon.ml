@@ -280,5 +280,4 @@ let serve ?cache ?(stop = Atomic.make false) ?on_ready config =
   (match config.endpoint with
   | `Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
   | `Tcp _ -> ());
-  Cache.sync (Engine.cache engine);
   Parallel.Pool.shutdown pool

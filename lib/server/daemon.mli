@@ -16,11 +16,10 @@
     by a [shutdown] call from any client, or by an external flip of the
     [stop] atomic (in-process tests). Stopping is graceful: the listener
     closes, every already-admitted job is solved and answered, then
-    connections close, {!Cache.sync} re-persists any warm entries missing
-    from the disk tier, the pool shuts down, and [serve] returns — so a
-    normal [at_exit] telemetry flush still runs. Under SIGKILL the cache
-    loses nothing either (entries persist as they complete); only the
-    telemetry aggregate lines are lost. *)
+    connections close, the pool shuts down, and [serve] returns — so a
+    normal [at_exit] telemetry flush still runs. Under SIGKILL the
+    telemetry aggregate lines are lost; the in-memory cache goes with the
+    process either way. *)
 
 type config = {
   endpoint : [ `Unix_socket of string | `Tcp of string * int ];

@@ -27,8 +27,6 @@ let create ?cache () =
     errors = Atomic.make 0;
   }
 
-let cache t = t.cache
-
 let stats (t : t) : stats =
   {
     handled = Atomic.get t.handled;

@@ -26,11 +26,8 @@ type stats = {
 }
 
 val create : ?cache:Cache.t -> unit -> t
-(** A fresh engine. [cache] is the shared warm cache (its disk tier, if
-    any, survives restarts); an in-memory cache of default capacity is
-    created when omitted. *)
-
-val cache : t -> Cache.t
+(** A fresh engine. [cache] is the shared warm cache; one of default
+    capacity is created when omitted. *)
 
 val stats : t -> stats
 

@@ -1,6 +1,7 @@
-(* The evaluation cache: LRU bookkeeping, single-flight accounting, disk
-   persistence, and — the contract everything else leans on — bit-identity
-   of the cached pipeline with the uncached one, per registered solver. *)
+(* The evaluation cache: LRU bookkeeping, single-flight accounting, the
+   accepted spellings, and — the contract everything else leans on —
+   bit-identity of the cached pipeline with the uncached one, per registered
+   solver. *)
 
 open Core
 
@@ -18,18 +19,12 @@ let probe cache calls ~key =
       incr calls;
       [| true |])
 
-(* Per-test cache directories under the build sandbox; wiped up front so a
-   previous run's files can't satisfy (or confuse) this run's lookups. *)
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir = Printf.sprintf "cache-test-dir-%d" !n in
-    if Sys.file_exists dir then
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-    dir
+let contains sub t =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length t && (String.sub t i n = sub || go (i + 1))
+  in
+  go 0
 
 (* --- accounting and LRU ------------------------------------------------- *)
 
@@ -160,61 +155,40 @@ let test_cached_selection_is_a_copy () =
   Alcotest.(check (array bool)) "mutation did not reach the cache"
     [| true; false |] again
 
-(* --- disk persistence --------------------------------------------------- *)
+(* --- the cache spelling ------------------------------------------------- *)
 
-let test_disk_reload_stats () =
-  let dir = fresh_dir () in
-  let plain = make_problem () in
-  let cache = Cache.create ~dir () in
-  ignore (make_problem ~cache ());
-  (* a fresh cache over the same directory: no recomputation, same bits *)
-  let reloaded = Cache.create ~dir () in
-  let relit = make_problem ~cache:reloaded () in
-  let s = Cache.stats reloaded in
-  Alcotest.(check int) "all served from disk" 0 s.Cache.misses;
-  Alcotest.(check int)
-    "disk reads count as hits" (List.length appendix_candidates)
-    s.Cache.hits;
-  Alcotest.(check string) "reloaded problem bit-identical"
-    (Problem.digest plain) (Problem.digest relit)
-
-let test_disk_reload_selection () =
-  let dir = fresh_dir () in
-  let cache = Cache.create ~dir () in
-  let calls = ref 0 in
-  let expected = probe cache calls ~key:"pk" in
-  let reloaded = Cache.create ~dir () in
-  let got =
-    Cache.selection reloaded ~solver:"probe" ~seed:None ~problem_key:"pk"
-      (fun () -> Alcotest.fail "recomputed despite the disk tier")
-  in
-  Alcotest.(check (array bool)) "selection reloaded from disk" expected got
-
-let test_disk_corruption_recomputes () =
-  let dir = fresh_dir () in
-  let cache = Cache.create ~dir () in
-  let calls = ref 0 in
-  ignore (probe cache calls ~key:"pk");
-  (* clobber every cache file, then reload: decode fails, computes again *)
-  Array.iter
-    (fun f ->
-      if Filename.check_suffix f ".cache" then
-        Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
-            Out_channel.output_string oc "garbage"))
-    (Sys.readdir dir);
-  let reloaded = Cache.create ~dir () in
-  let got = probe reloaded calls ~key:"pk" in
-  Alcotest.(check int) "recomputed once" 2 !calls;
-  Alcotest.(check (array bool)) "correct result after corruption" [| true |] got;
-  Alcotest.(check int)
-    "corrupt file is a miss" 1 (Cache.stats reloaded).Cache.misses
+(* [--cache]/[CACHE_DIR] accept exactly two spellings; anything else is an
+   error that names what was given, never a directory. *)
+let test_spellings () =
+  (match Cache.of_spec "" with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "\"\" built a cache"
+  | Error msg -> Alcotest.failf "\"\" rejected: %s" msg);
+  (match Cache.of_spec "mem" with
+  | Ok (Some cache) ->
+    let calls = ref 0 in
+    ignore (probe cache calls ~key:"k");
+    ignore (probe cache calls ~key:"k");
+    Alcotest.(check int) "mem memoizes" 1 !calls
+  | Ok None -> Alcotest.fail "\"mem\" built no cache"
+  | Error msg -> Alcotest.failf "\"mem\" rejected: %s" msg);
+  List.iter
+    (fun spec ->
+      match Cache.of_spec spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error msg ->
+        let quoted = Printf.sprintf "%S" spec in
+        Alcotest.(check bool)
+          (Printf.sprintf "error %S names %s" msg quoted)
+          true (contains quoted msg))
+    [ "some/dir"; "MEM"; " mem"; "/tmp" ]
 
 (* --- key byte-identity oracle -------------------------------------------- *)
 
 (* The string-concatenating renderers that every key was derived with
    before the buffer writers, kept verbatim as the oracle: the writers must
-   reproduce them byte for byte, or warm disk tiers, pinned digests and the
-   daemon's wire digests silently go stale. *)
+   reproduce them byte for byte, or pinned digests and the daemon's wire
+   digests silently go stale. *)
 module Reference = struct
   open Relational
   open Util
@@ -458,13 +432,6 @@ let key_oracle_tests =
               (fun p -> String.concat "\n" (Reference.problem_parts p))
               (sample awkward_problem_gen @ sample ibench_problem_gen)
           in
-          let contains sub t =
-            let n = String.length sub in
-            let rec go i =
-              i + n <= String.length t && (String.sub t i n = sub || go (i + 1))
-            in
-            go 0
-          in
           List.iter
             (fun sub ->
               Alcotest.(check bool) sub true (List.exists (contains sub) texts))
@@ -584,13 +551,9 @@ let () =
         ] );
       ("key-oracle", key_oracle_tests);
       ("key-bytes", key_telemetry_tests);
-      ( "disk",
+      ( "spec",
         [
-          Alcotest.test_case "candidate stats reload from disk" `Quick
-            test_disk_reload_stats;
-          Alcotest.test_case "selections reload from disk" `Quick
-            test_disk_reload_selection;
-          Alcotest.test_case "corrupt files recompute and self-heal" `Quick
-            test_disk_corruption_recomputes;
+          Alcotest.test_case "empty is none, mem a cache, others error"
+            `Quick test_spellings;
         ] );
     ]

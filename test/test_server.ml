@@ -3,9 +3,9 @@
    Exercises each layer without a process boundary: protocol codecs,
    admission-queue shedding, engine determinism, digest coalescing on the
    cache's single-flight selection tier (jobs 1 and 4 must both report
-   exactly one solver invocation for N identical requests), Cache.sync
-   repair, deadline enforcement, and one in-process socket round trip
-   against the real event loop. *)
+   exactly one solver invocation for N identical requests), deadline
+   enforcement, and one in-process socket round trip against the real
+   event loop. *)
 
 module Protocol = Server.Protocol
 module Json = Util.Json
@@ -257,35 +257,6 @@ let test_deadline_expired_jobs_not_solved () =
   Alcotest.(check int) "live one solved" 1
     (Server.Engine.stats engine).Server.Engine.solves
 
-(* --- Cache.sync ---------------------------------------------------------- *)
-
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
-
-let test_cache_sync_repairs_disk_tier () =
-  let dir = temp_dir "serve_sync" in
-  let cache = Cache.create ~dir () in
-  let engine = Server.Engine.create ~cache () in
-  (match Server.Engine.handle engine (parse_ok (solve_frame mapping_seed)) with
-  | Protocol.Result _ -> ()
-  | Protocol.Error { message; _ } -> Alcotest.failf "solve failed: %s" message);
-  let files () =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".cache")
-  in
-  let before = files () in
-  Alcotest.(check bool) "entries persisted" true (List.length before > 0);
-  (* lose the files behind the cache's back, as a crashed writer would *)
-  List.iter (fun f -> Sys.remove (Filename.concat dir f)) before;
-  Alcotest.(check (list string)) "gone" [] (files ());
-  Cache.sync cache;
-  Alcotest.(check (list string)) "sync restores every completed entry"
-    (List.sort compare before)
-    (List.sort compare (files ()))
-
 (* --- end to end over a real socket --------------------------------------- *)
 
 let test_socket_round_trip () =
@@ -379,11 +350,6 @@ let () =
         [
           Alcotest.test_case "expired jobs answered without solving" `Quick
             test_deadline_expired_jobs_not_solved;
-        ] );
-      ( "sync",
-        [
-          Alcotest.test_case "Cache.sync repairs lost disk files" `Quick
-            test_cache_sync_repairs_disk_tier;
         ] );
       ( "daemon",
         [
