@@ -163,50 +163,3 @@ let associative m1 m2 m3 =
     List.for_all
       (Chase.Implication.implied_through ~hops:[ m1; m2; m3 ])
       (compose (compose m1 m2) m3 @ compose m1 (compose m2 m3))
-
-(* --- quasi-inverse recovery ---------------------------------------------- *)
-
-let invert m =
-  List.map
-    (fun (t : Tgd.t) ->
-      Tgd.make ~label:("inv_" ^ t.Tgd.label) ~body:t.Tgd.head ~head:t.Tgd.body
-        ())
-    m
-
-let recover ~source m = chase_through source [ m; invert m ]
-
-let tuple_pattern (t : Tuple.t) =
-  Atom.make t.Tuple.rel
-    (Array.to_list
-       (Array.map
-          (function
-            | Value.Const c -> Term.Cst c
-            | Value.Null k -> Term.Var (Printf.sprintf "_n%d" k))
-          t.Tuple.values))
-
-let tuple_is_ground (t : Tuple.t) =
-  Array.for_all
-    (function Value.Const _ -> true | Value.Null _ -> false)
-    t.Tuple.values
-
-type recovery = {
-  inverse : Tgd.t list;
-  recovered : Instance.t;
-  certain : Tuple.t list;
-  sound : bool;
-  certain_sound : bool;
-}
-
-let recovery ~source m =
-  let inverse = invert m in
-  let recovered = chase_through source [ m; inverse ] in
-  let tuples = Instance.tuples recovered in
-  let certain = List.filter tuple_is_ground tuples in
-  let witnessed t = Cq.holds source [ tuple_pattern t ] in
-  {
-    inverse;
-    recovered;
-    certain;
-    sound = List.for_all witnessed tuples;
-    certain_sound = List.for_all (fun t -> Instance.mem t source) certain;
-  }

@@ -1,21 +1,21 @@
-(** The mapping algebra: composition, containment, and quasi-inverse
-    recovery over st-tgd mappings.
+(** The mapping algebra: composition and containment over st-tgd
+    mappings.
 
     A mapping here is a finite set of st tgds. The algebra treats a set as
     the specification of the binary relation \{(I, J) | (I, J) ⊨ Σ\} and
-    provides the three classical operators over such relations:
+    provides two classical operators over such relations:
 
     - {!compose} unfolds a two-hop program [M12 ; M23] over the
       intermediate schema into a single S→U tgd set, verifying each
       unfolding with a two-hop chase ({!Chase.Implication.implied_through})
       and pruning with tgd minimisation;
     - {!contained_in} / {!equivalent} lift per-tgd implication to whole
-      mappings;
-    - {!invert} / {!recovery} swap bodies and heads and report how much of
-      a source instance survives a forward-then-back chase.
+      mappings.
 
-    Everything is chase-based and therefore exact on the st-tgd fragment
-    the selection engine uses; nothing here is approximate. *)
+    Everything is chase-based; containment is exact on the st-tgd fragment
+    the selection engine uses, and {!compose} is exact only when its first
+    hop is full and [limit] cuts no unfolding, and otherwise a sound
+    under-approximation. *)
 
 open Relational
 open Logic
@@ -70,29 +70,3 @@ val associative : Tgd.t list -> Tgd.t list -> Tgd.t list -> bool
     through the three hops ({!Chase.Implication.implied_through}), so both
     are sound. The unbudgeted unfolding makes this a check for small
     chains (tests, fuzz cases). *)
-
-val invert : Tgd.t list -> Tgd.t list
-(** Swaps body and head of every tgd (labels gain an ["inv_"] prefix).
-    Source variables not carried into the head of the original tgd become
-    existentials of the inverse — the recovered fact remembers {e that}
-    a witness existed, not {e which}. *)
-
-val recover : source : Instance.t -> Tgd.t list -> Instance.t
-(** [recover ~source m] chases [source] forward with [m] and back with
-    [invert m]: the part of [source] the mapping can reconstruct, with
-    nulls standing for values [m] forgot. *)
-
-type recovery = {
-  inverse : Tgd.t list;
-  recovered : Instance.t;  (** [recover ~source m] *)
-  certain : Tuple.t list;  (** ground (null-free) recovered facts *)
-  sound : bool;
-      (** every recovered fact, nulls read as wildcards, has a witness in
-          the source — holds when [m] admits a recovery in the
-          Fagin et al. sense, and is reported rather than assumed because
-          not every mapping does *)
-  certain_sound : bool;  (** every ground recovered fact is a source fact *)
-}
-
-val recovery : source : Instance.t -> Tgd.t list -> recovery
-(** Runs {!recover} and reports how faithful the round trip was. *)

@@ -71,43 +71,6 @@ let select_best scored =
       end)
     ordered
 
-let jaccard a b =
-  if Value.Set.is_empty a && Value.Set.is_empty b then 1.
-  else
-    let inter = Value.Set.cardinal (Value.Set.inter a b) in
-    let union = Value.Set.cardinal (Value.Set.union a b) in
-    float_of_int inter /. float_of_int union
-
-let column_values inst (r : Relation.t) attr =
-  let pos = Relation.attr_index r attr in
-  Relational.Tuple.Set.fold
-    (fun tu acc ->
-      match tu.Relational.Tuple.values.(pos) with
-      | Value.Const _ as v -> Value.Set.add v acc
-      | Value.Null _ -> acc)
-    (Instance.tuples_of inst r.Relation.name)
-    Value.Set.empty
-
-let propose_from_data ?(threshold = 0.3) ~source ~target ~source_inst
-    ~target_inst () =
-  let columns schema inst =
-    List.map
-      (fun ((rel, attr) as pos) ->
-        (pos, column_values inst (Schema.find schema rel) attr))
-      (positions schema)
-  in
-  let src_cols = columns source source_inst in
-  let tgt_cols = columns target target_inst in
-  List.concat_map
-    (fun (tgt, tvals) ->
-      List.filter_map
-        (fun (src, svals) ->
-          let s = jaccard svals tvals in
-          if s >= threshold then Some (s, src, tgt) else None)
-        src_cols)
-    tgt_cols
-  |> select_best
-
 let propose ?(threshold = 0.75) ~source ~target () =
   let sources = positions source in
   let scored =

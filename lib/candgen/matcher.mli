@@ -21,27 +21,6 @@ val score : src : string * string -> tgt : string * string -> float
 (** [score ~src:(rel, attr) ~tgt:(rel', attr')]: 0.8 × attribute-name
     similarity + 0.2 × relation-name similarity. *)
 
-val jaccard : Relational.Value.Set.t -> Relational.Value.Set.t -> float
-(** [|a ∩ b| / |a ∪ b|]; 1.0 for two empty sets. *)
-
-val column_values :
-  Relational.Instance.t -> Relational.Relation.t -> string -> Relational.Value.Set.t
-(** The set of values in one column. Raises [Not_found] on an unknown
-    attribute. *)
-
-val propose_from_data :
-  ?threshold : float ->
-  source : Relational.Schema.t ->
-  target : Relational.Schema.t ->
-  source_inst : Relational.Instance.t ->
-  target_inst : Relational.Instance.t ->
-  unit ->
-  Correspondence.t list
-(** Instance-based matching: scores a source/target attribute pair by the
-    Jaccard overlap of their column values (labeled nulls ignored) and keeps
-    pairs scoring at least [threshold] (default 0.3), deduplicated like
-    {!propose}. Complements {!propose} when attribute names are opaque. *)
-
 val propose :
   ?threshold : float ->
   source : Relational.Schema.t ->

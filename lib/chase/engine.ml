@@ -46,8 +46,6 @@ let triggers_counter = Telemetry.Counter.make "chase.triggers"
 
 let tuples_counter = Telemetry.Counter.make "chase.tuples_produced"
 
-let triggers_hist = Telemetry.Histogram.make "chase.triggers_per_run"
-
 let run ?nulls ?index src tgds =
   Telemetry.with_span "chase.run" @@ fun () ->
   let nulls = match nulls with Some n -> n | None -> Null_source.create () in
@@ -65,13 +63,11 @@ let run ?nulls ?index src tgds =
   in
   if Telemetry.enabled () then begin
     Telemetry.Counter.incr runs_counter;
-    let n_triggers = List.length triggers in
-    Telemetry.Counter.add triggers_counter n_triggers;
+    Telemetry.Counter.add triggers_counter (List.length triggers);
     Telemetry.Counter.add tuples_counter
       (List.fold_left
          (fun acc (tr : Trigger.t) -> acc + List.length tr.Trigger.tuples)
-         0 triggers);
-    Telemetry.Histogram.observe triggers_hist (float_of_int n_triggers)
+         0 triggers)
   end;
   { solution; triggers }
 

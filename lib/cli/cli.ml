@@ -125,8 +125,8 @@ let trace =
       & info [ "trace-out" ] ~docv:"FILE"
           ~doc:
             "Stream telemetry as JSON lines to $(docv): one object per \
-             span as it closes, plus counter/gauge/histogram/span \
-             aggregates at exit. Combinable with $(b,--trace).")
+             span as it closes, plus counter and span aggregates at \
+             exit. Combinable with $(b,--trace).")
   in
   Term.(
     const (fun trace trace_out -> { trace; trace_out }) $ trace_flag $ trace_out)

@@ -99,8 +99,6 @@ let find n =
   let n = String.lowercase_ascii n in
   List.find_opt (fun (module S : S) -> String.equal S.name n) all
 
-let objective_best = Telemetry.Gauge.make "solver.objective_best"
-
 let solve (module S : S) ?pool ?seed ?cache p =
   Telemetry.with_span ("solver." ^ S.name) (fun () ->
       let stash = ref None in
@@ -118,9 +116,6 @@ let solve (module S : S) ?pool ?seed ?cache p =
           Cache.selection cache ~solver:S.name ~seed
             ~problem_key:(Problem.digest p) run
       in
-      if Telemetry.enabled () then
-        Telemetry.Gauge.set objective_best
-          (Util.Frac.to_float (Objective.value p sel));
       match !stash with
       | Some o -> { o with selection = sel }
       | None -> discrete sel)

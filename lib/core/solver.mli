@@ -5,9 +5,8 @@
     but historically each exposed its own signature (restarts here, an
     options record there, a result record for CMD). This module is the one
     seam: a first-class-module interface with a fixed [solve] shape, a
-    registry keyed by name, and the telemetry hook
-    (a [solver.<name>] span plus the [solver.objective_best] gauge) that
-    instruments all of them at once.
+    registry keyed by name, and the telemetry hook (a [solver.<name>]
+    span) that instruments all of them at once.
 
     Since solvers now return an {!outcome} — selection plus the fractional
     MAP values when the solver computes them — CMD no longer needs an
@@ -60,9 +59,8 @@ val solve :
   Problem.t ->
   outcome
 (** [solve s ?pool ?seed p] runs the solver inside a [solver.<name>]
-    telemetry span and records the achieved objective on the
-    [solver.objective_best] gauge (when telemetry is enabled; the outcome
-    returned is byte-identical either way). With [cache], the selection is
+    telemetry span (the outcome returned is byte-identical with telemetry
+    on or off). With [cache], the selection is
     memoized under [(name, seed, Problem.digest p)] — sound because every
     registered solver is deterministic in [(problem, seed)]; on a cache hit
     [fractional] is [None]. *)

@@ -21,7 +21,6 @@ type test = {
   weights : (int * int * int) option;
   cache : bool;
   core : bool;
-  compose : bool;
   expects : expectation list;
   flag : flag option;
 }
@@ -45,7 +44,6 @@ let equal_test a b =
   && a.weights = b.weights
   && a.cache = b.cache
   && a.core = b.core
-  && a.compose = b.compose
   && List.equal equal_expectation a.expects b.expects
   && a.flag = b.flag
 
@@ -169,7 +167,6 @@ type builder = {
   mutable b_weights : (int * int * int) option;
   mutable b_cache : bool;
   mutable b_core : bool;
-  mutable b_compose : bool;
   mutable b_expects : expectation list;  (** reversed *)
   mutable b_flag : flag option;
 }
@@ -201,7 +198,6 @@ let finish b =
     weights = b.b_weights;
     cache = b.b_cache;
     core = b.b_core;
-    compose = b.b_compose;
     expects;
     flag = b.b_flag;
   }
@@ -266,7 +262,6 @@ let parse text =
                    b_weights = None;
                    b_cache = false;
                    b_core = false;
-                   b_compose = false;
                    b_expects = [];
                    b_flag = None;
                  }
@@ -315,13 +310,6 @@ let parse text =
                match tokens ln rest with
                | [ "on" ] -> b.b_core <- true
                | _ -> failf ln "'core' takes exactly 'on'")
-         | "compose" ->
-           set_once ln "compose"
-             (fun b -> b.b_compose)
-             (fun b ->
-               match tokens ln rest with
-               | [ "on" ] -> b.b_compose <- true
-               | _ -> failf ln "'compose' takes exactly 'on'")
          | "scenario" ->
            set_once ln "scenario"
              (fun b -> b.b_scenario <> None)
@@ -450,7 +438,6 @@ let print_test buf t =
   | None -> ());
   if t.cache then line "cache on";
   if t.core then line "core on";
-  if t.compose then line "compose on";
   (match t.scenario with
   | File path -> line "scenario file %s" (render_token path)
   | Inline body ->

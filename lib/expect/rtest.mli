@@ -39,10 +39,6 @@
     - [cache on] — additionally build the problem and solve through a
       fresh evaluation cache, cold and warm, and fail unless digests and
       selections are byte-identical to the uncached run.
-    - [compose on] — resolve the scenario as a hop chain and select over
-      its end-to-end composition ({!Algebra.compose_all}). Mandatory for
-      multi-hop corpus entries ([payload multihop]); a no-op for
-      single-hop scenarios, whose composition is the pool itself.
     - [core on] — build the problem with [~core:true]
       ({!Core.Problem.make}): each candidate's chased target is shrunk to
       its core universal solution before coverage statistics are
@@ -98,8 +94,6 @@ type test = {
   weights : (int * int * int) option;
   cache : bool;
   core : bool;  (** build the problem on core universal solutions *)
-  compose : bool;
-      (** select over the end-to-end composition of the scenario's hops *)
   expects : expectation list;  (** in file order *)
   flag : flag option;
 }

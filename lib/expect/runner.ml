@@ -1,9 +1,8 @@
 (* A scenario that resolved (the file exists, or is inline) but cannot be
-   turned into a problem: parse errors, malformed corpus entries, a
-   multi-hop entry without 'compose on'. Typed rather than [failwith] so
-   the evaluator can report it as a positioned hard failure — never as an
-   [expect_failure] pass, which must come from the scenario's semantics,
-   not from the harness failing to read it. *)
+   turned into a problem: parse errors, malformed corpus entries. Typed
+   rather than [failwith] so the evaluator can report it as a positioned
+   hard failure — never as an [expect_failure] pass, which must come from
+   the scenario's semantics, not from the harness failing to read it. *)
 exception Scenario_error of string
 
 let scenario_error ~path fmt =
@@ -78,14 +77,13 @@ let weights_override (test : Rtest.test) =
 
 let problem_of_source ~rtest ?cache (test : Rtest.test) source =
   let weights = weights_override test in
-  let name, loaded =
+  let loaded =
     match source with
     | Src_inline body ->
-      ( "inline scenario",
-        Result.map_error
-          (fun msg -> "inline scenario: " ^ msg)
-          (Fuzz.Corpus.scenario_of_string (String.concat "\n" body)) )
-    | Src_file path -> (path, Fuzz.Corpus.load_scenario path)
+      Result.map_error
+        (fun msg -> "inline scenario: " ^ msg)
+        (Fuzz.Corpus.scenario_of_string (String.concat "\n" body))
+    | Src_file path -> Fuzz.Corpus.load_scenario path
   in
   let payload =
     match loaded with
@@ -100,9 +98,6 @@ let problem_of_source ~rtest ?cache (test : Rtest.test) source =
     match weights with
     | Some w -> Core.Problem.with_weights red.Core.Setcover.problem w
     | None -> red.Core.Setcover.problem)
-  | Fuzz.Case.Multihop _ when not test.compose ->
-    scenario_error ~path:rtest
-      "%s is a multi-hop corpus entry; add 'compose on'" name
   | Fuzz.Case.Mapping _ | Fuzz.Case.Multihop _ ->
     let m = Option.get (Fuzz.Case.end_to_end payload) in
     Core.Problem.make

@@ -18,11 +18,10 @@
 
 exception Scenario_error of string
 (** The scenario resolved but could not be turned into a problem: a parse
-    error, a malformed corpus entry, or a multi-hop entry without
-    [compose on]. Reported as a positioned hard failure (prefixed with the
-    [.rtest] path) even under [expect_failure] — an expected failure must
-    come from the scenario's semantics, not from the harness failing to
-    read it. *)
+    error or a malformed corpus entry. Reported as a positioned hard
+    failure (prefixed with the [.rtest] path) even under [expect_failure]
+    — an expected failure must come from the scenario's semantics, not
+    from the harness failing to read it. *)
 
 type failure =
   | Mismatch of {

@@ -145,11 +145,3 @@ let parallel_map ctx f xs =
 let fmt_f v = Printf.sprintf "%.2f" v
 
 let fmt_ms v = Printf.sprintf "%.1f" v
-
-let average f ~seeds =
-  let scores = List.map f seeds in
-  {
-    Metrics.precision = Stats.fmean (fun s -> s.Metrics.precision) scores;
-    recall = Stats.fmean (fun s -> s.Metrics.recall) scores;
-    f1 = Stats.fmean (fun s -> s.Metrics.f1) scores;
-  }

@@ -95,6 +95,3 @@ val fmt_f : float -> string
 
 val fmt_ms : float -> string
 (** Milliseconds with one decimal. *)
-
-val average : (int -> Metrics.scores) -> seeds : int list -> Metrics.scores
-(** Component-wise mean over seeds. *)

@@ -203,6 +203,3 @@ let parallel_map ?chunk pool f xs =
 
 let parallel_map_list ?chunk pool f xs =
   Array.to_list (parallel_map ?chunk pool f (Array.of_list xs))
-
-let parallel_map_reduce ?chunk pool ~map ~combine ~init xs =
-  Array.fold_left combine init (parallel_map ?chunk pool map xs)

@@ -19,9 +19,6 @@
       explicit seed via {!Seed.derive} instead of sharing a [Random.State]);
     - every result is stored at its input's index, so completion order is
       irrelevant;
-    - {!parallel_map_reduce} runs [combine] in the calling domain, strictly
-      in index order — never as a scheduling-dependent tree — so even
-      non-associative combines are deterministic;
     - when several tasks raise, the exception that propagates is the one the
       sequential run would have hit first (lowest index), making failure
       behaviour reproducible too.
@@ -59,18 +56,6 @@ val parallel_map : ?chunk : int -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 val parallel_map_list : ?chunk : int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** List counterpart of {!parallel_map}. *)
-
-val parallel_map_reduce :
-  ?chunk : int ->
-  t ->
-  map : ('a -> 'b) ->
-  combine : ('acc -> 'b -> 'acc) ->
-  init : 'acc ->
-  'a array ->
-  'acc
-(** [parallel_map_reduce pool ~map ~combine ~init xs] maps on the workers,
-    then folds [combine] over the results in the calling domain in index
-    order — exactly [Array.fold_left combine init (Array.map map xs)]. *)
 
 val shutdown : t -> unit
 (** Signals the workers to exit and joins them. Idempotent; subsequent batch

@@ -26,21 +26,8 @@ let locked m f =
 
 (* --- JSON lines ------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* A JSON string literal, quotes included. *)
+let json_str s = Util.Json.(to_string (Str s))
 
 let emit_jsonl line =
   locked out_mutex (fun () ->
@@ -73,69 +60,6 @@ module Counter = struct
   let value c = Atomic.get c.v
 
   let name c = c.name
-end
-
-module Gauge = struct
-  type t = { name : string; v : float Atomic.t }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-  let make name =
-    locked state_mutex (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some g -> g
-        | None ->
-          let g = { name; v = Atomic.make Float.nan } in
-          Hashtbl.add registry name g;
-          g)
-
-  let set g x = if enabled () then Atomic.set g.v x
-
-  let value g = Atomic.get g.v
-
-  let name g = g.name
-end
-
-module Histogram = struct
-  type t = {
-    name : string;
-    lock : Mutex.t;
-    mutable n : int;
-    mutable sum : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-  let make name =
-    locked state_mutex (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some h -> h
-        | None ->
-          let h =
-            { name; lock = Mutex.create (); n = 0; sum = 0.; min = 0.; max = 0. }
-          in
-          Hashtbl.add registry name h;
-          h)
-
-  let observe h x =
-    if enabled () then
-      locked h.lock (fun () ->
-          if h.n = 0 then begin
-            h.min <- x;
-            h.max <- x
-          end
-          else begin
-            if x < h.min then h.min <- x;
-            if x > h.max then h.max <- x
-          end;
-          h.n <- h.n + 1;
-          h.sum <- h.sum +. x)
-
-  let count h = locked h.lock (fun () -> h.n)
-
-  let name h = h.name
 end
 
 (* --- spans ------------------------------------------------------------- *)
@@ -210,13 +134,13 @@ let close_span ~attrs (s : open_span) ~stop =
           (String.concat ","
              (List.map
                 (fun (k, v) ->
-                  Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+                  Printf.sprintf "%s:%s" (json_str k) (json_str v))
                 attrs))
     in
     emit_jsonl
       (Printf.sprintf
-         "{\"type\":\"span\",\"name\":\"%s\",\"domain\":%d,\"depth\":%d,\"start_ns\":%Ld,\"dur_ns\":%Ld%s}"
-         (json_escape s.sp_name) domain s.sp_depth s.sp_start dur attrs_json)
+         "{\"type\":\"span\",\"name\":%s,\"domain\":%d,\"depth\":%d,\"start_ns\":%Ld,\"dur_ns\":%Ld%s}"
+         (json_str s.sp_name) domain s.sp_depth s.sp_start dur attrs_json)
   end
 
 let with_span ?(attrs = []) name f =
@@ -247,12 +171,14 @@ let with_span ?(attrs = []) name f =
 let sorted_by_name pairs =
   List.sort (fun (a, _) (b, _) -> String.compare a b) pairs
 
-let counters () =
-  locked state_mutex (fun () ->
-      Hashtbl.fold
-        (fun name c acc -> (name, Counter.value c) :: acc)
-        Counter.registry [])
+(* Caller holds [state_mutex]. *)
+let counter_totals () =
+  Hashtbl.fold
+    (fun name c acc -> (name, Counter.value c) :: acc)
+    Counter.registry []
   |> sorted_by_name
+
+let counters () = locked state_mutex counter_totals
 
 let span_counts () =
   locked state_mutex (fun () ->
@@ -271,7 +197,7 @@ let pp_dur ppf ns =
 let human_report oc =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  let tree_rows, dropped, aggs, counter_rows, gauge_rows, hist_rows =
+  let tree_rows, dropped, aggs, counter_rows =
     locked state_mutex (fun () ->
         ( List.rev !tree,
           !tree_dropped,
@@ -279,22 +205,7 @@ let human_report oc =
             (fun name a acc -> (name, a.sa_count, a.sa_total_ns) :: acc)
             span_aggs []
           |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b),
-          Hashtbl.fold
-            (fun name c acc -> (name, Counter.value c) :: acc)
-            Counter.registry []
-          |> sorted_by_name,
-          Hashtbl.fold
-            (fun name g acc -> (name, Gauge.value g) :: acc)
-            Gauge.registry []
-          |> sorted_by_name,
-          Hashtbl.fold
-            (fun name (h : Histogram.t) acc ->
-              (name, h.Histogram.n, h.Histogram.sum, h.Histogram.min,
-               h.Histogram.max)
-              :: acc)
-            Histogram.registry []
-          |> List.sort (fun (a, _, _, _, _) (b, _, _, _, _) ->
-                 String.compare a b) ))
+          counter_totals () ))
   in
   Format.fprintf ppf "== telemetry ==@.";
   if tree_rows <> [] then begin
@@ -332,24 +243,6 @@ let human_report oc =
       (fun (name, v) -> Format.fprintf ppf "  %-36s %d@." name v)
       counter_rows
   end;
-  let live_gauges = List.filter (fun (_, v) -> not (Float.is_nan v)) gauge_rows in
-  if live_gauges <> [] then begin
-    Format.fprintf ppf "gauges:@.";
-    List.iter
-      (fun (name, v) -> Format.fprintf ppf "  %-36s %g@." name v)
-      live_gauges
-  end;
-  let live_hists = List.filter (fun (_, n, _, _, _) -> n > 0) hist_rows in
-  if live_hists <> [] then begin
-    Format.fprintf ppf "histograms:@.";
-    List.iter
-      (fun (name, n, sum, mn, mx) ->
-        Format.fprintf ppf
-          "  %-36s count %7d   sum %g   min %g   max %g   mean %g@." name n
-          sum mn mx
-          (sum /. float_of_int (max 1 n)))
-      live_hists
-  end;
   Format.pp_print_flush ppf ();
   output_string oc (Buffer.contents buf)
 
@@ -357,36 +250,10 @@ let jsonl_aggregates () =
   let lines =
     locked state_mutex (fun () ->
         let counters =
-          Hashtbl.fold
-            (fun name c acc -> (name, Counter.value c) :: acc)
-            Counter.registry []
-          |> sorted_by_name
+          counter_totals ()
           |> List.map (fun (name, v) ->
-                 Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}"
-                   (json_escape name) v)
-        in
-        let gauges =
-          Hashtbl.fold
-            (fun name g acc -> (name, Gauge.value g) :: acc)
-            Gauge.registry []
-          |> sorted_by_name
-          |> List.filter (fun (_, v) -> not (Float.is_nan v))
-          |> List.map (fun (name, v) ->
-                 Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.17g}"
-                   (json_escape name) v)
-        in
-        let hists =
-          Hashtbl.fold
-            (fun name (h : Histogram.t) acc ->
-              if h.Histogram.n = 0 then acc
-              else
-                Printf.sprintf
-                  "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%.17g,\"min\":%.17g,\"max\":%.17g}"
-                  (json_escape name) h.Histogram.n h.Histogram.sum
-                  h.Histogram.min h.Histogram.max
-                :: acc)
-            Histogram.registry []
-          |> List.sort String.compare
+                 Printf.sprintf "{\"type\":\"counter\",\"name\":%s,\"value\":%d}"
+                   (json_str name) v)
         in
         let spans =
           Hashtbl.fold
@@ -395,10 +262,10 @@ let jsonl_aggregates () =
           |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
           |> List.map (fun (name, count, total) ->
                  Printf.sprintf
-                   "{\"type\":\"span-agg\",\"name\":\"%s\",\"count\":%d,\"total_ns\":%Ld}"
-                   (json_escape name) count total)
+                   "{\"type\":\"span-agg\",\"name\":%s,\"count\":%d,\"total_ns\":%Ld}"
+                   (json_str name) count total)
         in
-        counters @ gauges @ hists @ spans)
+        counters @ spans)
   in
   List.iter emit_jsonl lines
 
@@ -425,18 +292,6 @@ let reset () =
   locked state_mutex (fun () ->
       Hashtbl.iter (fun _ (c : Counter.t) -> Atomic.set c.Counter.v 0)
         Counter.registry;
-      Hashtbl.iter
-        (fun _ (g : Gauge.t) -> Atomic.set g.Gauge.v Float.nan)
-        Gauge.registry;
-      Hashtbl.iter
-        (fun _ (h : Histogram.t) ->
-          Mutex.lock h.Histogram.lock;
-          h.Histogram.n <- 0;
-          h.Histogram.sum <- 0.;
-          h.Histogram.min <- 0.;
-          h.Histogram.max <- 0.;
-          Mutex.unlock h.Histogram.lock)
-        Histogram.registry;
       Hashtbl.reset span_aggs;
       tree := [];
       tree_len := 0;

@@ -1,5 +1,5 @@
-(** Structured observability: hierarchical spans, monotone counters, gauges
-    and histograms, with pluggable reporters.
+(** Structured observability: hierarchical spans and monotone counters,
+    with pluggable reporters.
 
     The layer is built for instrumenting hot paths that must stay hot and
     deterministic:
@@ -17,9 +17,9 @@
       atomics, and instrumented call sites are placed so the same logical
       work performs the same increments whether it runs inline or fanned
       out over a {!Parallel.Pool} of any size. Counter totals are therefore
-      a pure function of the workload, for any [--jobs]. (Gauges are
-      last-write-wins and span {e timings} are wall-clock readings; neither
-      is part of the determinism contract — span {e counts} per name are.)
+      a pure function of the workload, for any [--jobs]. (Span {e timings}
+      are wall-clock readings and are not part of the determinism contract
+      — span {e counts} per name are.)
 
     Clock readings come from the same monotonic clock as [Util.Timer]
     (bechamel's [CLOCK_MONOTONIC] stub).
@@ -30,8 +30,8 @@
     read programmatically), a human-readable span tree plus aggregate
     tables written on {!flush} (typically to stderr), and a JSON-lines
     stream for machine diffing — one object per closed span as it closes,
-    plus one object per counter/gauge/histogram/span-aggregate on
-    {!flush}. See DESIGN.md § "Observability" for the line schema.
+    plus one object per counter and per span aggregate on {!flush}. See
+    DESIGN.md § "Observability" for the line schema.
 
     The [TELEMETRY] environment variable configures the layer at program
     start, so any build (including [dune runtest]) can be traced without
@@ -62,32 +62,6 @@ module Counter : sig
       monotone). No-op when disabled. *)
 
   val value : t -> int
-  val name : t -> string
-end
-
-module Gauge : sig
-  type t
-
-  val make : string -> t
-  val set : t -> float -> unit
-  (** Last write wins (across domains the winner is scheduling-dependent;
-      gauges are informational, not part of the determinism contract). *)
-
-  val value : t -> float
-  (** [nan] until first set. *)
-
-  val name : t -> string
-end
-
-module Histogram : sig
-  type t
-
-  val make : string -> t
-  val observe : t -> float -> unit
-  (** Records count/sum/min/max under the histogram's own lock. No-op when
-      disabled. *)
-
-  val count : t -> int
   val name : t -> string
 end
 
@@ -138,6 +112,6 @@ val flush_at_exit : unit -> unit
     matter how many times this is called. *)
 
 val reset : unit -> unit
-(** Zeroes every counter/gauge/histogram and clears span aggregates and
-    the buffered span tree, keeping registrations and sinks. For tests and
-    multi-phase drivers that want per-phase totals. *)
+(** Zeroes every counter and clears span aggregates and the buffered span
+    tree, keeping registrations and sinks. For tests and multi-phase
+    drivers that want per-phase totals. *)

@@ -1,7 +1,7 @@
-(* The mapping algebra (lib/algebra): composition, containment, inversion.
+(* The mapping algebra (lib/algebra): composition and containment.
 
    Unit tests pin the hand-crafted two-hop pipeline scenario (the composed
-   pool, identity laws, recovery round trips); qcheck properties check the
+   pool, identity laws); qcheck properties check the
    algebraic laws — associativity of composition as far as its contract
    promises it, containment reflexivity and antisymmetry — on generated
    multi-hop chains, which also exercise joins and existentials. *)
@@ -108,39 +108,6 @@ let test_containment () =
     (Algebra.contained_in general doubled
     && Algebra.contained_in doubled general);
   check_equiv "means equivalence" general doubled
-
-(* --- inversion and recovery ---------------------------------------------- *)
-
-let test_recovery_lossless () =
-  (* the pipeline's hop-1 truth carries both proj columns into task, so the
-     inverse recovers the source exactly *)
-  let open Relational in
-  let copy =
-    [ tgd "t1" [ atom "proj" [ "P"; "E" ] ] [ atom "task" [ "P"; "E" ] ] ]
-  in
-  let r = Algebra.recovery ~source:Scenarios.Pipeline.initial copy in
-  Alcotest.(check bool) "sound" true r.Algebra.sound;
-  Alcotest.(check bool) "certain facts are source facts" true r.Algebra.certain_sound;
-  let src = List.sort compare (Instance.tuples Scenarios.Pipeline.initial) in
-  Alcotest.(check bool)
-    "everything recovered" true
-    (List.sort compare r.Algebra.certain = src)
-
-let test_recovery_lossy () =
-  (* a projection forgets the project column; the round trip remembers that
-     a witness existed (a null), never which one *)
-  let lossy =
-    [ tgd "t2" [ atom "proj" [ "P"; "E" ] ] [ atom "staff" [ "E" ] ] ]
-  in
-  let r = Algebra.recovery ~source:Scenarios.Pipeline.initial lossy in
-  Alcotest.(check bool) "still sound" true r.Algebra.sound;
-  Alcotest.(check (list pass)) "no ground recovery" [] r.Algebra.certain;
-  Alcotest.(check bool)
-    "inverse has the inv_ label" true
-    (List.for_all
-       (fun (t : Tgd.t) ->
-         String.length t.Tgd.label >= 4 && String.sub t.Tgd.label 0 4 = "inv_")
-       r.Algebra.inverse)
 
 (* --- qcheck laws on generated chains ------------------------------------- *)
 
@@ -250,11 +217,5 @@ let () =
         ] );
       ( "containment",
         [ Alcotest.test_case "containment and antisymmetry" `Quick test_containment ] );
-      ( "recovery",
-        [
-          Alcotest.test_case "lossless round trip" `Quick test_recovery_lossless;
-          Alcotest.test_case "lossy round trip stays sound" `Quick
-            test_recovery_lossy;
-        ] );
       ("laws", qcheck_tests);
     ]

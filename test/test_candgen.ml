@@ -531,65 +531,6 @@ let matcher_tests =
         Alcotest.(check bool) "some candidates" true (cands <> []));
   ]
 
-let data_matcher_tests =
-  [
-    Alcotest.test_case "jaccard" `Quick (fun () ->
-        let set l = Value.Set.of_list (List.map (fun c -> Value.Const c) l) in
-        Alcotest.(check (float 1e-9)) "overlap" 0.5
-          (Matcher.jaccard (set [ "a"; "b"; "c" ]) (set [ "b"; "c"; "d" ]));
-        Alcotest.(check (float 1e-9)) "empty" 1.0
-          (Matcher.jaccard (set []) (set []));
-        Alcotest.(check (float 1e-9)) "disjoint" 0.0
-          (Matcher.jaccard (set [ "a" ]) (set [ "b" ])));
-    Alcotest.test_case "column_values skips nulls" `Quick (fun () ->
-        let r = Relation.make "r" [ "a"; "b" ] in
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.make "r" [ Value.Const "x"; Value.Null 0 ];
-              Tuple.of_consts "r" [ "y"; "z" ];
-            ]
-        in
-        Alcotest.(check int) "a col" 2 (Value.Set.cardinal (Matcher.column_values inst r "a"));
-        Alcotest.(check int) "b col" 1 (Value.Set.cardinal (Matcher.column_values inst r "b")));
-    Alcotest.test_case "propose_from_data finds value-overlapping columns"
-      `Quick (fun () ->
-        (* opaque attribute names, shared values *)
-        let source = Schema.of_relations [ Relation.make "s" [ "c1"; "c2" ] ] in
-        let target = Schema.of_relations [ Relation.make "t" [ "k1"; "k2" ] ] in
-        let source_inst =
-          Instance.of_tuples
-            [ Tuple.of_consts "s" [ "rome"; "it" ]; Tuple.of_consts "s" [ "paris"; "fr" ] ]
-        in
-        let target_inst =
-          Instance.of_tuples
-            [ Tuple.of_consts "t" [ "rome"; "xx" ]; Tuple.of_consts "t" [ "paris"; "yy" ] ]
-        in
-        let corrs =
-          Matcher.propose_from_data ~source ~target ~source_inst ~target_inst ()
-        in
-        Alcotest.(check int) "one match" 1 (List.length corrs);
-        match corrs with
-        | [ c ] ->
-          Alcotest.(check string) "src col" "c1" c.Correspondence.src_attr;
-          Alcotest.(check string) "tgt col" "k1" c.Correspondence.tgt_attr
-        | _ -> Alcotest.fail "unexpected");
-    Alcotest.test_case "threshold filters weak overlap" `Quick (fun () ->
-        let source = Schema.of_relations [ Relation.make "s" [ "c" ] ] in
-        let target = Schema.of_relations [ Relation.make "t" [ "k" ] ] in
-        let source_inst =
-          Instance.of_tuples (List.init 10 (fun i -> Tuple.of_consts "s" [ string_of_int i ]))
-        in
-        let target_inst =
-          Instance.of_tuples [ Tuple.of_consts "t" [ "0" ]; Tuple.of_consts "t" [ "99" ] ]
-        in
-        (* overlap 1 of 11 < default threshold *)
-        Alcotest.(check int)
-          "filtered" 0
-          (List.length
-             (Matcher.propose_from_data ~source ~target ~source_inst ~target_inst ())));
-  ]
-
 let () =
   Alcotest.run "candgen"
     [
@@ -600,5 +541,4 @@ let () =
       ("dedup", dedup_tests);
       ("roundtrip", roundtrip_tests);
       ("matcher", matcher_tests);
-      ("data-matcher", data_matcher_tests);
     ]

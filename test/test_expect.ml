@@ -122,7 +122,6 @@ let test_gen index =
     in
     let* cache = bool in
     let* core = bool in
-    let* compose = bool in
     let* flag = flag_gen in
     return
       {
@@ -134,7 +133,6 @@ let test_gen index =
         weights;
         cache;
         core;
-        compose;
         expects;
         flag;
       })

@@ -1,9 +1,8 @@
 (* The Parallel.Pool determinism contract, tested against the sequential
    oracle:
    1. qcheck properties — [parallel_map f] equals [List.map f] for random
-      workloads, pool sizes and chunkings; order-sensitive reductions match
-      a sequential left fold; worker exceptions propagate to the caller
-      exactly as a sequential run would raise them;
+      workloads, pool sizes and chunkings; worker exceptions propagate to
+      the caller exactly as a sequential run would raise them;
    2. pool lifecycle — spawn-once workers are reused across many batches
       (including after a failed batch and from nested fan-outs) and
       shutdown is idempotent;
@@ -35,21 +34,6 @@ let map_matches_oracle =
       let f x = (x * x) + (7 * x) - 3 in
       Parallel.Pool.with_pool ~jobs (fun pool ->
           Parallel.Pool.parallel_map_list ~chunk pool f xs = List.map f xs))
-
-let map_reduce_matches_fold =
-  (* string concatenation is not associative-with-init, so any combine
-     reordering or tree reduction would change the result *)
-  QCheck2.Test.make ~count:40
-    ~name:"parallel_map_reduce = sequential left fold" ~print:print_workload
-    workload_gen (fun (xs, jobs, chunk) ->
-      let xs = Array.of_list xs in
-      Parallel.Pool.with_pool ~jobs (fun pool ->
-          Parallel.Pool.parallel_map_reduce ~chunk pool ~map:string_of_int
-            ~combine:(fun acc s -> acc ^ "|" ^ s)
-            ~init:"" xs
-          = Array.fold_left
-              (fun acc x -> acc ^ "|" ^ string_of_int x)
-              "" xs))
 
 let exn_gen =
   QCheck2.Gen.(
@@ -84,7 +68,7 @@ let exceptions_propagate =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ map_matches_oracle; map_reduce_matches_fold; exceptions_propagate ]
+    [ map_matches_oracle; exceptions_propagate ]
 
 (* --- pool lifecycle ---------------------------------------------------- *)
 

@@ -247,147 +247,6 @@ let frac_qcheck_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
-let csv_tests =
-  let open Relational in
-  [
-    Alcotest.test_case "parse_line basic" `Quick (fun () ->
-        Alcotest.(check (result (list string) string))
-          "simple" (Ok [ "a"; "b"; "c" ]) (Csv.parse_line "a,b,c"));
-    Alcotest.test_case "parse_line quoting" `Quick (fun () ->
-        Alcotest.(check (result (list string) string))
-          "quoted comma" (Ok [ "a,b"; "c" ]) (Csv.parse_line "\"a,b\",c");
-        Alcotest.(check (result (list string) string))
-          "doubled quote" (Ok [ "say \"hi\"" ]) (Csv.parse_line "\"say \"\"hi\"\"\""));
-    Alcotest.test_case "parse_line errors" `Quick (fun () ->
-        Alcotest.(check bool)
-          "unterminated" true
-          (Result.is_error (Csv.parse_line "\"abc"));
-        Alcotest.(check bool)
-          "junk after quote" true
-          (Result.is_error (Csv.parse_line "\"a\"b,c")));
-    Alcotest.test_case "load_relation checks widths" `Quick (fun () ->
-        Alcotest.(check bool)
-          "ragged rejected" true
-          (Result.is_error (Csv.load_relation ~rel:"r" "a,b\nc\n"));
-        Alcotest.(check bool)
-          "arity enforced" true
-          (Result.is_error (Csv.load_relation ~rel:"r" ~arity:3 "a,b\n"));
-        match Csv.load_relation ~rel:"r" "a,b\nc,d\n\n" with
-        | Error e -> Alcotest.fail e
-        | Ok tuples -> Alcotest.(check int) "two tuples" 2 (List.length tuples));
-    Alcotest.test_case "load builds a multi-relation instance" `Quick
-      (fun () ->
-        match Csv.load [ ("r", "a,b"); ("q", "x") ] with
-        | Error e -> Alcotest.fail e
-        | Ok inst ->
-          Alcotest.(check int) "card" 2 (Instance.cardinal inst);
-          Alcotest.(check bool)
-            "r tuple" true
-            (Instance.mem (Tuple.of_consts "r" [ "a"; "b" ]) inst));
-    Alcotest.test_case "csv roundtrip" `Quick (fun () ->
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.of_consts "r" [ "plain"; "with,comma" ];
-              Tuple.of_consts "r" [ "with\"quote"; "x" ];
-            ]
-        in
-        let text = Csv.to_csv inst "r" in
-        match Csv.load_relation ~rel:"r" text with
-        | Error e -> Alcotest.fail e
-        | Ok tuples ->
-          Alcotest.(check bool)
-            "same instance" true
-            (Instance.equal inst (Instance.of_tuples tuples)));
-    Alcotest.test_case "embedded record separators round-trip" `Quick
-      (fun () ->
-        (* quoted newlines are written by to_csv; the loader must scan
-           quote-aware rather than split on '\n' first *)
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.of_consts "r" [ "line1\nline2"; "b" ];
-              Tuple.of_consts "r" [ "cr\rhere"; "crlf\r\nthere" ];
-              Tuple.of_consts "r" [ "\n"; "\"\n\"" ];
-            ]
-        in
-        match Csv.load_relation ~rel:"r" (Csv.to_csv inst "r") with
-        | Error e -> Alcotest.fail e
-        | Ok tuples ->
-          Alcotest.(check bool)
-            "same instance" true
-            (Instance.equal inst (Instance.of_tuples tuples)));
-    Alcotest.test_case "empty and whitespace fields round-trip" `Quick
-      (fun () ->
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.of_consts "r" [ ""; "" ];
-              Tuple.of_consts "r" [ " leading"; "trailing\t" ];
-              Tuple.of_consts "r" [ "\t"; "mid dle" ];
-            ]
-        in
-        match Csv.load_relation ~rel:"r" (Csv.to_csv inst "r") with
-        | Error e -> Alcotest.fail e
-        | Ok tuples ->
-          Alcotest.(check bool)
-            "same instance" true
-            (Instance.equal inst (Instance.of_tuples tuples)));
-    Alcotest.test_case "bare CR and CRLF are record separators" `Quick
-      (fun () ->
-        match Csv.load_relation ~rel:"r" "a,b\rc,d\r\ne,f" with
-        | Error e -> Alcotest.fail e
-        | Ok tuples ->
-          Alcotest.(check int) "three records" 3 (List.length tuples);
-          Alcotest.(check bool)
-            "middle record" true
-            (List.mem (Tuple.of_consts "r" [ "c"; "d" ]) tuples));
-    Alcotest.test_case "width errors report the record's line" `Quick
-      (fun () ->
-        match Csv.load_relation ~rel:"r" "a,b\n\"x\ny\",z,extra\n" with
-        | Ok _ -> Alcotest.fail "ragged record accepted"
-        | Error msg ->
-          let contains hay needle =
-            let nh = String.length hay and nn = String.length needle in
-            let rec at i =
-              i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
-            in
-            at 0
-          in
-          Alcotest.(check bool)
-            ("line number in: " ^ msg)
-            true (contains msg "line 2"));
-  ]
-
-let csv_qcheck_tests =
-  let open QCheck2 in
-  let adversarial_value =
-    Gen.string_size
-      ~gen:(Gen.oneofl [ 'a'; 'b'; ','; '"'; '\n'; '\r'; ' '; '\t' ])
-      (Gen.int_bound 6)
-  in
-  let instance_gen =
-    Gen.bind (Gen.int_range 1 3) (fun arity ->
-        Gen.map
-          (fun rows ->
-            Instance.of_tuples (List.map (Relational.Tuple.of_consts "r") rows))
-          (Gen.list_size (Gen.int_range 1 6)
-             (Gen.list_repeat arity adversarial_value)))
-  in
-  [
-    Test.make ~name:"load_relation (to_csv inst) = inst, adversarial values"
-      ~count:300 instance_gen (fun inst ->
-        match Csv.load_relation ~rel:"r" (Csv.to_csv inst "r") with
-        | Error _ -> false
-        | Ok tuples -> Instance.equal inst (Instance.of_tuples tuples));
-    Test.make ~name:"load (to_csv inst) = inst through the instance loader"
-      ~count:150 instance_gen (fun inst ->
-        match Csv.load [ ("r", Csv.to_csv inst "r") ] with
-        | Error _ -> false
-        | Ok loaded -> Instance.equal inst loaded);
-  ]
-  |> List.map QCheck_alcotest.to_alcotest
-
 let bitset_tests =
   let open Util in
   [
@@ -515,8 +374,6 @@ let () =
       ("instance-properties", qcheck_tests);
       ("frac", frac_tests);
       ("frac-properties", frac_qcheck_tests);
-      ("csv", csv_tests);
-      ("csv-properties", csv_qcheck_tests);
       ("bitset", bitset_tests);
       ("index", index_qcheck);
       ("stats", stats_tests);

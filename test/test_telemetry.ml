@@ -84,16 +84,6 @@ let unit_tests =
             Telemetry.with_span "test.ghost" ignore;
             Alcotest.(check (list (pair string int)))
               "empty" [] (Telemetry.span_counts ())));
-    Alcotest.test_case "gauge reads back the last write" `Quick (fun () ->
-        with_telemetry ~enabled:true (fun () ->
-            let g = Telemetry.Gauge.make "test.gauge" in
-            Alcotest.(check bool)
-              "unset is nan" true
-              (Float.is_nan (Telemetry.Gauge.value g));
-            Telemetry.Gauge.set g 1.5;
-            Telemetry.Gauge.set g 2.5;
-            Alcotest.(check (float 0.0)) "last write" 2.5
-              (Telemetry.Gauge.value g)));
   ]
 
 (* --- observation never changes results --------------------------------- *)
@@ -162,6 +152,16 @@ let span_counts_of lines =
     lines;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
 
+(* The record types of a trace, sorted and deduplicated; a line that is
+   not a JSON object with a leading "type" reads as "?". *)
+let record_types lines =
+  List.sort_uniq compare
+    (List.map
+       (fun line ->
+         try Scanf.sscanf line {|{"type":%S|} Fun.id
+         with Scanf.Scan_failure _ | End_of_file -> "?")
+       lines)
+
 let traced_campaign ~jobs path =
   with_telemetry ~enabled:true (fun () ->
       let oc = open_out path in
@@ -200,6 +200,16 @@ let jobs_invariance_tests =
             Alcotest.(check (list (pair string int)))
               "span counts" (span_counts_of seq_lines)
               (span_counts_of par_lines);
+            (* a trace holds spans, counters and span aggregates only *)
+            List.iter
+              (fun lines ->
+                List.iter
+                  (fun ty ->
+                    Alcotest.(check bool)
+                      ("record type " ^ ty) true
+                      (List.mem ty [ "span"; "counter"; "span-agg" ]))
+                  (record_types lines))
+              [ seq_lines; par_lines ];
             (* the campaign actually exercised the instrumented layers *)
             Alcotest.(check bool)
               "some counters moved" true
