@@ -7,13 +7,6 @@
 open Cmdliner
 
 let run_problem ~solver ~jobs ~cache ~weights ~candidates ~source ~j ~truth =
-  let solver_impl =
-    match Core.Solver.find solver with
-    | Some s -> s
-    | None ->
-      Cli.die "unknown solver %s (known: %s)" solver
-        (String.concat ", " (Core.Solver.names ()))
-  in
   let problem = Core.Problem.make ?cache ~weights ~source ~j candidates in
   (* every solver, cmd included, goes through the registry wrapper; the
      outcome carries the fractional ADMM solution (when the winning solver
@@ -21,10 +14,8 @@ let run_problem ~solver ~jobs ~cache ~weights ~candidates ~source ~j ~truth =
      per-candidate display *)
   let outcome =
     try
-      if jobs > 1 then
-        Parallel.Pool.with_pool ~jobs (fun pool ->
-            Core.Solver.solve solver_impl ~pool ?cache problem)
-      else Core.Solver.solve solver_impl ?cache problem
+      Parallel.Pool.with_pool ~jobs (fun pool ->
+          Core.Solver.solve solver ~pool ?cache problem)
     with Core.Solver_error.Error _ as e ->
       Cli.die "%s" (Core.Solver_error.to_string e)
   in
@@ -33,7 +24,7 @@ let run_problem ~solver ~jobs ~cache ~weights ~candidates ~source ~j ~truth =
   List.iteri
     (fun i tgd ->
       let context =
-        match (outcome.Core.Solver.fractional, solver) with
+        match (outcome.Core.Solver.fractional, Core.Solver.name solver) with
         | Some f, _ -> Printf.sprintf " in=%.3f" f.(i)
         | None, "all" ->
           (* 'all' does not optimise anything, so surface each candidate's
@@ -109,10 +100,23 @@ let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
     pi_unexplained rows w1 w2 w3 =
   Cli.install_trace trace;
   let cache = Cli.resolve_cache cache in
-  if Option.is_none (Core.Solver.find solver) then
-    Cli.die "unknown solver %s (known: %s)" solver
-      (String.concat ", " (Core.Solver.names ()));
-  let weights = { Core.Problem.w_unexplained = w1; w_errors = w2; w_size = w3 } in
+  let solver =
+    match Core.Solver.find solver with
+    | Some impl -> impl
+    | None ->
+      Cli.die "unknown solver %s (known: %s)" solver
+        (String.concat ", " (Core.Solver.names ()))
+  in
+  (* no weight flag keeps the scenario's own weights; any flag overrides
+     all three, 1 standing for an omitted one *)
+  let override =
+    match (w1, w2, w3) with
+    | None, None, None -> None
+    | _ ->
+      let w = Option.value ~default:1 in
+      Some { Core.Problem.w_unexplained = w w1; w_errors = w w2; w_size = w w3 }
+  in
+  let weights = Option.value override ~default:Core.Problem.default_weights in
   let jobs = Cli.resolve_jobs jobs in
   if hops > 1 && (scenario <> None || file <> None) then
     Cli.die "--hops generates its own chain; drop --file/--scenario";
@@ -154,7 +158,8 @@ let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
       exit 1
     | Ok payload ->
       let m = end_to_end ~what:path payload in
-      run_problem ~solver ~jobs ~cache ~weights
+      run_problem ~solver ~jobs ~cache
+        ~weights:(Option.value override ~default:m.Fuzz.Case.weights)
         ~candidates:m.Fuzz.Case.candidates ~source:m.Fuzz.Case.source
         ~j:m.Fuzz.Case.j ~truth:[])
   | None, None ->
@@ -205,7 +210,11 @@ let pi name doc = Arg.(value & opt int 0 & info [ name ] ~doc)
 
 let rows = Arg.(value & opt int 8 & info [ "rows" ] ~doc:"Source rows per relation.")
 
-let weight name default doc = Arg.(value & opt int default & info [ name ] ~doc)
+let weight name doc =
+  Arg.(value & opt (some int) None & info [ name ] ~docv:"W"
+         ~doc:(doc ^ " With none of --w1/--w2/--w3, the scenario's own \
+                     weights apply (a corpus entry's recorded ones, else \
+                     1 1 1); with any of them, an omitted one is 1."))
 
 let cmd =
   let doc = "Collective, probabilistic mapping selection" in
@@ -218,8 +227,8 @@ let cmd =
       $ pi "pi-errors" "Percent of non-certain error tuples deleted from J."
       $ pi "pi-unexplained" "Percent of non-certain unexplained tuples added to J."
       $ rows
-      $ weight "w1" 1 "Weight of unexplained tuples."
-      $ weight "w2" 1 "Weight of error tuples."
-      $ weight "w3" 1 "Weight of mapping size.")
+      $ weight "w1" "Weight of unexplained tuples."
+      $ weight "w2" "Weight of error tuples."
+      $ weight "w3" "Weight of mapping size.")
 
 let () = exit (Cmd.eval cmd)

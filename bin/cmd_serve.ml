@@ -43,12 +43,21 @@ let queue =
          ~doc:"Admission-queue capacity; a full queue sheds with a typed \
                $(i,overloaded) error.")
 
+(* the engine makes its own cache when given none, so the daemon only
+   validates the spelling *)
+let cache =
+  Cli.cache_with_doc
+    "Accepted for symmetry with the other binaries: the daemon always keeps \
+     one in-memory evaluation cache shared by every connection, whether \
+     this flag (or $(b,CACHE_DIR)) says $(b,mem), is empty or is unset. \
+     Any other spelling exits with status 2."
+
 let cmd =
   let doc = "Serve mapping selection over line-delimited JSON-RPC" in
   Cmd.v
     (Cmd.info "cmd_serve" ~doc)
     Term.(
       const run $ Cli.socket $ Cli.port $ Cli.jobs $ queue
-      $ Cli.deadline_ms $ Cli.cache $ Cli.trace)
+      $ Cli.deadline_ms $ cache $ Cli.trace)
 
 let () = exit (Cmd.eval cmd)

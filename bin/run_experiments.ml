@@ -37,24 +37,16 @@ let run_ids format jobs cache trace ids =
             exit 2)
         ids
   in
-  (* a single experiment parallelises internally (per-seed scenario solves);
-     several independent experiments additionally fan out over the context's
-     pool, each rendered off-line and printed in request order *)
+  (* the requested experiments form one batch: a lone one runs on the
+     caller and fans its per-seed solves out; several run on the workers,
+     each rendered off-line and printed in request order *)
   Fun.protect
     ~finally:(fun () -> Experiments.Common.Ctx.shutdown ctx)
     (fun () ->
-      let rendered =
-        match to_run with
-        | [ (_, run) ] -> [ render format (run ctx) ]
-        | _ when Experiments.Common.Ctx.jobs ctx <= 1 ->
-          List.map (fun (_, run) -> render format (run ctx)) to_run
-        | _ ->
-          Parallel.Pool.parallel_map_list ~chunk:1
-            (Experiments.Common.Ctx.pool ctx)
-            (fun (_, run) -> render format (run ctx))
-            to_run
-      in
-      List.iter print_endline rendered)
+      Experiments.Common.parallel_map ctx
+        (fun (_, run) -> render format (run ctx))
+        to_run
+      |> List.iter print_endline)
 
 let ids =
   Arg.(value & pos_all string [] & info [] ~docv:"ID"

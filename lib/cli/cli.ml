@@ -28,17 +28,16 @@ let resolve_jobs = function
 let seed ~default ~doc =
   Arg.(value & opt int default & info [ "seed" ] ~doc)
 
+let cache_with_doc doc =
+  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"mem" ~doc)
+
 let cache =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"mem"
-        ~doc:
-          "In-memory evaluation cache: memoizes per-candidate chase \
-           statistics and solver selections. The only spelling is \
-           $(b,mem); empty disables. Default: the $(b,CACHE_DIR) \
-           environment variable (same spellings; unset disables). Results \
-           are bit-identical with and without the cache.")
+  cache_with_doc
+    "In-memory evaluation cache: memoizes per-candidate chase statistics \
+     and solver selections. The only spelling is $(b,mem); empty disables. \
+     Default: the $(b,CACHE_DIR) environment variable (same spellings; \
+     unset disables). Results are bit-identical with and without the \
+     cache."
 
 let resolve_cache spec =
   let source, cache =

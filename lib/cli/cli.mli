@@ -35,6 +35,10 @@ val seed : default:int -> doc:string -> int Cmdliner.Term.t
 val cache : string option Cmdliner.Term.t
 (** [--cache mem]; [None] when omitted. Resolve with {!resolve_cache}. *)
 
+val cache_with_doc : string -> string option Cmdliner.Term.t
+(** {!cache} under a binary's own help text, for a binary on which the
+    flag acts differently. *)
+
 val resolve_cache : string option -> Cache.t option
 (** The effective evaluation cache: the flag's spelling when given, else
     the [CACHE_DIR] environment variable ({!Cache.of_spec} either way —

@@ -42,10 +42,8 @@ let race ~roster ?pool ?seed p =
   let indices = Array.init (Array.length roster) Fun.id in
   let results =
     match pool with
-    | Some pool when Parallel.Pool.jobs pool > 1 && not (Parallel.Pool.on_worker ())
-      ->
-      Parallel.Pool.parallel_map ~chunk:1 pool attempt indices
-    | _ -> Array.map attempt indices
+    | Some pool -> Parallel.Pool.parallel_map ~chunk:1 pool attempt indices
+    | None -> Array.map attempt indices
   in
   (* Least-index prover wins; otherwise the best objective, lowest index
      breaking ties (Array.iteri keeps the first minimum it sees). *)

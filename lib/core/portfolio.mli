@@ -11,9 +11,14 @@
     The raced result is deterministic in [(problem, seed)] for any pool
     size: the winner is the least-index prover, or — when no entry proves —
     the best objective with lowest-index tie-breaking, and a skipped entry
-    always has a larger index than the prover that caused the skip. Without
-    a pool the roster runs sequentially in index order with the same skip
-    rule, so the work done is deterministic too. *)
+    always has a larger index than the prover that caused the skip.
+
+    The work done is not. Without a pool, or when the pool runs the batch
+    inline ({!Parallel.Pool.parallel_map}), the roster runs in index order
+    under the same skip rule. On the workers, which entries finish before
+    a prover lands depends on timing, so a pooled race's solver counters
+    (e.g. [incremental.flips]) vary from run to run and are exempt from
+    the rule that counter totals do not depend on the pool size. *)
 
 type runner = {
   r_name : string;

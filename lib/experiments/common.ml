@@ -25,61 +25,14 @@ let registry_name = function
 module Ctx = struct
   type t = {
     cache : Cache.t option;
-    jobs : int;
-    mutex : Mutex.t;
-    mutable pool_slot : Parallel.Pool.t option;
-    mutable closed : bool;
+    pool : Parallel.Pool.t;
   }
 
-  let create ?cache ?jobs () =
-    let jobs =
-      match jobs with
-      | None -> Parallel.Pool.default_jobs ()
-      | Some j ->
-        if j < 1 then invalid_arg "Experiments.Common.Ctx.create: jobs must be >= 1";
-        j
-    in
-    {
-      cache;
-      jobs;
-      mutex = Mutex.create ();
-      pool_slot = None;
-      closed = false;
-    }
+  let create ?cache ?jobs () = { cache; pool = Parallel.Pool.create ?jobs () }
 
   let cache t = t.cache
 
-  let jobs t = t.jobs
-
-  let pool t =
-    Mutex.lock t.mutex;
-    let r =
-      if t.closed then Error ()
-      else
-        Ok
-          (match t.pool_slot with
-          | Some p -> p
-          | None ->
-            let p = Parallel.Pool.create ~jobs:t.jobs () in
-            t.pool_slot <- Some p;
-            p)
-    in
-    Mutex.unlock t.mutex;
-    match r with
-    | Ok p -> p
-    | Error () -> invalid_arg "Experiments.Common.Ctx.pool: context is shut down"
-
-  (* Take the slot under the lock, join the workers outside it: two racing
-     shutdowns see the slot exactly once between them, and neither can
-     observe a half-shut pool — the old [set_jobs] accessor could shut a
-     pool down while a sweep was still fanning out on it. *)
-  let shutdown t =
-    Mutex.lock t.mutex;
-    let p = t.pool_slot in
-    t.pool_slot <- None;
-    t.closed <- true;
-    Mutex.unlock t.mutex;
-    Option.iter Parallel.Pool.shutdown p
+  let shutdown t = Parallel.Pool.shutdown t.pool
 
   let with_ctx ?cache ?jobs f =
     let t = create ?cache ?jobs () in
@@ -135,12 +88,10 @@ let noise_config ?(rows = 15) ?primitives ~seed ~pi_corresp ~pi_errors
     seed;
   }
 
+(* chunk 1: each task is a whole scenario generate + solve, far heavier
+   than the queue overhead *)
 let parallel_map ctx f xs =
-  (* chunk 1: each task is a whole scenario generate + solve, far heavier
-     than the queue overhead. On a worker (the registry fanning experiments
-     out) or with one job, stay inline — and don't spawn the shared pool. *)
-  if Parallel.Pool.on_worker () || Ctx.jobs ctx <= 1 then List.map f xs
-  else Parallel.Pool.parallel_map_list ~chunk:1 (Ctx.pool ctx) f xs
+  Parallel.Pool.parallel_map_list ~chunk:1 ctx.Ctx.pool f xs
 
 let fmt_f v = Printf.sprintf "%.2f" v
 

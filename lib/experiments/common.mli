@@ -15,34 +15,23 @@ val registry_name : solver -> string
 (** The {!Core.Solver.find} name of the variant. *)
 
 (** The solver context: every run-wide resource the suite used to keep in
-    process globals — the evaluation cache, the parallelism degree and the
-    shared worker pool — bundled into one value
-    threaded explicitly through the experiments. A [Ctx.t] is immutable in
-    its configuration (no mid-run cache swaps or pool resizes; the old
-    [set_jobs] could shut a pool down under a running sweep), and its
-    shutdown is idempotent and race-free. *)
+    process globals — the evaluation cache and the worker pool — bundled
+    into one value threaded explicitly through the experiments. A [Ctx.t]
+    is immutable (no mid-run cache swaps or pool resizes), and its
+    shutdown is idempotent and safe to race. *)
 module Ctx : sig
   type t
 
   val create : ?cache : Cache.t -> ?jobs : int -> unit -> t
-  (** A fresh context. [jobs] defaults to {!Parallel.Pool.default_jobs}
-      ([PARALLEL_JOBS], else the recommended domain count); the pool itself
-      is created lazily on first {!pool} call. Raises [Invalid_argument]
-      on [jobs < 1]. *)
+  (** A fresh context and its pool of [jobs] workers ([jobs] defaults to
+      {!Parallel.Pool.default_jobs}; one job spawns no domain). Raises
+      [Invalid_argument] on [jobs < 1]. *)
 
   val cache : t -> Cache.t option
 
-  val jobs : t -> int
-
-  val pool : t -> Parallel.Pool.t
-  (** The context's shared worker pool, created on first use. Thread-safe.
-      Raises [Invalid_argument] after {!shutdown}. *)
-
   val shutdown : t -> unit
-  (** Joins the pool's workers (if one was created) and closes the context.
-      Idempotent and safe to race: the pool is detached under a lock, so
-      exactly one caller joins it and later {!pool} calls fail instead of
-      resurrecting workers. *)
+  (** Joins the pool's workers ({!Parallel.Pool.shutdown}); later
+      {!parallel_map} calls on the context raise [Invalid_argument]. *)
 
   val with_ctx : ?cache : Cache.t -> ?jobs : int -> (t -> 'a) -> 'a
   (** [create], run, [shutdown] — even on exceptions. *)
@@ -84,11 +73,10 @@ val noise_config :
     per relation, unless overridden. *)
 
 val parallel_map : Ctx.t -> ('a -> 'b) -> 'a list -> 'b list
-(** [List.map f xs] fanned out over the context's pool, one task per
+(** [List.map f xs] as one batch on the context's pool, one task per
     element; results keep list order and are bit-identical to the
-    sequential map for pure [f]. Runs inline when [Ctx.jobs ctx <= 1] or
-    when already on a pool worker (nested fan-out), without spawning the
-    shared pool. *)
+    sequential map for pure [f]. The pool decides whether the batch fans
+    out or runs inline ({!Parallel.Pool.parallel_map}). *)
 
 val fmt_f : float -> string
 (** Two decimals. *)

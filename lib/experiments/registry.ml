@@ -37,18 +37,11 @@ let find id =
       if String.equal (String.uppercase_ascii id) id' then Some run else None)
     all
 
-(* Experiments are independent of one another, so with more than one job
-   each runs on a worker of the context's pool and only the rendered tables
-   are printed — in registry order, whatever the completion order. An
-   experiment's own per-seed fan-out (Common.parallel_map) detects it is on
-   a worker and runs inline. *)
+(* Experiments are independent of one another, so they form one batch on
+   the context's pool; the tables are rendered off-formatter and printed in
+   registry order, whatever the completion order. *)
 let run_all ctx ppf =
-  if Common.Ctx.jobs ctx <= 1 then
-    List.iter
-      (fun (_, _, run) -> Format.fprintf ppf "%a@." Table.pp (run ctx))
-      all
-  else
-    Parallel.Pool.parallel_map_list ~chunk:1 (Common.Ctx.pool ctx)
-      (fun (_, _, run) -> Format.asprintf "%a" Table.pp (run ctx))
-      all
-    |> List.iter (Format.fprintf ppf "%s@.")
+  Common.parallel_map ctx
+    (fun (_, _, run) -> Format.asprintf "%a" Table.pp (run ctx))
+    all
+  |> List.iter (Format.fprintf ppf "%s@.")

@@ -305,16 +305,6 @@ let check_cq_index ctx =
 
 (* --- chase-determinism: permutation invariance and internal checks ----- *)
 
-let shuffle rng l =
-  let arr = Array.of_list l in
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  Array.to_list arr
-
 let triggers_equal (a : Chase.Trigger.t) (b : Chase.Trigger.t) =
   a.Chase.Trigger.tgd_index = b.Chase.Trigger.tgd_index
   && Subst.equal a.Chase.Trigger.subst b.Chase.Trigger.subst
@@ -332,7 +322,8 @@ let check_chase_determinism ctx =
   | Case.Mapping m ->
     let rng = rng_of ctx 6 in
     let source2 =
-      Instance.of_tuples (shuffle rng (Instance.tuples m.Case.source))
+      Instance.of_tuples
+        (Ibench.Generator.shuffle rng (Instance.tuples m.Case.source))
     in
     if not (Instance.equal m.Case.source source2) then
       Fail "instances are not canonical under tuple permutation"
@@ -355,7 +346,7 @@ let check_chase_determinism ctx =
           let n = List.length m.Case.candidates in
           if n = 0 || n > 10 then Pass
           else
-            let order = shuffle rng (List.init n Fun.id) in
+            let order = Ibench.Generator.shuffle rng (List.init n Fun.id) in
             let permuted =
               List.map (fun i -> List.nth m.Case.candidates i) order
             in

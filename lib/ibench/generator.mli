@@ -22,6 +22,11 @@ val generate : Config.t -> Scenario.t
 (** Raises [Invalid_argument] if the configuration fails
     {!Config.validate}. *)
 
+val shuffle : Random.State.t -> 'a list -> 'a list
+(** A Fisher–Yates permutation of the list, drawing from [rng]: the one
+    shuffle behind every seeded generator and oracle, so equal seeds give
+    equal orders everywhere. *)
+
 val select_pct : Random.State.t -> int -> 'a list -> 'a list
 (** [select_pct rng pct xs] uniformly selects [round (pct·|xs|/100)] elements
-    (exposed for testing). *)
+    (the first elements of a {!shuffle}). *)

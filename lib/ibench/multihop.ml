@@ -53,22 +53,7 @@ let target t =
 
 (* --- small deterministic helpers --------------------------------------- *)
 
-let shuffle rng l =
-  let arr = Array.of_list l in
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let t = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- t
-  done;
-  Array.to_list arr
-
-let select_pct rng pct l =
-  let n = List.length l in
-  let count = max 0 (min n (((pct * n) + 50) / 100)) in
-  List.filteri (fun i _ -> i < count) (shuffle rng l)
-
-let permutation rng n = shuffle rng (List.init n Fun.id)
+let permutation rng n = Generator.shuffle rng (List.init n Fun.id)
 
 (* Swap two head-argument positions — the spurious twin of a ground-truth
    tgd. Returns [None] when the head has no two distinct arguments to swap. *)
@@ -159,7 +144,7 @@ let join_tgds rng ~prev ~count ~out_prefix ~label_prefix =
       in
       let width = 1 + Random.State.int rng (min 3 (List.length body_vars)) in
       let head_args =
-        shuffle rng body_vars
+        Generator.shuffle rng body_vars
         |> List.filteri (fun i _ -> i < width)
         |> List.map (fun v -> Term.Var v)
       in
@@ -252,13 +237,13 @@ let generate config =
     in
     let clean = grounded_chase skolem prev_observed gt in
     let deletions =
-      select_pct rng config.pi_errors (Instance.tuples clean)
+      Generator.select_pct rng config.pi_errors (Instance.tuples clean)
     in
     let additions =
       grounded_chase skolem prev_observed noise_tgds
       |> Instance.tuples
       |> List.filter (fun t -> not (Instance.mem t clean))
-      |> select_pct rng config.pi_unexplained
+      |> Generator.select_pct rng config.pi_unexplained
     in
     let observed =
       List.fold_left

@@ -83,6 +83,9 @@ let with_pool ?jobs f =
   let pool = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
+let refuse_closed () =
+  invalid_arg "Parallel.Pool: batch submitted to a shut-down pool"
+
 (* Per-batch completion state. [error] keeps the failure from the
    lowest-index chunk; since chunks are contiguous and each chunk stops at
    its first failing element, that is exactly the exception a sequential
@@ -138,10 +141,11 @@ let run_batch pool ~n ~chunk run_one =
     if b.b_pending = 0 then Condition.signal b.b_finished;
     Mutex.unlock b.b_mutex
   in
+  (* checked again with the push: a shutdown may have raced the entry check *)
   Mutex.lock pool.mutex;
   if pool.closed then begin
     Mutex.unlock pool.mutex;
-    invalid_arg "Parallel.Pool: batch submitted to a shut-down pool"
+    refuse_closed ()
   end;
   for ci = 0 to nchunks - 1 do
     Queue.add (chunk_task ci) pool.queue
@@ -171,7 +175,7 @@ let sequential_map f xs =
     out
   end
 
-(* Batches and tasks are counted here — before the sequential/pooled split
+(* Batches and tasks are counted here — before the inline/pooled split
    and per logical work item, never per chunk — so the totals are a pure
    function of the submitted work, identical for every pool size. *)
 let batches_counter = Telemetry.Counter.make "pool.batches"
@@ -179,12 +183,17 @@ let batches_counter = Telemetry.Counter.make "pool.batches"
 let tasks_counter = Telemetry.Counter.make "pool.tasks"
 
 let parallel_map ?chunk pool f xs =
+  Mutex.lock pool.mutex;
+  let closed = pool.closed in
+  Mutex.unlock pool.mutex;
+  if closed then refuse_closed ();
   Telemetry.with_span "pool.batch" @@ fun () ->
   let n = Array.length xs in
   Telemetry.Counter.incr batches_counter;
   Telemetry.Counter.add tasks_counter n;
-  if n = 0 then [||]
-  else if pool.jobs <= 1 || on_worker () then sequential_map f xs
+  (* A one-task batch gains nothing from a worker and, run on the caller,
+     keeps its own nested batches parallel. *)
+  if n <= 1 || pool.jobs <= 1 || on_worker () then sequential_map f xs
   else begin
     let chunk =
       match chunk with

@@ -7,8 +7,23 @@
     no dependencies beyond the OCaml 5 stdlib and the (zero-dependency)
     [Telemetry] layer, which observes each batch as a [pool.batch] span and
     counts batches/tasks per logical work item, before the
-    sequential/pooled split — so counter totals never depend on the pool
+    inline/pooled split — so counter totals never depend on the pool
     size.
+
+    {2 Inline or fan-out}
+
+    The pool alone decides where a batch runs; callers hand it every batch
+    and never branch on the pool size themselves. A batch runs inline on
+    the calling domain, in index order, when
+
+    - the pool has one job (it spawned no domains),
+    - the caller is itself a pool worker (a nested batch: queueing it
+      would deadlock the worker waiting on its own sub-tasks), or
+    - the batch has at most one task (a worker would only add a hand-off,
+      and the lone task, run on the caller, keeps its own nested batches
+      parallel).
+
+    Otherwise its tasks go to the workers.
 
     {2 Determinism contract}
 
@@ -23,9 +38,8 @@
       sequential run would have hit first (lowest index), making failure
       behaviour reproducible too.
 
-    A pool of [jobs <= 1] spawns no domains and runs every batch inline in
-    the caller — that sequential path is the test oracle the qcheck suite
-    compares against. *)
+    The inline path is the sequential test oracle the qcheck suite compares
+    against. *)
 
 type t
 
@@ -41,10 +55,7 @@ val create : ?jobs : int -> unit -> t
 val jobs : t -> int
 
 val on_worker : unit -> bool
-(** Whether the calling domain is a pool worker. Batch operations invoked
-    from inside a worker run inline (sequentially) instead of re-entering
-    the queue, so nested parallelism degrades gracefully rather than
-    deadlocking. *)
+(** Whether the calling domain is a pool worker, whose batches run inline. *)
 
 val parallel_map : ?chunk : int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map pool f xs] is [Array.map f xs], with elements evaluated on
@@ -52,14 +63,16 @@ val parallel_map : ?chunk : int -> t -> ('a -> 'b) -> 'a array -> 'b array
     quarter of an even share per worker, at least 1) — chunking affects only
     scheduling granularity, never results. If any [f] raises, outstanding
     chunks are cancelled and the lowest-index exception is re-raised in the
-    caller with its backtrace. *)
+    caller with its backtrace. Raises [Invalid_argument] after {!shutdown},
+    whichever path the batch would take. *)
 
 val parallel_map_list : ?chunk : int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** List counterpart of {!parallel_map}. *)
 
 val shutdown : t -> unit
-(** Signals the workers to exit and joins them. Idempotent; subsequent batch
-    submissions raise [Invalid_argument]. *)
+(** Signals the workers to exit and joins them. Idempotent and safe to call
+    from several domains at once; subsequent batch submissions raise
+    [Invalid_argument], inline ones included. *)
 
 val with_pool : ?jobs : int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] on a fresh pool and shuts it down afterwards,

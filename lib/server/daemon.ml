@@ -4,7 +4,9 @@
    caller's thread except [send], which pool workers invoke through
    Scheduler jobs — hence the per-connection write mutex and the [alive]
    flag it guards (a worker must never write to a file descriptor the
-   dispatcher has already closed and the OS may have reused). *)
+   dispatcher has already closed and the OS may have reused). Everything
+   else in [state], the admission queue included, is the dispatcher's
+   alone and takes no lock. *)
 
 type config = {
   endpoint : [ `Unix_socket of string | `Tcp of string * int ];
@@ -94,13 +96,13 @@ let shutting_down id =
 type state = {
   engine : Engine.t;
   pool : Parallel.Pool.t;
-  batcher : Scheduler.job Batcher.t;
+  queue : Scheduler.job Queue.t;
   conns : (Unix.file_descr, conn) Hashtbl.t;
   stop : bool Atomic.t;
   config : config;
 }
 
-let admit st conn (req : Protocol.request) ~key (p : Protocol.solve_params) =
+let admit st conn (req : Protocol.request) (p : Protocol.solve_params) =
   if Atomic.get st.stop then send conn (Protocol.render_response (shutting_down req.Protocol.id))
   else begin
     let deadline_at_ns =
@@ -112,19 +114,15 @@ let admit st conn (req : Protocol.request) ~key (p : Protocol.solve_params) =
           (Int64.add (Util.Timer.now_ns ())
              (Int64.of_float (ms *. 1_000_000.)))
     in
-    let job =
-      {
-        Scheduler.key;
-        request = req;
-        send = send conn;
-        deadline_at_ns;
-      }
-    in
-    if Batcher.try_add st.batcher job then begin
+    if Queue.length st.queue >= st.config.queue then
+      send conn (Protocol.render_response (overloaded req.Protocol.id))
+    else begin
+      Queue.add
+        { Scheduler.request = req; send = send conn; deadline_at_ns }
+        st.queue;
       if p.Protocol.progress then
         send conn (Protocol.render_progress ~id:req.Protocol.id ~event:"queued" ())
     end
-    else send conn (Protocol.render_response (overloaded req.Protocol.id))
   end
 
 let process_line st conn line =
@@ -133,13 +131,11 @@ let process_line st conn line =
     | Error resp -> send conn (Protocol.render_response resp)
     | Ok req -> (
       match req.Protocol.call with
-      | Protocol.Solve p -> admit st conn req ~key:(Protocol.solve_key p) p
-      | Protocol.Compose p ->
-        admit st conn req ~key:(Protocol.solve_key ~meth:"compose" p) p
+      | Protocol.Solve p | Protocol.Compose p -> admit st conn req p
       | Protocol.Stats ->
         let extra =
           [
-            ("queue", Util.Json.Num (float_of_int (Batcher.length st.batcher)));
+            ("queue", Util.Json.Num (float_of_int (Queue.length st.queue)));
             ( "connections",
               Util.Json.Num (float_of_int (Hashtbl.length st.conns)) );
             ("jobs", Util.Json.Num (float_of_int (Parallel.Pool.jobs st.pool)));
@@ -231,12 +227,17 @@ let install_signals stop =
 let batch = 64
 
 let run_pending st =
-  match Batcher.drain ~max:batch st.batcher with
+  let rec take n acc =
+    if n = 0 || Queue.is_empty st.queue then List.rev acc
+    else take (n - 1) (Queue.pop st.queue :: acc)
+  in
+  match take batch [] with
   | [] -> ()
   | jobs -> Scheduler.run_batch st.engine ~pool:st.pool jobs
 
 let serve ?cache ?(stop = Atomic.make false) ?on_ready config =
   if config.jobs < 1 then invalid_arg "Daemon.serve: jobs < 1";
+  if config.queue < 1 then invalid_arg "Daemon.serve: queue < 1";
   Scheduler.install_tap ();
   install_signals stop;
   let engine = Engine.create ?cache () in
@@ -245,7 +246,7 @@ let serve ?cache ?(stop = Atomic.make false) ?on_ready config =
     {
       engine;
       pool;
-      batcher = Batcher.create ~capacity:config.queue;
+      queue = Queue.create ();
       conns = Hashtbl.create 16;
       stop;
       config;
@@ -255,7 +256,7 @@ let serve ?cache ?(stop = Atomic.make false) ?on_ready config =
   Unix.set_nonblock listen_fd;
   Option.iter (fun f -> f (Unix.getsockname listen_fd)) on_ready;
   while not (Atomic.get stop) do
-    let timeout = if Batcher.length st.batcher > 0 then 0. else 0.2 in
+    let timeout = if Queue.is_empty st.queue then 0.2 else 0. in
     let fds = listen_fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) st.conns [] in
     (match Unix.select fds [] [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -272,7 +273,7 @@ let serve ?cache ?(stop = Atomic.make false) ?on_ready config =
   done;
   (* graceful drain: answer everything already admitted, then tear down *)
   (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  while Batcher.length st.batcher > 0 do
+  while not (Queue.is_empty st.queue) do
     run_pending st
   done;
   let open_conns = Hashtbl.fold (fun _ conn acc -> conn :: acc) st.conns [] in

@@ -1,15 +1,18 @@
 (** The daemon: socket accept/read/write event loop around one warm
-    {!Engine.t}, one shared {!Parallel.Pool} and one bounded {!Batcher}.
+    {!Engine.t}, one shared {!Parallel.Pool} and one bounded admission
+    queue.
 
     Concurrency model: a single dispatcher thread (the caller of {!serve})
-    owns all socket IO through a [select] loop and is the only submitter
-    of batches to the pool — compute parallelism lives in the pool
-    workers, which touch connections only through the mutex-serialised
-    per-connection writer. That shape keeps the determinism argument
-    short: request bodies are computed by a deterministic engine, framed
-    one per line, and correlated by id, so nothing the event loop does
-    (arrival interleaving, batch boundaries, worker scheduling) can show
-    up in response bytes.
+    owns all socket IO through a [select] loop, the admission queue and
+    the connection table — none of which takes a lock, since no other
+    thread touches them — and is the only submitter of batches to the
+    pool. Compute parallelism lives in the pool workers, which touch
+    connections only through the mutex-serialised per-connection writer.
+    That shape keeps the determinism argument short: request bodies are
+    computed by a deterministic engine, framed one per line, and
+    correlated by id, so nothing the event loop does (arrival
+    interleaving, batch boundaries, worker scheduling) can show up in
+    response bytes.
 
     Lifecycle: [serve] blocks until stopped — by SIGTERM/SIGINT (handlers
     installed by [serve] set the stop flag; the loop notices via [EINTR]),
@@ -27,7 +30,9 @@ type config = {
           host/port to bind (port [0] binds an ephemeral port — see
           [on_ready]) *)
   jobs : int;  (** pool workers; [1] solves inline in the dispatcher *)
-  queue : int;  (** admission-queue capacity; full ⇒ typed [overloaded] *)
+  queue : int;
+      (** admission-queue capacity, at least 1; a call arriving at a full
+          queue is answered with a typed [overloaded] error *)
   deadline_ms : float option;
       (** default per-call deadline; a call's own [deadline_ms] overrides *)
 }

@@ -230,24 +230,3 @@ let render_progress ~id ~event ?name ?dur_ns () =
     | Some d -> [ ("dur_ns", Json.Num (Int64.to_float d)) ]
   in
   Json.to_string (Json.Obj [ ("id", id); ("progress", Json.Obj fields) ])
-
-(* --- batching key ------------------------------------------------------- *)
-
-let solve_key ?(meth = "solve") p =
-  let scenario_parts =
-    match p.scenario with
-    | Inline text -> [ "inline"; text ]
-    | File path -> [ "file"; path ]
-    | Case_seed seed -> [ "case"; string_of_int seed ]
-  in
-  let seed = match p.seed with None -> "_" | Some s -> string_of_int s in
-  let weights =
-    match p.weights with
-    | None -> "_"
-    | Some w ->
-      Printf.sprintf "%d.%d.%d" w.Core.Problem.w_unexplained w.Core.Problem.w_errors
-        w.Core.Problem.w_size
-  in
-  (* the method is part of the key: a [compose] and a [solve] over identical
-     params have different response bodies, so they must never coalesce *)
-  Cache.Key.digest (("serve" :: meth :: scenario_parts) @ [ p.solver; seed; weights ])

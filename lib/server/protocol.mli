@@ -18,7 +18,7 @@
     {b Determinism contract}: the response body of a [solve] call (the
     ["result"]/["error"] member, [id] aside) is a pure function of the
     call's content — scenario, solver, seed, weights — never of arrival
-    order, connection, batching, pool size or cache state. That is the
+    order, connection, batch boundaries, pool size or cache state. That is the
     engine's bit-identity contract surfaced at the wire, and
     [bin/serve_replay] holds the daemon to it byte-for-byte. Progress
     notifications and [stats] bodies are observational and exempt.
@@ -47,7 +47,11 @@ type solve_params = {
       (** overrides the scenario's own weights (corpus entries and
           generated cases carry some); default [(1,1,1)] otherwise *)
   deadline_ms : float option;  (** overrides the server default *)
-  progress : bool;  (** stream progress notifications for this call *)
+  progress : bool;
+      (** stream progress notifications for this call: the lifecycle
+          events ([queued], [started], [resolved], [done]) and, while
+          telemetry is enabled, one [span] event per span the call's own
+          domain closes *)
 }
 
 type call =
@@ -118,12 +122,3 @@ val render_progress :
   string
 (** A progress notification frame:
     [{"id": ..., "progress": {"event": E, "name"?: N, "dur_ns"?: D}}]. *)
-
-val solve_key : ?meth:string -> solve_params -> string
-(** Canonical digest of everything the response body may depend on
-    (method, scenario source, solver, seed, weights — not [deadline_ms] or
-    [progress]): the batching key. Equal keys are identical problems, so
-    the scheduler sorts batches by it and the cache's single-flight
-    selection tier coalesces equal keys onto one solver invocation.
-    [meth] defaults to ["solve"]; pass ["compose"] for {!Compose} calls so
-    the two methods never coalesce onto one response body. *)

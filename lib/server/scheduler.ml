@@ -1,38 +1,25 @@
 (* Batch fan-out.
 
-   Progress routing: Telemetry's span tap reports (domain, name, dur) on
-   every span close. One domain runs one request at a time, so a
-   domain-indexed table of emitters attributes each close to the in-flight
-   request of that domain; workers register themselves around the engine
-   call. The table is shared mutable state touched from workers —
-   mutex-protected, and the emitter itself sends through the job's
-   (already serialised) connection writer. *)
+   Progress routing: Telemetry's span tap fires on the domain that closes
+   the span, and one domain runs one request at a time, so a domain-local
+   emitter, set around the engine call, attributes each close to the
+   request that domain is running. *)
 
 type job = {
-  key : string;
   request : Protocol.request;
   send : string -> unit;
   deadline_at_ns : int64 option;
 }
 
-let routes : (int, string -> int64 -> unit) Hashtbl.t = Hashtbl.create 16
+let emitter : (string -> int64 -> unit) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
 
-let routes_lock = Mutex.create ()
-
-let with_routes f =
-  Mutex.lock routes_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock routes_lock) f
-
-let tap ~domain ~name ~dur_ns =
-  match with_routes (fun () -> Hashtbl.find_opt routes domain) with
+let tap ~domain:_ ~name ~dur_ns =
+  match Domain.DLS.get emitter with
   | Some emit -> emit name dur_ns
   | None -> ()
 
-let tap_installed = Atomic.make false
-
-let install_tap () =
-  if not (Atomic.exchange tap_installed true) then
-    Telemetry.set_span_tap (Some tap)
+let install_tap () = Telemetry.set_span_tap (Some tap)
 
 let wants_progress job =
   match job.request.Protocol.call with
@@ -44,15 +31,11 @@ let run_job engine job =
   let progress ~event ?name ?dur_ns () =
     job.send (Protocol.render_progress ~id ~event ?name ?dur_ns ())
   in
-  let routed = wants_progress job in
-  let domain = (Domain.self () :> int) in
-  if routed then
-    with_routes (fun () ->
-        Hashtbl.replace routes domain (fun name dur_ns ->
-            progress ~event:"span" ~name ~dur_ns ()));
+  if wants_progress job then
+    Domain.DLS.set emitter
+      (Some (fun name dur_ns -> progress ~event:"span" ~name ~dur_ns ()));
   Fun.protect
-    ~finally:(fun () ->
-      if routed then with_routes (fun () -> Hashtbl.remove routes domain))
+    ~finally:(fun () -> Domain.DLS.set emitter None)
     (fun () -> Engine.handle engine ~progress job.request)
 
 let run_batch engine ~pool jobs =
@@ -76,23 +59,12 @@ let run_batch engine ~pool jobs =
                 message = "deadline passed while queued";
               })))
     expired;
-  (* Sort by content key (ties keep arrival order) so identical requests
-     are adjacent for the cache's single-flight tier; remember arrival
-     positions to reply in arrival order. *)
-  let indexed = Array.of_list (List.mapi (fun i job -> (i, job)) live) in
-  let sorted = Array.copy indexed in
-  Array.sort
-    (fun (i, a) (j, b) ->
-      match String.compare a.key b.key with 0 -> compare i j | c -> c)
-    sorted;
+  (* each response lands at its job's index, so replies go out in arrival
+     order *)
+  let live = Array.of_list live in
   let responses =
     Parallel.Pool.parallel_map pool
-      (fun (i, job) -> (i, Protocol.render_response (run_job engine job)))
-      sorted
+      (fun job -> Protocol.render_response (run_job engine job))
+      live
   in
-  Array.sort (fun (i, _) (j, _) -> compare i j) responses;
-  Array.iter
-    (fun (i, line) ->
-      let _, job = indexed.(i) in
-      job.send line)
-    responses
+  Array.iteri (fun i line -> live.(i).send line) responses

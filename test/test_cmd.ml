@@ -65,19 +65,17 @@ let test_portfolio_all_refuse () =
 
 let test_ctx_shutdown_idempotent () =
   let ctx = Experiments.Common.Ctx.create ~jobs:2 () in
-  ignore (Experiments.Common.Ctx.pool ctx);
   Experiments.Common.Ctx.shutdown ctx;
   (* the old set_jobs accessor double-shut the shared pool here *)
   Experiments.Common.Ctx.shutdown ctx;
   Alcotest.(check bool)
-    "pool after shutdown is refused" true
-    (match Experiments.Common.Ctx.pool ctx with
+    "batch after shutdown is refused" true
+    (match Experiments.Common.parallel_map ctx Fun.id [ 1; 2 ] with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
 let test_ctx_concurrent_shutdown () =
   let ctx = Experiments.Common.Ctx.create ~jobs:2 () in
-  ignore (Experiments.Common.Ctx.pool ctx);
   let racers =
     List.init 4 (fun _ ->
         Domain.spawn (fun () -> Experiments.Common.Ctx.shutdown ctx))

@@ -115,6 +115,13 @@ let lifecycle_tests =
                 (Array.init 6 Fun.id)
             in
             Alcotest.(check (array int)) "sums" (Array.init 6 Fun.id) got));
+    Alcotest.test_case "a one-task batch runs on the caller" `Quick (fun () ->
+        Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+            Alcotest.(check (array bool))
+              "not on a worker" [| false |]
+              (Parallel.Pool.parallel_map pool
+                 (fun () -> Parallel.Pool.on_worker ())
+                 [| () |])));
     Alcotest.test_case "shutdown is idempotent; late batches rejected" `Quick
       (fun () ->
         let pool = Parallel.Pool.create ~jobs:2 () in
@@ -127,6 +134,21 @@ let lifecycle_tests =
           (Invalid_argument "Parallel.Pool: batch submitted to a shut-down pool")
           (fun () ->
             ignore (Parallel.Pool.parallel_map pool Fun.id [| 1; 2; 3 |])));
+    Alcotest.test_case "inline batches after shutdown are rejected" `Quick
+      (fun () ->
+        (* a one-job pool and a one-task batch both run on the caller; the
+           shut-down check must cover that path too *)
+        let rejected pool xs =
+          match Parallel.Pool.parallel_map pool Fun.id xs with
+          | exception Invalid_argument _ -> true
+          | _ -> false
+        in
+        let solo = Parallel.Pool.create ~jobs:1 () in
+        Parallel.Pool.shutdown solo;
+        Alcotest.(check bool) "one-job pool" true (rejected solo [| 1; 2 |]);
+        let duo = Parallel.Pool.create ~jobs:2 () in
+        Parallel.Pool.shutdown duo;
+        Alcotest.(check bool) "one-task batch" true (rejected duo [| 1 |]));
     Alcotest.test_case "repeated create/shutdown cycles" `Quick (fun () ->
         (* domains are joined on shutdown, so churning pools neither leaks
            nor exhausts the runtime's domain slots *)

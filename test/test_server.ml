@@ -1,11 +1,11 @@
 (* The mapping-selection service (lib/server).
 
    Exercises each layer without a process boundary: protocol codecs,
-   admission-queue shedding, engine determinism, digest coalescing on the
-   cache's single-flight selection tier (jobs 1 and 4 must both report
-   exactly one solver invocation for N identical requests), deadline
-   enforcement, and one in-process socket round trip against the real
-   event loop. *)
+   engine determinism, digest coalescing on the cache's single-flight
+   selection tier (jobs 1 and 4 must both report exactly one solver
+   invocation for N identical requests), deadline enforcement, and
+   in-process socket sessions against the real event loop: a round trip,
+   admission-queue shedding and span-sourced progress routing. *)
 
 module Protocol = Server.Protocol
 module Json = Util.Json
@@ -88,33 +88,6 @@ let test_error_id_echo () =
       (Protocol.response_id resp = Json.Str "r9")
   | Ok _ -> Alcotest.fail "expected rejection"
 
-let solve_params frame =
-  match (parse_ok frame).Protocol.call with
-  | Protocol.Solve p -> p
-  | _ -> Alcotest.fail "expected solve"
-
-let test_solve_key () =
-  let a = Protocol.solve_key (solve_params (solve_frame ~id:"r1" 42)) in
-  let b = Protocol.solve_key (solve_params (solve_frame ~id:"r2" 42)) in
-  let c = Protocol.solve_key (solve_params (solve_frame ~id:"r1" 43)) in
-  let d = Protocol.solve_key (solve_params (solve_frame ~id:"r1" ~solver:"local" 42)) in
-  Alcotest.(check string) "id does not enter the key" a b;
-  Alcotest.(check bool) "scenario enters the key" true (a <> c);
-  Alcotest.(check bool) "solver enters the key" true (a <> d)
-
-(* --- batcher ------------------------------------------------------------- *)
-
-let test_batcher_sheds_and_preserves_order () =
-  let b = Server.Batcher.create ~capacity:3 in
-  Alcotest.(check bool) "1" true (Server.Batcher.try_add b 1);
-  Alcotest.(check bool) "2" true (Server.Batcher.try_add b 2);
-  Alcotest.(check bool) "3" true (Server.Batcher.try_add b 3);
-  Alcotest.(check bool) "full queue sheds" false (Server.Batcher.try_add b 4);
-  Alcotest.(check (list int)) "fifo drain" [ 1; 2 ] (Server.Batcher.drain ~max:2 b);
-  Alcotest.(check bool) "slot freed" true (Server.Batcher.try_add b 5);
-  Alcotest.(check (list int)) "rest" [ 3; 5 ] (Server.Batcher.drain ~max:10 b);
-  Alcotest.(check (list int)) "empty" [] (Server.Batcher.drain ~max:1 b)
-
 (* --- engine -------------------------------------------------------------- *)
 
 let body_string resp = Protocol.render_response resp
@@ -159,8 +132,7 @@ let run_identical ~jobs ~n =
       (fun frame ->
         let req = parse_ok frame in
         {
-          Server.Scheduler.key = Protocol.solve_key (solve_params frame);
-          request = req;
+          Server.Scheduler.request = req;
           send =
             (fun line ->
               Mutex.lock lock;
@@ -234,8 +206,7 @@ let test_deadline_expired_jobs_not_solved () =
   let out = ref [] in
   let job deadline =
     {
-      Server.Scheduler.key = Protocol.solve_key (solve_params frame);
-      request = parse_ok frame;
+      Server.Scheduler.request = parse_ok frame;
       send = (fun line -> out := line :: !out);
       deadline_at_ns = deadline;
     }
@@ -259,7 +230,9 @@ let test_deadline_expired_jobs_not_solved () =
 
 (* --- end to end over a real socket --------------------------------------- *)
 
-let test_socket_round_trip () =
+(* Runs [session] against a live daemon on a fresh Unix socket, with a
+   connected client's channels, then stops the daemon gracefully. *)
+let with_daemon ?(jobs = 2) ?(queue = 32) session =
   let path = Filename.temp_file "serve_e2e" ".sock" in
   Sys.remove path;
   let stop = Atomic.make false in
@@ -270,8 +243,8 @@ let test_socket_round_trip () =
           ~on_ready:(fun _ -> Atomic.set ready true)
           {
             Server.Daemon.endpoint = `Unix_socket path;
-            jobs = 2;
-            queue = 32;
+            jobs;
+            queue;
             deadline_ms = None;
           })
   in
@@ -282,38 +255,135 @@ let test_socket_round_trip () =
   Unix.connect fd (Unix.ADDR_UNIX path);
   let oc = Unix.out_channel_of_descr fd in
   let ic = Unix.in_channel_of_descr fd in
-  output_string oc {|{"id":"p","method":"ping"}|};
-  output_string oc "\n";
-  output_string oc (solve_frame ~id:"s1" mapping_seed);
-  output_string oc "\n";
-  output_string oc (solve_frame ~id:"s2" mapping_seed);
-  output_string oc "\n";
-  flush oc;
-  let lines = List.init 3 (fun _ -> input_line ic) in
-  let by_id id =
-    match
-      List.find_opt
-        (fun l ->
-          match Json.parse_line l with
-          | Ok j -> Json.member "id" j = Some (Json.Str id)
-          | Error _ -> false)
-        lines
-    with
-    | Some l -> l
-    | None -> Alcotest.failf "no response for %s" id
-  in
-  Alcotest.(check string) "pong" {|{"id":"p","result":{"pong":true}}|} (by_id "p");
-  let body l =
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join daemon;
+      Unix.close fd)
+    (fun () -> session oc ic);
+  path
+
+(* Sends [frames] in one write. *)
+let send_frames oc frames =
+  output_string oc (String.concat "" (List.map (fun f -> f ^ "\n") frames));
+  flush oc
+
+let frame_id l =
+  match Json.parse_line l with
+  | Ok j -> Json.member "id" j
+  | Error _ -> Alcotest.failf "bad frame %s" l
+
+(* Reads frames until each of [ids] has its response (a frame without a
+   [progress] member); returns every frame read, in arrival order. *)
+let read_until_answered ic ids =
+  let is_response l =
     match Json.parse_line l with
-    | Ok j -> Json.to_string (Option.get (Json.member "result" j))
+    | Ok j -> Json.member "progress" j = None
     | Error _ -> Alcotest.failf "bad frame %s" l
   in
-  Alcotest.(check string) "identical duplicate bodies" (body (by_id "s1"))
-    (body (by_id "s2"));
-  Atomic.set stop true;
-  Domain.join daemon;
-  Unix.close fd;
+  let rec loop pending acc =
+    if pending = [] then List.rev acc
+    else
+      let l = input_line ic in
+      let pending =
+        if is_response l then
+          List.filter (fun id -> Some (Json.Str id) <> frame_id l) pending
+        else pending
+      in
+      loop pending (l :: acc)
+  in
+  loop ids []
+
+let test_socket_round_trip () =
+  let path =
+    with_daemon (fun oc ic ->
+        send_frames oc
+          [
+            {|{"id":"p","method":"ping"}|};
+            solve_frame ~id:"s1" mapping_seed;
+            solve_frame ~id:"s2" mapping_seed;
+          ];
+        let lines = List.init 3 (fun _ -> input_line ic) in
+        let by_id id =
+          match List.find_opt (fun l -> frame_id l = Some (Json.Str id)) lines with
+          | Some l -> l
+          | None -> Alcotest.failf "no response for %s" id
+        in
+        Alcotest.(check string) "pong" {|{"id":"p","result":{"pong":true}}|} (by_id "p");
+        let body l =
+          match Json.parse_line l with
+          | Ok j -> Json.to_string (Option.get (Json.member "result" j))
+          | Error _ -> Alcotest.failf "bad frame %s" l
+        in
+        Alcotest.(check string) "identical duplicate bodies" (body (by_id "s1"))
+          (body (by_id "s2")))
+  in
   Alcotest.(check bool) "socket unlinked on shutdown" false (Sys.file_exists path)
+
+let error_label l =
+  match Json.parse_line l with
+  | Ok j ->
+    Option.bind (Json.member "error" j) (fun e ->
+        Option.bind (Json.member "kind" e) Json.to_str)
+  | Error _ -> Alcotest.failf "bad frame %s" l
+
+let test_shedding () =
+  (* three frames in one write are admitted in one read, before any batch
+     runs: a two-slot queue takes the first two and sheds the third *)
+  ignore
+    (with_daemon ~queue:2 (fun oc ic ->
+         send_frames oc
+           (List.map
+              (fun id -> solve_frame ~id mapping_seed)
+              [ "q1"; "q2"; "q3" ]);
+         let lines = read_until_answered ic [ "q1"; "q2"; "q3" ] in
+         let answer id =
+           List.find (fun l -> frame_id l = Some (Json.Str id)) lines
+         in
+         Alcotest.(check (option string)) "third is shed" (Some "overloaded")
+           (error_label (answer "q3"));
+         List.iter
+           (fun id ->
+             Alcotest.(check (option string)) (id ^ " answered") None
+               (error_label (answer id)))
+           [ "q1"; "q2" ]))
+
+let test_progress_routing () =
+  (* span closes reach the request that asked for progress, on whichever
+     domain runs it, and no other request *)
+  let was_enabled = Telemetry.enabled () in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled was_enabled) @@ fun () ->
+  ignore
+    (with_daemon (fun oc ic ->
+         let watched =
+           Printf.sprintf
+             {|{"id":"w","method":"solve","params":{"case_seed":%d,"solver":"greedy","progress":true}}|}
+             mapping_seed
+         in
+         send_frames oc [ watched; solve_frame ~id:"u" ~solver:"local" mapping_seed ];
+         let lines = read_until_answered ic [ "w"; "u" ] in
+         let frames id =
+           List.filter_map
+             (fun l ->
+               match Json.parse_line l with
+               | Ok j when Json.member "id" j = Some (Json.Str id) -> Some j
+               | Ok _ -> None
+               | Error _ -> Alcotest.failf "bad frame %s" l)
+             lines
+         in
+         let rec before_response = function
+           | j :: rest when Json.member "progress" j <> None -> j :: before_response rest
+           | _ -> []
+         in
+         let span j =
+           Option.bind (Json.member "progress" j) (Json.member "event")
+           = Some (Json.Str "span")
+         in
+         Alcotest.(check bool) "span frames before the watched response" true
+           (List.exists span (before_response (frames "w")));
+         Alcotest.(check int) "the other request gets its response only" 1
+           (List.length (frames "u"))))
 
 let () =
   Alcotest.run "server"
@@ -324,12 +394,6 @@ let () =
           Alcotest.test_case "parses solve" `Quick test_parse_solve;
           Alcotest.test_case "typed rejections" `Quick test_parse_rejections;
           Alcotest.test_case "errors echo the id" `Quick test_error_id_echo;
-          Alcotest.test_case "solve_key is content-keyed" `Quick test_solve_key;
-        ] );
-      ( "batcher",
-        [
-          Alcotest.test_case "sheds at capacity, drains FIFO" `Quick
-            test_batcher_sheds_and_preserves_order;
         ] );
       ( "engine",
         [
@@ -355,5 +419,9 @@ let () =
         [
           Alcotest.test_case "socket round trip and graceful stop" `Quick
             test_socket_round_trip;
+          Alcotest.test_case "a full queue sheds with overloaded" `Quick
+            test_shedding;
+          Alcotest.test_case "span progress reaches only its request" `Quick
+            test_progress_routing;
         ] );
     ]
