@@ -24,12 +24,3 @@ let eval t x =
 let vars t = List.map fst t.coeffs
 
 let norm2 t = List.fold_left (fun acc (_, c) -> acc +. (c *. c)) 0. t.coeffs
-
-let scale k t =
-  { coeffs = List.map (fun (i, c) -> (i, k *. c)) t.coeffs; constant = k *. t.constant }
-
-let pp ppf t =
-  let pp_term ppf (i, c) = Format.fprintf ppf "%+g*x%d" c i in
-  Format.fprintf ppf "%a %+g"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ") pp_term)
-    t.coeffs t.constant

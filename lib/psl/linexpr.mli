@@ -17,7 +17,3 @@ val vars : t -> int list
 
 val norm2 : t -> float
 (** Squared Euclidean norm of the coefficient vector. *)
-
-val scale : float -> t -> t
-
-val pp : Format.formatter -> t -> unit

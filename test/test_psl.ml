@@ -128,6 +128,107 @@ let property_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* --- bit-identity with the record-list kernel ---------------------------- *)
+
+let bits = Int64.bits_of_float
+
+(* Solution and energy compared bit for bit, not within a tolerance. *)
+let same_outcome (a : Admm.outcome) (b : Admm.outcome) =
+  a.Admm.iterations = b.Admm.iterations
+  && a.Admm.converged = b.Admm.converged
+  && bits a.Admm.energy = bits b.Admm.energy
+  && Array.length a.Admm.solution = Array.length b.Admm.solution
+  && Array.for_all2 (fun u w -> bits u = bits w) a.Admm.solution b.Admm.solution
+
+let options_gen =
+  let open QCheck2.Gen in
+  let* rho = oneofl [ 0.25; 0.5; 1.; 1.7; 4. ] in
+  let+ max_iter = oneofl [ 0; 1; 2; 3; 7; 40; 300; 2000 ] in
+  { Admm.default_options with Admm.rho; max_iter }
+
+(* Every factor kind the kernel distinguishes, with the shapes it drops
+   (zero weights, empty expressions) and raw expressions that
+   [Linexpr.make] would normalise away: zero coefficients (so a zero
+   norm), repeated variables. The non-finite numbers it offers must be
+   rejected by [Hlmrf], so every solution stays finite. *)
+let oracle_model_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 5 in
+  let expr_gen =
+    let* k = int_range 0 4 in
+    let* terms =
+      list_size (return k)
+        (pair (int_range 0 (n - 1)) (oneofl [ -1.; -0.5; 0.; 0.3; 1.; 2. ]))
+    in
+    let* b = float_range (-1.5) 1.5 in
+    let* raw = bool in
+    return (if raw then { Linexpr.coeffs = terms; constant = b } else Linexpr.make terms b)
+  in
+  let factor_gen =
+    let* e = expr_gen in
+    let* w = oneof [ return 0.; float_range 0. 3. ] in
+    let* sign = oneofl [ 1.; -1. ] in
+    let pot p m = Hlmrf.add_potential m p and con c m = Hlmrf.add_constraint m c in
+    oneofl
+      [
+        pot (Hlmrf.Hinge { weight = w; expr = e; squared = false });
+        pot (Hlmrf.Hinge { weight = w; expr = e; squared = true });
+        pot (Hlmrf.Linear { weight = sign *. w; expr = e });
+        con (Hlmrf.Leq e);
+        con (Hlmrf.Eq e);
+        pot (linear Float.nan [ (0, 1.) ] 0.);
+        pot (hinge 1. [ (0, 1.) ] Float.infinity);
+        con (Hlmrf.Leq (Linexpr.make [ (0, Float.neg_infinity) ] 0.));
+      ]
+  in
+  let+ adds = list_size (int_range 0 10) factor_gen in
+  let m = Hlmrf.create ~num_vars:n in
+  List.iter (fun add -> try add m with Invalid_argument _ -> ()) adds;
+  m
+
+(* CMD's own ground models, linear and squared, on scenarios shaped like
+   the pipeline benchmark's [small] workload: every primitive once, 32
+   rows, noise 25/20/20. *)
+let cmd_models =
+  lazy
+    (List.init 4 (fun k ->
+         let config =
+           {
+             Ibench.Config.default with
+             Ibench.Config.primitives = List.map (fun p -> (p, 1)) Ibench.Primitive.all;
+             rows_per_relation = 32;
+             pi_corresp = 25;
+             pi_errors = 20;
+             pi_unexplained = 20;
+             seed = 101 + k;
+           }
+         in
+         let s = Ibench.Generator.generate config in
+         let p =
+           Core.Problem.make ~source:s.Ibench.Scenario.instance_i
+             ~j:s.Ibench.Scenario.instance_j s.Ibench.Scenario.candidates
+         in
+         let reduced = (Core.Preprocess.run p).Core.Preprocess.problem in
+         [ Core.Cmd.build_model reduced; Core.Cmd.build_model ~squared:true reduced ])
+    |> List.concat |> Array.of_list)
+
+let oracle_tests =
+  let open QCheck2 in
+  let agrees (options, m) =
+    let r = Admm.solve ~options m in
+    same_outcome r (Admm_oracle.solve ~options m)
+    && Array.for_all Float.is_finite r.Admm.solution
+  in
+  [
+    Test.make ~name:"flat kernel is bit-identical to the record kernel" ~count:500
+      Gen.(pair options_gen oracle_model_gen)
+      agrees;
+    Test.make ~name:"bit-identical on CMD's ground models" ~count:24
+      Gen.(pair options_gen (int_bound 7))
+      (fun (options, k) -> agrees (options, (Lazy.force cmd_models).(k)));
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 (* --- rule layer -------------------------------------------------------- *)
 
 let smokers_db friends =
@@ -564,6 +665,28 @@ let non_finite_tests =
             Alcotest.(check int) "nothing was added" 0
               (Hlmrf.num_potentials m + Hlmrf.num_constraints m))
           non_finite);
+    Alcotest.test_case "Admm.solve rejects invalid options" `Quick (fun () ->
+        (* minimise x over [0,1] *)
+        let m = Hlmrf.create ~num_vars:1 in
+        Hlmrf.add_potential m (linear 1. [ (0, 1.) ] 0.);
+        let d = Admm.default_options in
+        let rejects name options =
+          Alcotest.(check bool) name true (raises_invalid (fun () -> Admm.solve ~options m))
+        in
+        List.iter
+          (fun rho -> rejects (Printf.sprintf "rho %g" rho) { d with Admm.rho })
+          ([ -1.; 0. ] @ non_finite);
+        List.iter
+          (fun eps ->
+            rejects (Printf.sprintf "eps_abs %g" eps) { d with Admm.eps_abs = eps };
+            rejects (Printf.sprintf "eps_rel %g" eps) { d with Admm.eps_rel = eps })
+          (-1e-4 :: non_finite);
+        rejects "max_iter -1" { d with Admm.max_iter = -1 };
+        let r =
+          Admm.solve ~options:{ d with Admm.eps_abs = 0.; eps_rel = 0.; max_iter = 0 } m
+        in
+        Alcotest.(check int) "zero tolerances and iterations are valid" 0
+          r.Admm.iterations);
     Alcotest.test_case "parse reports the line of a non-finite number" `Quick
       (fun () ->
         let line_of text =
@@ -591,6 +714,7 @@ let () =
       ("linexpr", linexpr_tests);
       ("admm", admm_tests);
       ("admm-properties", property_tests);
+      ("admm-oracle", oracle_tests);
       ("database", database_tests);
       ("grounding", grounding_tests);
       ("learning", learning_tests);
