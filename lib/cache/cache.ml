@@ -7,6 +7,58 @@ open Util
 let key_bytes_counter = Telemetry.Counter.make "cache.key_bytes"
 
 module Key = struct
+  (* A growable byte buffer: a key frame is rendered into one writer and
+     hashed in place with [Digest.subbytes], so no part is copied into a
+     frame and no frame into a string. *)
+  type writer = {
+    mutable bytes : Bytes.t;
+    mutable len : int;
+  }
+
+  let writer size = { bytes = Bytes.create (max size 16); len = 0 }
+
+  (* Each domain keeps one writer for the large frames, so a key does not
+     allocate and regrow its frame. It is taken while in use: a nested or
+     concurrent caller gets a fresh one. *)
+  let scratch = Domain.DLS.new_key (fun () -> ref (Some (writer 65536)))
+
+  let with_scratch f =
+    let slot = Domain.DLS.get scratch in
+    let w = match !slot with Some w -> w | None -> writer 65536 in
+    slot := None;
+    w.len <- 0;
+    Fun.protect ~finally:(fun () -> slot := Some w) (fun () -> f w)
+
+  let length w = w.len
+
+  let contents w = Bytes.sub_string w.bytes 0 w.len
+
+  (* Room for [n] more bytes. *)
+  let reserve w n =
+    let need = w.len + n in
+    if need > Bytes.length w.bytes then begin
+      let bytes = Bytes.create (max need (2 * Bytes.length w.bytes)) in
+      Bytes.blit w.bytes 0 bytes 0 w.len;
+      w.bytes <- bytes
+    end
+
+  let add_char w c =
+    if w.len >= Bytes.length w.bytes then reserve w 1;
+    Bytes.unsafe_set w.bytes w.len c;
+    w.len <- w.len + 1
+
+  let add_string w s =
+    let n = String.length s in
+    reserve w n;
+    Bytes.unsafe_blit_string s 0 w.bytes w.len n;
+    w.len <- w.len + n
+
+  let add_copy w start stop =
+    let n = stop - start in
+    reserve w n;
+    Bytes.blit w.bytes start w.bytes w.len n;
+    w.len <- w.len + n
+
   (* Percent-encode everything outside [A-Za-z0-9_.~-] so renderings can be
      joined with spaces/commas unambiguously. *)
   let plain = function
@@ -25,97 +77,132 @@ module Key = struct
 
   let hex_digits = "0123456789ABCDEF"
 
-  let add_enc buf s =
-    let n = String.length s in
-    if all_plain s 0 n then Buffer.add_string buf s
+  (* Copies [s] from [i] to [bytes] at [base + i] while it is plain, and
+     returns where it stopped. *)
+  let rec copy_plain bytes base s i n =
+    if i >= n then n
     else
-      for i = 0 to n - 1 do
-        let c = String.unsafe_get s i in
-        if is_plain c then Buffer.add_char buf c
-        else begin
-          Buffer.add_char buf '%';
-          Buffer.add_char buf hex_digits.[Char.code c lsr 4];
-          Buffer.add_char buf hex_digits.[Char.code c land 15]
-        end
-      done
+      let c = String.unsafe_get s i in
+      if is_plain c then begin
+        Bytes.unsafe_set bytes (base + i) c;
+        copy_plain bytes base s (i + 1) n
+      end
+      else i
+
+  let add_enc w s =
+    let n = String.length s in
+    reserve w n;
+    let plain = copy_plain w.bytes w.len s 0 n in
+    w.len <- w.len + plain;
+    for i = plain to n - 1 do
+      let c = String.unsafe_get s i in
+      if is_plain c then add_char w c
+      else begin
+        add_char w '%';
+        add_char w hex_digits.[Char.code c lsr 4];
+        add_char w hex_digits.[Char.code c land 15]
+      end
+    done
+
+  let enc s =
+    if all_plain s 0 (String.length s) then s
+    else begin
+      let w = writer 16 in
+      add_enc w s;
+      contents w
+    end
 
   (* [string_of_int], digit by digit: [n <= 0] here, so [min_int] needs no
      negation. *)
-  let rec add_nonpos buf n =
-    if n <= -10 then add_nonpos buf (n / 10);
-    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  let rec add_nonpos w n =
+    if n <= -10 then add_nonpos w (n / 10);
+    add_char w (Char.unsafe_chr (Char.code '0' - (n mod 10)))
 
-  let add_int buf n =
+  let add_int w n =
     if n < 0 then begin
-      Buffer.add_char buf '-';
-      add_nonpos buf n
+      add_char w '-';
+      add_nonpos w n
     end
-    else add_nonpos buf (-n)
+    else add_nonpos w (-n)
 
-  let add_value buf = function
+  let add_value w = function
     | Value.Const s ->
-      Buffer.add_char buf 'C';
-      add_enc buf s
+      add_char w 'C';
+      add_enc w s
     | Value.Null n ->
-      Buffer.add_char buf 'N';
-      add_int buf n
+      add_char w 'N';
+      add_int w n
 
-  let add_tuple buf (t : Tuple.t) =
-    Buffer.add_char buf 'R';
-    add_enc buf t.Tuple.rel;
-    let values = t.Tuple.values in
+  let add_values w values =
     for i = 0 to Array.length values - 1 do
-      Buffer.add_char buf ' ';
-      add_value buf (Array.unsafe_get values i)
+      add_char w ' ';
+      add_value w (Array.unsafe_get values i)
     done
 
+  let add_tuple w (t : Tuple.t) =
+    add_char w 'R';
+    add_enc w t.Tuple.rel;
+    add_values w t.Tuple.values
+
   (* [Instance.tuples] order: relations ascending, each relation's tuples
-     in descending set order. *)
-  let add_instance buf inst =
+     in descending set order, the relation name encoded once. *)
+  let add_instance w inst =
     let first = ref true in
     List.iter
       (fun rel ->
-        Seq.iter
-          (fun t ->
-            if !first then first := false else Buffer.add_char buf ',';
-            add_tuple buf t)
-          (Tuple.Set.to_rev_seq (Instance.tuples_of inst rel)))
+        let head = "R" ^ enc rel in
+        List.iter
+          (fun (t : Tuple.t) ->
+            if !first then first := false else add_char w ',';
+            add_string w head;
+            add_values w t.Tuple.values)
+          (Tuple.Set.fold List.cons (Instance.tuples_of inst rel) []))
       (Instance.relations inst)
 
-  let add_frac buf f =
-    add_int buf (Frac.num f);
-    Buffer.add_char buf '/';
-    add_int buf (Frac.den f)
+  let add_frac w f =
+    add_int w (Frac.num f);
+    add_char w '/';
+    add_int w (Frac.den f)
 
-  let add_string_part frame p =
-    add_int frame (String.length p);
-    Buffer.add_char frame ':';
-    Buffer.add_string frame p
+  let add_string_part w p =
+    add_int w (String.length p);
+    add_char w ':';
+    add_string w p
 
-  let add_part frame part =
-    add_int frame (Buffer.length part);
-    Buffer.add_char frame ':';
-    Buffer.add_buffer frame part
+  (* The part's bytes move up by the width of its [<len>:] header, which is
+     written where they began. *)
+  let close_part w start =
+    let n = w.len - start in
+    let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
+    let digits = width n in
+    reserve w (digits + 1);
+    Bytes.blit w.bytes start w.bytes (start + digits + 1) n;
+    let rec put i n =
+      Bytes.unsafe_set w.bytes i (Char.unsafe_chr (Char.code '0' + (n mod 10)));
+      if n >= 10 then put (i - 1) (n / 10)
+    in
+    put (start + digits - 1) n;
+    Bytes.unsafe_set w.bytes (start + digits) ':';
+    w.len <- w.len + digits + 1
 
-  let md5_hex frame = Digest.to_hex (Digest.string (Buffer.contents frame))
+  let set w pos s = Bytes.blit_string s 0 w.bytes pos (String.length s)
 
-  let digest_frame frame =
-    if Telemetry.enabled () then
-      Telemetry.Counter.add key_bytes_counter (Buffer.length frame);
-    md5_hex frame
+  let md5_hex w ~from =
+    Digest.to_hex (Digest.subbytes w.bytes from (w.len - from))
+
+  let digest_frame w =
+    if Telemetry.enabled () then Telemetry.Counter.add key_bytes_counter w.len;
+    md5_hex w ~from:0
 
   let digest parts =
-    let frame = Buffer.create 256 in
-    List.iter (add_string_part frame) parts;
-    digest_frame frame
+    let w = writer 256 in
+    List.iter (add_string_part w) parts;
+    digest_frame w
 
   let render size add x =
-    let buf = Buffer.create size in
-    add buf x;
-    Buffer.contents buf
-
-  let enc s =
-    if all_plain s 0 (String.length s) then s else render 16 add_enc s
+    let w = writer size in
+    add w x;
+    contents w
 
   let value v = render 16 add_value v
 
@@ -138,7 +225,7 @@ end
 type payload =
   | Stats of Cover.tgd_stats  (* stored with [index = 0] *)
   | Selection of bool array
-  | Chase_result of Chase.result
+  | Chase_triggers of Chase.Trigger.t list
 
 (* Completed entries sit in a circular doubly-linked list through a
    sentinel: most recent after the sentinel, eviction victim before it.
@@ -310,28 +397,29 @@ let lookup t key compute =
 (* --- typed entry points ------------------------------------------------- *)
 
 (* A problem build needs both keys and, on a fully warm build, key
-   derivation is its dominant cost: each instance is rendered once, the
-   source framed into both digests, and one frame buffer sized for the
-   larger digest serves both. *)
+   derivation is its dominant cost: one writer holds both frames, each
+   instance rendered into it once. The frame ["src"; source] is written from
+   byte 1 and hashed; its one-byte-longer header ["data"] is then written
+   over bytes 0 to 5, and [j] appended, for the frame
+   ["data"; source; j]. *)
 let example_keys ~source ~j =
   Telemetry.with_span "cache.key" (fun () ->
-      let src = Buffer.create 4096 in
-      Key.add_instance src source;
-      let tgt = Buffer.create (Buffer.length src + 16) in
-      Key.add_instance tgt j;
-      let frame = Buffer.create (Buffer.length src + Buffer.length tgt + 48) in
-      Key.add_string_part frame "src";
-      Key.add_part frame src;
-      let src_bytes = Buffer.length frame in
-      let source_key = Key.md5_hex frame in
-      Buffer.clear frame;
-      Key.add_string_part frame "data";
-      Key.add_part frame src;
-      Key.add_part frame tgt;
+      let src_header = "3:src" and data_header = "4:data" in
+      Key.with_scratch @@ fun w ->
+      Key.add_char w ' ';
+      Key.add_string w src_header;
+      let start = Key.length w in
+      Key.add_instance w source;
+      Key.close_part w start;
+      let source_key = Key.md5_hex w ~from:1 in
+      let src_bytes = Key.length w - 1 in
+      Key.set w 0 data_header;
+      let start = Key.length w in
+      Key.add_instance w j;
+      Key.close_part w start;
       if Telemetry.enabled () then
-        Telemetry.Counter.add key_bytes_counter
-          (src_bytes + Buffer.length frame);
-      (source_key, Key.md5_hex frame))
+        Telemetry.Counter.add key_bytes_counter (src_bytes + Key.length w);
+      (source_key, Key.md5_hex w ~from:0))
 
 (* The chase depends on (source, tgd) only — not on the target instance —
    so a sweep over noise levels that perturb only [J] reuses every chase
@@ -339,10 +427,10 @@ let example_keys ~source ~j =
 let chase t ~source_key tgd compute =
   let key = Key.digest [ "chase"; Key.tgd tgd; source_key ] in
   let payload =
-    lookup t key (fun () -> Chase_result (compute ()))
+    lookup t key (fun () -> Chase_triggers (compute ()))
   in
   match payload with
-  | Chase_result r -> r
+  | Chase_triggers r -> r
   | _ -> assert false
 
 let tgd_stats t ?(semantics = Cover.Corroborated) ?(core = false) ~data_key

@@ -65,42 +65,70 @@ val default : unit -> (t option, string) result
     percent-encoded where needed), so distinct inputs never share a
     digest other than by hash collision.
 
-    The [add_*] writers append a rendering to a buffer; the string
+    The [add_*] functions append a rendering to a {!writer}; the string
     functions are thin wrappers over them. Every key in the system is
-    derived through these writers, and {b every key byte is the old one}:
-    the writers emit exactly what the string-concatenating renderers
+    derived through these functions, and {b every key byte is the old
+    one}: they emit exactly what the string-concatenating renderers
     emitted, so pinned problem digests and the serving daemon's wire
     digests stay valid. *)
 module Key : sig
-  val add_enc : Buffer.t -> string -> unit
+  type writer
+  (** A growable byte buffer. A key frame is rendered into one writer, each
+      part framed in place by {!close_part}, and hashed in place by
+      {!digest_frame}: no part is copied into a frame and no frame into a
+      string. *)
+
+  val writer : int -> writer
+  (** An empty writer with room for the given number of bytes; it grows as
+      needed. *)
+
+  val with_scratch : (writer -> 'a) -> 'a
+  (** [with_scratch f] runs [f] on the calling domain's reusable writer,
+      emptied, so that a large frame is neither allocated nor regrown per
+      key. [f] must not keep the writer. A nested call gets a fresh
+      writer. *)
+
+  val length : writer -> int
+
+  val contents : writer -> string
+
+  val add_char : writer -> char -> unit
+
+  val add_string : writer -> string -> unit
+
+  val add_copy : writer -> int -> int -> unit
+  (** [add_copy w start stop] appends a copy of the bytes [start .. stop - 1]
+      already written. *)
+
+  val add_enc : writer -> string -> unit
   (** Percent-encodes every byte outside [[A-Za-z0-9_.~-]] as [%XX]
       (upper-case hex). *)
 
-  val add_int : Buffer.t -> int -> unit
+  val add_int : writer -> int -> unit
   (** Decimal, exactly [string_of_int]. *)
 
-  val add_value : Buffer.t -> Relational.Value.t -> unit
+  val add_value : writer -> Relational.Value.t -> unit
   (** [C<enc const>] or [N<label>]. *)
 
-  val add_tuple : Buffer.t -> Relational.Tuple.t -> unit
+  val add_tuple : writer -> Relational.Tuple.t -> unit
   (** [R<enc rel>] then a space before each value. *)
 
-  val add_instance : Buffer.t -> Relational.Instance.t -> unit
+  val add_instance : writer -> Relational.Instance.t -> unit
   (** Tuples in [Relational.Instance.tuples] order, comma-separated. *)
 
-  val add_frac : Buffer.t -> Util.Frac.t -> unit
+  val add_frac : writer -> Util.Frac.t -> unit
   (** [<num>/<den>] of the reduced fraction. *)
 
-  val add_string_part : Buffer.t -> string -> unit
-  (** [add_string_part frame p] appends the framed part [<len>:<p>]. *)
+  val add_string_part : writer -> string -> unit
+  (** [add_string_part w p] appends the framed part [<len>:<p>]. *)
 
-  val add_part : Buffer.t -> Buffer.t -> unit
-  (** [add_part frame part] appends [<len>:<contents of part>], so a part
-      can be rendered into a reusable buffer with the writers and framed
-      without building its string. [part] is left as it was. *)
+  val close_part : writer -> int -> unit
+  (** [close_part w start] frames the bytes written since [start] as one
+      part: they become [<len>:<bytes>]. A part is rendered with the
+      [add_*] functions straight into the frame and closed when done. *)
 
-  val digest_frame : Buffer.t -> string
-  (** Hex MD5 of a frame built by {!add_part}/{!add_string_part}. Adds the
+  val digest_frame : writer -> string
+  (** Hex MD5 of a frame built by {!close_part}/{!add_string_part}. Adds the
       frame's length to the [cache.key_bytes] counter. *)
 
   val digest : string list -> string
@@ -164,10 +192,11 @@ val chase :
   t ->
   source_key : string ->
   Logic.Tgd.t ->
-  (unit -> Chase.result) ->
-  Chase.result
+  (unit -> Chase.Trigger.t list) ->
+  Chase.Trigger.t list
 (** [chase t ~source_key tgd compute] memoizes a single-tgd chase of the
-    source under [(tgd, source_key)]. The chase depends only on the source
+    source, its triggers ({!Chase.fire}), under [(tgd, source_key)]. The
+    chase depends only on the source
     and the tgd (null labels are deterministic per run), never on the
     target instance — so a noise sweep that perturbs only [J] hits this
     tier at every level. The returned result is shared, not copied;

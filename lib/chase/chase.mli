@@ -32,17 +32,36 @@ type result = {
       (** all firings, ordered by tgd index then substitution *)
 }
 
+val fire :
+  ?nulls : Relational.Null_source.t ->
+  ?index : Logic.Cq.Index.t ->
+  Relational.Instance.t ->
+  Logic.Tgd.t list ->
+  Trigger.t list
+(** [fire src tgds] lists every firing of [tgds] over [src], ordered by tgd
+    index then substitution, without building the solution: the union of
+    the trigger tuples is left to the caller that reads it. Fresh nulls are
+    drawn from [nulls] (a new source starting at 0 by default). Bodies are
+    evaluated through [index] (built on demand when absent); callers that
+    chase the same source many times should build the index once with
+    [Logic.Cq.Index.build] and pass it in. Recorded as the [chase.run] span
+    and the [chase.runs], [chase.triggers] and [chase.tuples_produced]
+    counters. *)
+
+val solution_of : Trigger.t list -> Relational.Instance.t
+(** The union of the trigger tuples: the canonical universal solution of
+    the firings. *)
+
 val run :
   ?nulls : Relational.Null_source.t ->
   ?index : Logic.Cq.Index.t ->
   Relational.Instance.t ->
   Logic.Tgd.t list ->
   result
-(** [run src tgds] chases [src] with the mapping [tgds]. Fresh nulls are
-    drawn from [nulls] (a new source starting at 0 by default). Bodies are
-    evaluated through [index] (built on demand when absent); callers that
-    chase the same source many times should build the index once with
-    [Logic.Cq.Index.build] and pass it in. *)
+(** [run src tgds] chases [src] with the mapping [tgds]: {!fire}, then the
+    solution built by {!solution_of}. The selection pipeline reads only the
+    triggers, so it calls {!fire} and builds a solution only where the
+    core stage needs one. *)
 
 val universal_solution :
   ?nulls : Relational.Null_source.t ->

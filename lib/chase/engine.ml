@@ -46,7 +46,7 @@ let triggers_counter = Telemetry.Counter.make "chase.triggers"
 
 let tuples_counter = Telemetry.Counter.make "chase.tuples_produced"
 
-let run ?nulls ?index src tgds =
+let fire ?nulls ?index src tgds =
   Telemetry.with_span "chase.run" @@ fun () ->
   let nulls = match nulls with Some n -> n | None -> Null_source.create () in
   (* one index over the source serves every tgd body; callers chasing the
@@ -56,11 +56,6 @@ let run ?nulls ?index src tgds =
   let triggers =
     List.concat (List.mapi (fun i tgd -> fire_tgd ~nulls ~tgd_index:i tgd index) tgds)
   in
-  let solution =
-    List.fold_left
-      (fun inst (tr : Trigger.t) -> Instance.add_all tr.Trigger.tuples inst)
-      Instance.empty triggers
-  in
   if Telemetry.enabled () then begin
     Telemetry.Counter.incr runs_counter;
     Telemetry.Counter.add triggers_counter (List.length triggers);
@@ -69,7 +64,16 @@ let run ?nulls ?index src tgds =
          (fun acc (tr : Trigger.t) -> acc + List.length tr.Trigger.tuples)
          0 triggers)
   end;
-  { solution; triggers }
+  triggers
+
+let solution_of triggers =
+  List.fold_left
+    (fun inst (tr : Trigger.t) -> Instance.add_all tr.Trigger.tuples inst)
+    Instance.empty triggers
+
+let run ?nulls ?index src tgds =
+  let triggers = fire ?nulls ?index src tgds in
+  { solution = solution_of triggers; triggers }
 
 let universal_solution ?nulls ?index src tgds = (run ?nulls ?index src tgds).solution
 
@@ -77,12 +81,7 @@ let run_columnar ?nulls col tgds =
   run ?nulls ~index:col (Relational.Index.instance col) tgds
 
 let check_result ~source { solution; triggers } =
-  let union =
-    List.fold_left
-      (fun inst (tr : Trigger.t) -> Instance.add_all tr.Trigger.tuples inst)
-      Instance.empty triggers
-  in
-  if not (Instance.equal union solution) then
+  if not (Instance.equal (solution_of triggers) solution) then
     Error "solution is not the union of the trigger tuples"
   else
     let rec check_triggers seen = function

@@ -101,66 +101,61 @@ let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
   of_stats ?weights ~j stats
 
 (* One pass into one frame, byte for byte the length-prefixed part list
-   ["problem"; weights; each J tuple; each candidate's statistics]. Every J
-   tuple is rendered once into [jtext]; a cover entry reuses its tuple's
-   bytes through [t.covers], whose per-candidate order is the covers map's
-   (every covered tuple is a tuple of J, so nothing in the map is missed). *)
+   ["problem"; weights; each J tuple; each candidate's statistics], each
+   part rendered in place and framed when closed. Every J tuple is rendered
+   once, as its own part; a cover entry copies its tuple's bytes from there
+   through [t.covers], whose per-candidate order is the covers map's (every
+   covered tuple is a tuple of J, so nothing in the map is missed). *)
 let digest t =
   Telemetry.with_span "cache.key" (fun () ->
       let module K = Cache.Key in
-      let jbuf = Buffer.create (64 * Array.length t.tuples) in
-      let ends =
-        Array.map
-          (fun tu ->
-            K.add_tuple jbuf tu;
-            Buffer.length jbuf)
-          t.tuples
-      in
-      let jtext = Buffer.contents jbuf in
-      let add_j buf i =
-        let start = if i = 0 then 0 else ends.(i - 1) in
-        Buffer.add_substring buf jtext start (ends.(i) - start)
-      in
-      let frame = Buffer.create ((4 * String.length jtext) + 256) in
-      let part = Buffer.create 256 in
-      K.add_string_part frame "problem";
-      Buffer.add_string part "w ";
-      K.add_int part t.weights.w_unexplained;
-      Buffer.add_char part ' ';
-      K.add_int part t.weights.w_errors;
-      Buffer.add_char part ' ';
-      K.add_int part t.weights.w_size;
-      K.add_part frame part;
-      for i = 0 to Array.length t.tuples - 1 do
-        Buffer.clear part;
-        add_j part i;
-        K.add_part frame part
-      done;
+      K.with_scratch @@ fun w ->
+      K.add_string_part w "problem";
+      let start = K.length w in
+      K.add_string w "w ";
+      K.add_int w t.weights.w_unexplained;
+      K.add_char w ' ';
+      K.add_int w t.weights.w_errors;
+      K.add_char w ' ';
+      K.add_int w t.weights.w_size;
+      K.close_part w start;
+      (* [first.(i)], [stop.(i)]: where J tuple [i]'s bytes lie in the frame *)
+      let first = Array.make (Array.length t.tuples) 0 in
+      let stop = Array.make (Array.length t.tuples) 0 in
+      Array.iteri
+        (fun i tu ->
+          let start = K.length w in
+          K.add_tuple w tu;
+          let n = K.length w - start in
+          K.close_part w start;
+          stop.(i) <- K.length w;
+          first.(i) <- stop.(i) - n)
+        t.tuples;
       Array.iteri
         (fun c (s : Cover.tgd_stats) ->
-          Buffer.clear part;
-          K.add_enc part (Logic.Tgd.to_string s.Cover.tgd);
-          Buffer.add_string part "|cost ";
-          K.add_frac part t.cand_cost.(s.Cover.index);
+          let start = K.length w in
+          K.add_enc w (Logic.Tgd.to_string s.Cover.tgd);
+          K.add_string w "|cost ";
+          K.add_frac w t.cand_cost.(s.Cover.index);
           Array.iter
             (fun (i, d) ->
-              Buffer.add_string part "|cover ";
-              add_j part i;
-              Buffer.add_char part ' ';
-              K.add_frac part d)
+              K.add_string w "|cover ";
+              K.add_copy w first.(i) stop.(i);
+              K.add_char w ' ';
+              K.add_frac w d)
             t.covers.(c);
           List.iter
             (fun tu ->
-              Buffer.add_string part "|error ";
-              K.add_tuple part tu)
+              K.add_string w "|error ";
+              K.add_tuple w tu)
             s.Cover.error_tuples;
-          Buffer.add_string part "|produced ";
-          K.add_int part s.Cover.produced;
-          Buffer.add_string part "|size ";
-          K.add_int part s.Cover.size;
-          K.add_part frame part)
+          K.add_string w "|produced ";
+          K.add_int w s.Cover.produced;
+          K.add_string w "|size ";
+          K.add_int w s.Cover.size;
+          K.close_part w start)
         t.stats;
-      K.digest_frame frame)
+      K.digest_frame w)
 
 let num_candidates t = Array.length t.candidates
 

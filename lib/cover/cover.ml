@@ -46,26 +46,18 @@ let maps_into pattern inst =
 
 (* --- the J index ------------------------------------------------------ *)
 
-module Vtbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-
-  let hash = Hashtbl.hash
-end)
-
 (* One relation of J: its tuples in canonical order, and per position a
    posting list of row numbers for every value found there, each in
    ascending order. A probe therefore visits its matches in the order a
    scan of the whole relation would. A position's lists are built on its
-   first probe: probes keep to the few positions where candidates put
-   constants. [best] is scratch space for the candidate being folded: the
+   first probe: probes keep to the positions where candidates put
+   constants or join on a null. [best] is scratch space for the candidate being folded: the
    largest number of positions any of its chase tuples accounts for in
    each row (0 for none yet). *)
 type rel_index = {
   rows : Tuple.t array;
   all_rows : int list;
-  postings : int list Vtbl.t option array;
+  postings : int list Value.Tbl.t option array;
   best : int array;
 }
 
@@ -110,13 +102,13 @@ let postings ri pos =
   match ri.postings.(pos) with
   | Some tbl -> tbl
   | None ->
-    let tbl = Vtbl.create (Array.length ri.rows) in
+    let tbl = Value.Tbl.create (Array.length ri.rows) in
     (* walking the rows downwards and consing leaves every list ascending *)
     for r = Array.length ri.rows - 1 downto 0 do
       let values = ri.rows.(r).Tuple.values in
       if pos < Array.length values then
-        Vtbl.replace tbl values.(pos)
-          (r :: Option.value ~default:[] (Vtbl.find_opt tbl values.(pos)))
+        Value.Tbl.replace tbl values.(pos)
+          (r :: Option.value ~default:[] (Value.Tbl.find_opt tbl values.(pos)))
     done;
     ri.postings.(pos) <- Some tbl;
     tbl
@@ -148,16 +140,29 @@ let take_covers jx =
 (* A trigger group under enumeration. Its nulls are numbered [0 ..], so the
    current assignment is an array of slots plus an undo trail rather than a
    map: [slot.(i).(pos)] is the slot of group tuple [i]'s null at [pos], or
-   [-1] where it holds a constant. *)
+   [-1] where it holds a constant. The tuples are decided in [order]: those
+   holding a constant first, so that their selective probes bind the nulls
+   the all-null tuples are then probed by. *)
 type group = {
   tuples : Tuple.t array;
   rels : rel_index array;  (** each tuple's relation of J *)
   slot : int array array;
   holders : int list array;  (** per slot: the group tuples holding it *)
+  order : int array;
+  isolable : bool array;
+      (** per tuple: no tuple decided after it holds one of its nulls *)
   value : Value.t array;  (** a slot's value, meaningful while bound *)
   bound : bool array;
   trail : int array;  (** slots bound so far, in binding order *)
   mutable top : int;
+  matched : bool array;  (** per tuple: bound to a row on this branch *)
+  best : int array;
+      (** per tuple: its best count over the leaves below the node that
+          bound it *)
+  found : bool array;  (** per tuple: some row matches it on its own *)
+  settled : bool array;  (** per tuple: its isolated pass is done *)
+  mutable probed : int;
+  mutable leaves : int;
 }
 
 let group_of jx tuples =
@@ -179,24 +184,54 @@ let group_of jx tuples =
           t.Tuple.values)
       tuples
   in
-  let n = !n in
+  let n = !n and count = Array.length tuples in
   let holders = Array.make n [] in
-  for i = Array.length tuples - 1 downto 0 do
+  for i = count - 1 downto 0 do
     Array.iter
       (fun s ->
         if s >= 0 && not (List.mem i holders.(s)) then
           holders.(s) <- i :: holders.(s))
       slot.(i)
   done;
+  let order = Array.make count 0 and decided = ref 0 in
+  let holds_constant i = Array.exists (fun s -> s < 0) slot.(i) in
+  List.iter
+    (fun first ->
+      for i = 0 to count - 1 do
+        if holds_constant i = first then begin
+          order.(!decided) <- i;
+          incr decided
+        end
+      done)
+    [ true; false ];
+  (* walking the order backwards, a null is held later once a tuple
+     decided after the current one holds it *)
+  let held_later = Array.make n false in
+  let free s = s < 0 || not held_later.(s) in
+  let hold s = if s >= 0 then held_later.(s) <- true in
+  let isolable = Array.make count false in
+  for d = count - 1 downto 0 do
+    let i = order.(d) in
+    isolable.(i) <- Array.for_all free slot.(i);
+    Array.iter hold slot.(i)
+  done;
   {
     tuples;
     rels = Array.map (fun (t : Tuple.t) -> rel_index jx t.Tuple.rel) tuples;
     slot;
     holders;
+    order;
+    isolable;
     value = Array.make n (Value.Const "");
     bound = Array.make n false;
     trail = Array.make n 0;
     top = 0;
+    matched = Array.make count false;
+    best = Array.make count 0;
+    found = Array.make count false;
+    settled = Array.make count false;
+    probed = 0;
+    leaves = 0;
   }
 
 let unbind g mark =
@@ -233,19 +268,32 @@ let bind g i r =
   done;
   !pos = n || (unbind g mark; false)
 
-(* The rows that may match group tuple [i]: the posting list of its first
-   constant position, or the whole relation when it has no constant. *)
+(* The rows that may match group tuple [i] under the current assignment:
+   the posting list of its first position holding a constant or a bound
+   null, or the whole relation when there is none. *)
 let probe g i =
   let ri = g.rels.(i) and slot = g.slot.(i) in
   let rec first pos =
     if pos >= Array.length slot then ri.all_rows
-    else if slot.(pos) >= 0 then first (pos + 1)
-    else if pos >= Array.length ri.postings then []
     else
-      Option.value ~default:[]
-        (Vtbl.find_opt (postings ri pos) g.tuples.(i).Tuple.values.(pos))
+      let s = slot.(pos) in
+      if s >= 0 && not g.bound.(s) then first (pos + 1)
+      else if pos >= Array.length ri.postings then []
+      else
+        let v =
+          if s < 0 then g.tuples.(i).Tuple.values.(pos) else g.value.(s)
+        in
+        match Value.Tbl.find (postings ri pos) v with
+        | rows -> rows
+        | exception Not_found -> []
   in
   first 0
+
+(* The nulls of group tuple [i] from [pos] on are all unbound. *)
+let rec unbound g i pos =
+  let slot = g.slot.(i) in
+  pos >= Array.length slot
+  || ((slot.(pos) < 0 || not g.bound.(slot.(pos))) && unbound g i (pos + 1))
 
 (* Some group tuple other than [i] among [holders] is matched. *)
 let rec matched_elsewhere ~matched i = function
@@ -256,7 +304,7 @@ let rec matched_elsewhere ~matched i = function
    tuples with [matched.(k)] are matched: every constant, and each null
    the semantics credits. A corroborated null also occurs in another
    matched group tuple. The degree is this count over the arity. *)
-let covered_count ~semantics g ~matched i =
+let covered_count ~semantics g i =
   let slot = g.slot.(i) in
   let count = ref 0 in
   for pos = 0 to Array.length slot - 1 do
@@ -268,70 +316,97 @@ let covered_count ~semantics g ~matched i =
       | Strict -> false
       | Generous -> true
       | Corroborated ->
-        matched_elsewhere ~matched i g.holders.(s)
+        matched_elsewhere ~matched:g.matched i g.holders.(s)
     in
     if credited then incr count
   done;
   !count
 
-(* Enumerate all consistent configurations of one trigger group, raise the
-   per-row best coverage counts and prepend the group's error tuples to
-   [errors]. A configuration assigns each group tuple either to one of its
-   options — the rows it matches on its own — consistently with the nulls
-   the group shares, or to "unmatched". A tuple without options is an
-   error tuple. A leaf only raises [best.(k)], the best count of each
-   matched tuple over the leaves below the node that bound it; that node
-   records it when it is left. *)
-let fold_group ~semantics ~jx tuples errors =
-  let g = group_of jx tuples in
-  let n = Array.length tuples in
-  let probed = ref 0 and leaves = ref 0 in
-  (* each tuple's options, bound one at a time to the empty assignment *)
-  let options =
-    Array.init n (fun i ->
-        List.filter
-          (fun r ->
-            incr probed;
-            bind g i r && (unbind g 0; true))
-          (probe g i))
-  in
-  let matched = Array.make n false in
-  let best = Array.make n 0 in
-  let rec explore i =
-    if i >= n then begin
-      incr leaves;
-      for k = 0 to n - 1 do
-        if matched.(k) then
-          best.(k) <- max best.(k) (covered_count ~semantics g ~matched k)
-      done
+(* Enumerate the consistent configurations of one trigger group, raising
+   the per-row best coverage counts. A configuration assigns each group
+   tuple either to a row of J it matches, consistently with the nulls the
+   group shares, or to "unmatched". A leaf only raises [g.best.(k)], the
+   best count of each matched tuple over the leaves below the node that
+   bound it; that node records it when it is left.
+
+   The tuples are decided in [g.order], each probed under the current
+   assignment. A tuple reached with its nulls all unbound and held by no
+   tuple decided later is isolated: matching it binds nothing a later
+   tuple reads, and no matched tuple shares a null with it, so no branch
+   on it changes another tuple's count, and its own count in every such
+   branch is that of "only it matched". It is not branched on; instead
+   [settle] raises every row it matches on its own to that count, once per
+   group, since the count is the same wherever the tuple is isolated. A
+   tuple is an error tuple when no row matches it on its own. Along the
+   branch that leaves every earlier tuple unmatched its probe is that of
+   the empty assignment, so [g.found] is exact once the enumeration ends,
+   and a settled tuple whose count is 0 raises nothing and needs only its
+   first match. *)
+let rec settle_rows ~jx g i alone = function
+  | [] -> ()
+  | r :: rest ->
+    g.probed <- g.probed + 1;
+    let mark = g.top in
+    if bind g i r then begin
+      unbind g mark;
+      g.found.(i) <- true;
+      raise_best jx g.rels.(i) r alone
+    end;
+    if alone > 0 || not g.found.(i) then settle_rows ~jx g i alone rest
+
+let settle ~semantics ~jx g i =
+  g.settled.(i) <- true;
+  let alone = covered_count ~semantics g i in
+  if alone > 0 || not g.found.(i) then settle_rows ~jx g i alone (probe g i)
+
+let rec explore ~semantics ~jx g d =
+  let n = Array.length g.tuples in
+  if d >= n then begin
+    g.leaves <- g.leaves + 1;
+    for k = 0 to n - 1 do
+      if g.matched.(k) then
+        g.best.(k) <- max g.best.(k) (covered_count ~semantics g k)
+    done
+  end
+  else
+    let i = g.order.(d) in
+    if g.isolable.(i) && unbound g i 0 then begin
+      if not g.settled.(i) then settle ~semantics ~jx g i;
+      explore ~semantics ~jx g (d + 1)
     end
     else begin
-      explore (i + 1);
-      try_options i options.(i)
+      explore ~semantics ~jx g (d + 1);
+      try_rows ~semantics ~jx g d i (probe g i)
     end
-  and try_options i = function
-    | [] -> ()
-    | r :: rest ->
-      let mark = g.top in
-      if bind g i r then begin
-        matched.(i) <- true;
-        best.(i) <- 0;
-        explore (i + 1);
-        raise_best jx g.rels.(i) r best.(i);
-        matched.(i) <- false;
-        unbind g mark
-      end;
-      try_options i rest
-  in
-  explore 0;
+
+and try_rows ~semantics ~jx g d i = function
+  | [] -> ()
+  | r :: rest ->
+    g.probed <- g.probed + 1;
+    let mark = g.top in
+    if bind g i r then begin
+      g.found.(i) <- true;
+      g.matched.(i) <- true;
+      g.best.(i) <- 0;
+      explore ~semantics ~jx g (d + 1);
+      raise_best jx g.rels.(i) r g.best.(i);
+      g.matched.(i) <- false;
+      unbind g mark
+    end;
+    try_rows ~semantics ~jx g d i rest
+
+(* Folds one trigger group and prepends its error tuples to [errors]. *)
+let fold_group ~semantics ~jx tuples errors =
+  let g = group_of jx tuples in
+  explore ~semantics ~jx g 0;
   if Telemetry.enabled () then begin
-    Telemetry.Counter.add rows_probed !probed;
-    Telemetry.Counter.add configurations !leaves
+    Telemetry.Counter.add rows_probed g.probed;
+    Telemetry.Counter.add configurations g.leaves
   end;
   let errors = ref errors in
   Array.iteri
-    (fun i o -> if o = [] then errors := tuples.(i) :: !errors)
-    options;
+    (fun i found -> if not found then errors := tuples.(i) :: !errors)
+    g.found;
   !errors
 
 let fold_triggers ~semantics ~jx ~index tgd triggers =
@@ -355,47 +430,51 @@ let stats_of_triggers ?(semantics = Corroborated) ~j ~index tgd triggers =
   fold_triggers ~semantics ~jx:(index_j j) ~index tgd triggers
 
 (* Keep only the trigger tuples that survive into the core of the chased
-   target; a trigger whose whole group was retracted away disappears. With
-   coring on, coverage and errors are computed against the core universal
-   solution, so redundant chase tuples stop inflating [K_M] (and stop
-   counting as errors) — which is why cored stats are cached under their
-   own key and pinned by their own goldens. *)
-let core_triggers (result : Chase.result) =
-  let c = Chase.Core_solution.core result.Chase.solution in
-  if Instance.equal c result.Chase.solution then result.Chase.triggers
+   target [solution]; a trigger whose whole group was retracted away
+   disappears. With coring on, coverage and errors are computed against
+   the core universal solution, so redundant chase tuples stop inflating
+   [K_M] (and stop counting as errors) — which is why cored stats are
+   cached under their own key and pinned by their own goldens. *)
+let core_triggers solution triggers =
+  let c = Chase.Core_solution.core solution in
+  if Instance.equal c solution then triggers
   else
     List.filter_map
       (fun (tr : Chase.Trigger.t) ->
         match List.filter (fun t -> Instance.mem t c) tr.Chase.Trigger.tuples with
         | [] -> None
         | tuples -> Some { tr with Chase.Trigger.tuples })
-      result.Chase.triggers
-
-let stats_with ~semantics ~core ~jx ~index tgd result =
-  let triggers =
-    if core then core_triggers result else result.Chase.triggers
-  in
-  fold_triggers ~semantics ~jx ~index tgd triggers
+      triggers
 
 let stats_of_result ?(semantics = Corroborated) ?(core = false) ~j ~index tgd
-    result =
-  stats_with ~semantics ~core ~jx:(index_j j) ~index tgd result
+    (result : Chase.result) =
+  let triggers =
+    if core then core_triggers result.Chase.solution result.Chase.triggers
+    else result.Chase.triggers
+  in
+  fold_triggers ~semantics ~jx:(index_j j) ~index tgd triggers
 
 module Session = struct
-  type t = { chase : (Tgd.t -> Chase.result) Lazy.t; jx : j_index }
+  type t = {
+    source : Instance.t;
+    source_index : Cq.Index.t Lazy.t;
+    jx : j_index;
+  }
 
   let make ~source ~j =
-    let chase =
-      lazy
-        (let source_index = Logic.Cq.Index.build source in
-         fun tgd -> Chase.run ~index:source_index source [ tgd ])
+    { source; source_index = lazy (Cq.Index.build source); jx = index_j j }
+
+  let chase s tgd =
+    Chase.fire ~index:(Lazy.force s.source_index) s.source [ tgd ]
+
+  (* the uncored fold reads the triggers only: the chased instance is
+     built here, for the core stage, and nowhere else on this path *)
+  let stats ?(semantics = Corroborated) ?(core = false) s ~index tgd triggers =
+    let triggers =
+      if core then core_triggers (Chase.solution_of triggers) triggers
+      else triggers
     in
-    { chase; jx = index_j j }
-
-  let chase s tgd = (Lazy.force s.chase) tgd
-
-  let stats ?(semantics = Corroborated) ?(core = false) s ~index tgd result =
-    stats_with ~semantics ~core ~jx:s.jx ~index tgd result
+    fold_triggers ~semantics ~jx:s.jx ~index tgd triggers
 end
 
 let analyze ?semantics ?core ~source ~j tgds =

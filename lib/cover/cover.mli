@@ -64,8 +64,8 @@ val stats_of_triggers :
 (** Statistics of one tgd from its chase triggers. The triggers must all
     belong to the given tgd. Builds a {!Session}-style index over [j] for
     this one call: each relation a trigger tuple reaches is indexed once,
-    in time and space linear in its size, and then every match is found by
-    a posting-list probe instead of a scan. Analysing several candidates
+    in time and space linear in its size, and then matches are found by
+    posting-list probes (see {!Session}). Analysing several candidates
     against one [j] through {!analyze} or {!Session} builds that index only
     once. *)
 
@@ -95,7 +95,7 @@ val analyze :
 (** Chases [source] with each candidate separately and computes statistics
     for each; [analyze] is the precomputation step of the selection
     pipeline, run through one {!Session}. [I] is indexed once and each
-    candidate is chased over that index with {!Chase.run}, and [~core:true]
+    candidate is fired over that index with {!Chase.fire}, and [~core:true]
     applies the {!stats_of_result} core stage per candidate. [J] is indexed
     once for all candidates, so beyond the chase the cost per candidate is
     the posting-list probes its trigger groups make, not [|J|] per chase
@@ -111,18 +111,31 @@ val analyze :
     posting lists keyed by [(position, value)], a position's lists built
     on its first probe. A relation is indexed on its first probe, so the
     index costs time and space linear in the relations the candidates
-    reach. A chase tuple probes the posting list of its first constant
-    position, and scans the whole relation only when it has no constant.
-    The J-tuples it matches are its options; it is an error tuple exactly
-    when it has none, and the configurations of its trigger group are
-    enumerated over the options.
+    reach.
+
+    The chase half fires each candidate over one index of [I]
+    ({!Chase.fire}) and builds no chased instance: the fold reads the
+    triggers only, and [~core:true] builds the instance the core stage
+    shrinks.
+
+    A trigger group's configurations are enumerated with the tuples that
+    hold a constant decided first. Each tuple is probed under the current
+    assignment, by the posting list of its first position holding a
+    constant or an already bound null, and scans the whole relation only
+    when it has neither. A tuple whose nulls are all unbound and held by
+    no tuple decided later is isolated: no branch on it can change another
+    tuple's count, and its own count is that of "only it matched" (its
+    constants, or its arity under [Generous]). It is not branched on; each
+    row it matches is raised to that count once per group. A chase tuple
+    is an error tuple exactly when no row matches it on its own.
 
     The index is mutated as it fills and as each candidate is folded: a
     session belongs to one domain. Telemetry counts
-    [cover.relations_indexed] per session, and [cover.rows_probed]
-    (J-tuples the probes returned) and [cover.configurations]
-    (trigger-group configurations enumerated) per candidate fold, so the
-    latter two totals do not depend on the pool size. *)
+    [cover.relations_indexed] per session, and [cover.rows_probed] (rows
+    the fold tried to bind, whether in a branch or in an isolated tuple's
+    one pass) and [cover.configurations] (leaves of the enumeration, with
+    isolated tuples not branched on) per candidate fold, so the latter two
+    totals do not depend on the pool size. *)
 module Session : sig
   type t
 
@@ -130,9 +143,10 @@ module Session : sig
   (** Touches neither instance: the chase fixture and each relation's index
       are built when first needed. *)
 
-  val chase : t -> Logic.Tgd.t -> Chase.result
-  (** The candidate's chase of [I] on the session's shared fixture, the
-      same result {!analyze} derives statistics from. *)
+  val chase : t -> Logic.Tgd.t -> Chase.Trigger.t list
+  (** The candidate's firings over [I] ({!Chase.fire}) on the session's
+      shared fixture, the triggers {!analyze} derives statistics from. No
+      chased instance is built. *)
 
   val stats :
     ?semantics : semantics ->
@@ -140,9 +154,11 @@ module Session : sig
     t ->
     index : int ->
     Logic.Tgd.t ->
-    Chase.result ->
+    Chase.Trigger.t list ->
     tgd_stats
-  (** {!stats_of_result} against the session's shared index over [J]. *)
+  (** {!stats_of_result} against the session's shared index over [J], from
+      the candidate's triggers. Only [~core:true] builds the chased
+      instance ({!Chase.solution_of}), which the core stage shrinks. *)
 end
 
 val explains : tgd_stats list -> Relational.Tuple.t -> Util.Frac.t

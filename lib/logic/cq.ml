@@ -71,7 +71,8 @@ module Index = struct
   include Relational.Index
 
   (* Candidate tuples for an atom under a substitution: probe the first
-     bound position, or fall back to the full relation. *)
+     bound position, or fall back to the full relation, listed once when
+     the index was built. *)
   let candidates t s (a : Atom.t) =
     let rec first_bound i =
       if i >= Array.length a.Atom.args then None
@@ -82,7 +83,7 @@ module Index = struct
     in
     match first_bound 0 with
     | Some (pos, v) -> find t a.Atom.rel pos v
-    | None -> Tuple.Set.elements (Instance.tuples_of (instance t) a.Atom.rel)
+    | None -> tuples_of t a.Atom.rel
 end
 
 let extensions_indexed index s atoms =

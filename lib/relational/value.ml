@@ -31,3 +31,13 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash = function
+    | Const s -> Hashtbl.hash s
+    | Null n -> Hashtbl.hash (-1 - n)
+end)

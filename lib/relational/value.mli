@@ -27,3 +27,6 @@ val to_string : t -> string
 module Set : Set.S with type elt = t
 
 module Map : Map.S with type key = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by a value, with a monomorphic hash and equality. *)

@@ -399,10 +399,28 @@ let key_oracle_tests =
       QCheck2.Test.make ~count:300 ~name:"fractions and ints render the old bytes"
         QCheck2.Gen.(pair frac_gen int)
         (fun (f, n) ->
-          let b = Buffer.create 16 in
+          let b = Cache.Key.writer 16 in
           Cache.Key.add_int b n;
           String.equal (Reference.frac f) (Cache.Key.frac f)
-          && String.equal (string_of_int n) (Buffer.contents b));
+          && String.equal (string_of_int n) (Cache.Key.contents b));
+      QCheck2.Test.make ~count:300
+        ~name:"parts framed in place render the old frame"
+        QCheck2.Gen.(
+          list_size (int_range 0 6)
+            (string_size ~gen:char
+               (oneof
+                  [ int_range 0 12; int_range 95 105; int_range 995 1005 ])))
+        (fun parts ->
+          (* a one-byte writer, so every close also grows it *)
+          let w = Cache.Key.writer 1 in
+          List.iter
+            (fun p ->
+              let start = Cache.Key.length w in
+              Cache.Key.add_string w p;
+              Cache.Key.close_part w start)
+            parts;
+          String.equal (Reference.frame parts) (Cache.Key.contents w)
+          && String.equal (Reference.digest parts) (Cache.Key.digest_frame w));
       QCheck2.Test.make ~count:100 ~name:"problem digest equals the part list's"
         awkward_problem_gen problem_digest_matches;
       QCheck2.Test.make ~count:40
@@ -414,9 +432,10 @@ let key_oracle_tests =
         (fun () ->
           List.iter
             (fun n ->
-              let b = Buffer.create 16 in
+              let b = Cache.Key.writer 16 in
               Cache.Key.add_int b n;
-              Alcotest.(check string) "int" (string_of_int n) (Buffer.contents b))
+              Alcotest.(check string)
+                "int" (string_of_int n) (Cache.Key.contents b))
             [ 0; 1; -1; 9; 10; -10; max_int; min_int ]);
       Alcotest.test_case "oracle problems cover, err and encode" `Quick
         (fun () ->

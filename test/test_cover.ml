@@ -443,12 +443,18 @@ let same_stats (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
 let same_analysis a b =
   Array.length a = Array.length b && Array.for_all2 same_stats a b
 
-(* Random data examples for the differential: a source [proj] of arity 3;
-   a target [J] whose [task] relation mixes arities 2 and 3, with labelled
+(* Random data examples for the differential: a source [proj] of arity 3
+   whose values are constants or labelled nulls, so that frontier values
+   reach the chase tuples as nulls a group shares like invented ones; a
+   target [J] whose [task] relation mixes arities 2 and 3, with labelled
    nulls among its values and a value domain narrower than the source's,
-   so some source constants never occur in [J]; and candidates whose heads
-   mix copied variables, existentials shared between atoms, and constants
-   that may or may not occur in [J]. *)
+   so some source constants never occur in [J], and which in half the
+   draws holds 20 or more rows, so that the all-null tuples of a group
+   have many rows to choose from; and candidates with up to four head
+   atoms, which mix copied variables, existentials shared between atoms,
+   constants that may or may not occur in [J], and atoms made of
+   existentials only. Source nulls are labelled from 100 up, apart from
+   the labels the chase invents. *)
 let differential_gen =
   let open QCheck2.Gen in
   let const k = Value.Const (Printf.sprintf "c%d" k) in
@@ -461,9 +467,14 @@ let differential_gen =
     in
     map (fun vs -> Tuple.make rel vs) (list_repeat arity j_value)
   in
-  let source_tuple =
-    map (fun vs -> Tuple.make "proj" (List.map const vs)) (list_repeat 3 (int_range 0 5))
+  let source_value =
+    frequency
+      [
+        (4, map const (int_range 0 5));
+        (1, map (fun k -> Value.Null (100 + k)) (int_range 0 2));
+      ]
   in
+  let source_tuple = map (Tuple.make "proj") (list_repeat 3 source_value) in
   let term =
     frequency
       [
@@ -472,9 +483,13 @@ let differential_gen =
         (1, map (fun k -> Logic.Term.Cst (Printf.sprintf "c%d" k)) (int_range 0 5));
       ]
   in
+  let existential =
+    map (fun x -> Logic.Term.Var x) (oneofl [ "T"; "U"; "V" ])
+  in
   let atom =
     let* rel, arity = oneofl [ ("task", 3); ("task", 2); ("org", 2) ] in
-    map (fun ts -> Logic.Atom.make rel ts) (list_repeat arity term)
+    let* terms = frequency [ (4, return term); (1, return existential) ] in
+    map (fun ts -> Logic.Atom.make rel ts) (list_repeat arity terms)
   in
   let tgd k =
     map
@@ -482,10 +497,12 @@ let differential_gen =
         Logic.Tgd.make ~label:(Printf.sprintf "d%d" k)
           ~body:[ Logic.Atom.make "proj" Logic.Term.[ Var "P"; Var "E"; Var "O" ] ]
           ~head ())
-      (list_size (int_range 1 3) atom)
+      (list_size (int_range 1 4) atom)
   in
   let* source = list_size (int_range 0 8) source_tuple in
-  let* j = list_size (int_range 0 14) j_tuple in
+  let* j =
+    list_size (frequency [ (1, int_range 0 14); (1, int_range 20 48) ]) j_tuple
+  in
   let* tgds = list_size (int_range 1 4) (return ()) in
   let* tgds = flatten_l (List.mapi (fun k () -> tgd k) tgds) in
   let* semantics = oneofl Cover.[ Corroborated; Strict; Generous ] in
@@ -507,6 +524,106 @@ let differential_tests =
           (Cover.analyze ~semantics ~core ~source ~j tgds)
           (Scan.analyze ~semantics ~core ~source ~j tgds))
     |> QCheck_alcotest.to_alcotest;
+    Alcotest.test_case "differential draws reach the shapes they are for"
+      `Quick (fun () ->
+        (* guards the generator against drifting away from the cases the
+           fold's shortcuts must get right *)
+        let rand = Random.State.make [| 22 |] in
+        let draws =
+          List.init 100 (fun _ -> QCheck2.Gen.generate1 ~rand differential_gen)
+        in
+        let exists p = List.exists p draws in
+        let heads (_, _, tgds, _, _) =
+          List.map (fun t -> t.Logic.Tgd.head) tgds
+        in
+        let existential_only atom =
+          Array.for_all
+            (function
+              | Logic.Term.Var x -> List.mem x [ "T"; "U"; "V" ] | _ -> false)
+            atom.Logic.Atom.args
+        in
+        let check name p = Alcotest.(check bool) name true (exists p) in
+        check "a J relation of 20+ rows" (fun (_, j, _, _, _) ->
+            List.exists
+              (fun rel -> Tuple.Set.cardinal (Instance.tuples_of j rel) >= 20)
+              (Instance.relations j));
+        check "a head of 4 atoms" (fun d ->
+            List.exists (fun h -> List.length h = 4) (heads d));
+        check "an existential-only atom" (fun d ->
+            List.exists (List.exists existential_only) (heads d));
+        check "a chase tuple with a frontier null maps into J"
+          (fun (source, j, tgds, _, _) ->
+            List.exists
+              (fun (tr : Chase.Trigger.t) ->
+                List.exists
+                  (fun t ->
+                    Array.exists
+                      (function Value.Null k -> k >= 100 | _ -> false)
+                      t.Tuple.values
+                    && Cover.maps_into t j)
+                  tr.Chase.Trigger.tuples)
+              (Chase.run source tgds).Chase.triggers));
+  ]
+
+(* The fold's enumeration, pinned. One trigger of
+   [m(X,Y), t1(X,a,b), t2(Y,c,d,e)] against 30 [m] rows [m(xk,yk)], two
+   [t1] rows (through [x0] and [x1]) and one [t2] row (through [y0]). The
+   fold decides [t1] and [t2] before the all-null [m] tuple, whose probe
+   then goes by the bound null: 3 choices for [t1] times 2 for [t2], each
+   followed by [m]'s unmatched case and its one consistent row (none when
+   [t1] took [x1] and [t2] took [y0], and [m] is isolated when neither
+   matched) make 10 configurations over 11 probed rows. A fold that
+   branches on every [m] row first makes 40 over 33. *)
+let pinned_group () =
+  let source =
+    Instance.of_tuples [ Tuple.of_consts "src" [ "a"; "b"; "c"; "d"; "e" ] ]
+  in
+  let var x = Logic.Term.Var x in
+  let tgd =
+    Logic.Tgd.make ~label:"g"
+      ~body:[ Logic.Atom.make "src" (List.map var [ "A"; "B"; "C"; "D"; "E" ]) ]
+      ~head:
+        [
+          Logic.Atom.make "m" [ var "X"; var "Y" ];
+          Logic.Atom.make "t1" [ var "X"; var "A"; var "B" ];
+          Logic.Atom.make "t2" [ var "Y"; var "C"; var "D"; var "E" ];
+        ]
+      ()
+  in
+  let x k = Printf.sprintf "x%d" k and y k = Printf.sprintf "y%d" k in
+  let j =
+    Instance.of_tuples
+      (Tuple.of_consts "t1" [ x 0; "a"; "b" ]
+      :: Tuple.of_consts "t1" [ x 1; "a"; "b" ]
+      :: Tuple.of_consts "t2" [ y 0; "c"; "d"; "e" ]
+      :: List.init 30 (fun k -> Tuple.of_consts "m" [ x k; y k ]))
+  in
+  (source, j, tgd)
+
+let fold_tests =
+  [
+    Alcotest.test_case "a group's configurations and probed rows are pinned"
+      `Quick (fun () ->
+        let source, j, tgd = pinned_group () in
+        let stats, counts =
+          Fixtures.counting
+            [ "cover.configurations"; "cover.rows_probed" ]
+            (fun () -> (Cover.analyze ~source ~j [ tgd ]).(0))
+        in
+        Alcotest.(check (list int))
+          "configurations, rows probed" [ 10; 11 ] counts;
+        let degree rel vs = Cover.covers stats (Tuple.of_consts rel vs) in
+        let t1 x = degree "t1" [ x; "a"; "b" ] in
+        Alcotest.check frac "t1 through x0" Frac.one (t1 "x0");
+        Alcotest.check frac "t1 through x1" Frac.one (t1 "x1");
+        Alcotest.check frac "t2" Frac.one (degree "t2" [ "y0"; "c"; "d"; "e" ]);
+        let m x y = degree "m" [ x; y ] in
+        Alcotest.check frac "m joined to both" Frac.one (m "x0" "y0");
+        Alcotest.check frac "m joined to t1" (Frac.make 1 2) (m "x1" "y1");
+        Alcotest.(check int)
+          "no other m row covered" 5
+          (List.length (Cover.covered_targets stats));
+        Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
   ]
 
 (* One analysis three ways: [analyze]'s shared session, a fresh index per
@@ -683,5 +800,6 @@ let () =
       ("properties", property_tests);
       ("regression", regression_tests);
       ("differential", differential_tests);
+      ("fold", fold_tests);
       ("session", session_tests);
     ]
