@@ -10,18 +10,32 @@
 
     The tuples produced by a single trigger share the nulls invented for the
     tgd's existential variables; this grouping ("trigger group") is what the
-    Eq. 9 coverage semantics needs in order to corroborate null positions. *)
+    Eq. 9 coverage semantics needs in order to corroborate null positions.
+
+    A trigger holds its substitution as two arrays rather than a map:
+    [vars] is shared by every trigger of the tgd within one {!fire}, the
+    body variables in the order the compiled body ({!Logic.Cq.Plan}) binds
+    them followed by the existential variables in ascending name order,
+    and [values] is this firing's value for each. {!subst} rebuilds the
+    map for the readers that want one. *)
 module Trigger : sig
   type t = {
     tgd_index : int;  (** index of the tgd within the chased mapping *)
     tgd : Logic.Tgd.t;
-    subst : Logic.Subst.t;
-        (** the body homomorphism, extended with the invented nulls for the
-            existential variables *)
+    vars : string array;
+        (** the tgd's body variables, then its existential variables;
+            shared by the tgd's triggers *)
+    values : Relational.Value.t array;
+        (** per variable of [vars]: its image under the body homomorphism,
+            or the null invented for it *)
     tuples : Relational.Tuple.t list;
         (** head tuples produced, in head-atom order *)
     nulls : Relational.Value.Set.t;  (** nulls invented by this trigger *)
   }
+
+  val subst : t -> Logic.Subst.t
+  (** The body homomorphism, extended with the invented nulls for the
+      existential variables: [vars.(k) ↦ values.(k)] for every [k]. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -42,7 +56,9 @@ val fire :
     index then substitution, without building the solution: the union of
     the trigger tuples is left to the caller that reads it. Fresh nulls are
     drawn from [nulls] (a new source starting at 0 by default). Bodies are
-    evaluated through [index] (built on demand when absent); callers that
+    compiled once per tgd ({!Logic.Cq.Plan}) and evaluated through
+    [index] (built on demand when absent), and each head atom is a template
+    filled from the trigger's values; callers that
     chase the same source many times should build the index once with
     [Logic.Cq.Index.build] and pass it in. Recorded as the [chase.run] span
     and the [chase.runs], [chase.triggers] and [chase.tuples_produced]

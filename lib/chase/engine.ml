@@ -5,13 +5,19 @@ module Trigger = struct
   type t = {
     tgd_index : int;
     tgd : Tgd.t;
-    subst : Subst.t;
+    vars : string array;
+    values : Value.t array;
     tuples : Tuple.t list;
     nulls : Value.Set.t;
   }
 
+  let subst t =
+    let s = ref Subst.empty in
+    Array.iteri (fun k x -> s := Subst.bind_exn x t.values.(k) !s) t.vars;
+    !s
+
   let pp ppf t =
-    Format.fprintf ppf "@[<h>%s[%a] => %a@]" t.tgd.Tgd.label Subst.pp t.subst
+    Format.fprintf ppf "@[<h>%s[%a] => %a@]" t.tgd.Tgd.label Subst.pp (subst t)
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
          Tuple.pp)
@@ -23,22 +29,61 @@ type result = {
   triggers : Trigger.t list;
 }
 
+(* A head position: a constant, or the trigger value at a slot. *)
+type cell =
+  | Fixed of Value.t
+  | Slot of int
+
 (* Instantiate one tgd over its body homomorphisms into the indexed source,
-   inventing fresh nulls per firing. *)
+   inventing fresh nulls per firing. The body is compiled once; a trigger's
+   values are the body slots followed by the existentials' nulls, and each
+   head atom is a template over them. *)
 let fire_tgd ~nulls ~tgd_index (tgd : Tgd.t) index =
-  let existentials = String_set.elements (Tgd.existential_vars tgd) in
-  let fire subst =
-    let subst, invented =
-      List.fold_left
-        (fun (s, inv) v ->
-          let null = Null_source.fresh nulls in
-          (Subst.bind_exn v null s, Value.Set.add null inv))
-        (subst, Value.Set.empty) existentials
-    in
-    let tuples = List.map (Subst.apply_atom_exn subst) tgd.Tgd.head in
-    { Trigger.tgd_index; tgd; subst; tuples; nulls = invented }
+  let plan = Cq.Plan.compile tgd.Tgd.body in
+  let body = Cq.Plan.vars plan in
+  let existentials =
+    Array.of_list (String_set.elements (Tgd.existential_vars tgd))
   in
-  List.map fire (Cq.answers_indexed index tgd.Tgd.body)
+  let vars = Array.append body existentials in
+  let slot x =
+    let rec find k = if String.equal vars.(k) x then k else find (k + 1) in
+    find 0
+  in
+  let head =
+    List.map
+      (fun (a : Atom.t) ->
+        ( a.Atom.rel,
+          Array.map
+            (function
+              | Term.Cst c -> Fixed (Value.Const c) | Term.Var x -> Slot (slot x))
+            a.Atom.args ))
+      tgd.Tgd.head
+  in
+  let nb = Array.length body and triggers = ref [] in
+  Cq.Plan.iter plan index (Array.make nb (Value.Const ""))
+    (fun env ->
+      let values = Array.make (Array.length vars) (Value.Const "") in
+      Array.blit env 0 values 0 nb;
+      let invented = ref Value.Set.empty in
+      for k = nb to Array.length vars - 1 do
+        let null = Null_source.fresh nulls in
+        values.(k) <- null;
+        invented := Value.Set.add null !invented
+      done;
+      let tuples =
+        List.map
+          (fun (rel, cells) ->
+            {
+              Tuple.rel;
+              values =
+                Array.map (function Fixed v -> v | Slot k -> values.(k)) cells;
+            })
+          head
+      in
+      triggers :=
+        { Trigger.tgd_index; tgd; vars; values; tuples; nulls = !invented }
+        :: !triggers);
+  List.rev !triggers
 
 let runs_counter = Telemetry.Counter.make "chase.runs"
 
@@ -98,10 +143,11 @@ let check_result ~source { solution; triggers } =
             tr.Trigger.tuples
         then Error "a trigger tuple carries a null no trigger invented"
         else
+          let subst = Trigger.subst tr in
           let body_hom =
             List.for_all
               (fun atom ->
-                match Subst.apply_atom tr.Trigger.subst atom with
+                match Subst.apply_atom subst atom with
                 | Some t -> Instance.mem t source
                 | None -> false)
               tr.Trigger.tgd.Tgd.body
@@ -112,7 +158,7 @@ let check_result ~source { solution; triggers } =
             not
               (List.equal Tuple.equal tr.Trigger.tuples
                  (List.map
-                    (Subst.apply_atom_exn tr.Trigger.subst)
+                    (Subst.apply_atom_exn subst)
                     tr.Trigger.tgd.Tgd.head))
           then Error "trigger tuples disagree with the instantiated head"
           else check_triggers (Value.Set.union seen tr.Trigger.nulls) rest

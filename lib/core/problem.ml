@@ -25,20 +25,8 @@ let check_weights w =
 let of_stats ?(weights = default_weights) ~j stats =
   check_weights weights;
   let tuples = Array.of_list (Instance.tuples j) in
-  let tuple_index = Hashtbl.create (Array.length tuples) in
-  Array.iteri (fun i t -> Hashtbl.replace tuple_index t i) tuples;
-  let covers =
-    Array.map
-      (fun s ->
-        Tuple.Map.fold
-          (fun t d acc ->
-            match Hashtbl.find_opt tuple_index t with
-            | Some i -> (i, d) :: acc
-            | None -> acc)
-          s.Cover.covers []
-        |> List.rev |> Array.of_list)
-      stats
-  in
+  (* the fold numbered each covered tuple by its row in [tuples] *)
+  let covers = Array.map (fun s -> s.Cover.rows) stats in
   let cand_cost =
     Array.map
       (fun s ->

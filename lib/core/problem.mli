@@ -60,7 +60,10 @@ val of_stats :
   Cover.tgd_stats array ->
   t
 (** Builds the problem from precomputed statistics (e.g. to avoid re-chasing
-    when several solvers share one analysis). *)
+    when several solvers share one analysis). The statistics must have been
+    computed against this [j]: each candidate's coverage entries are its
+    [Cover.tgd_stats.rows], row numbers into [Relational.Instance.tuples j],
+    read as they are. *)
 
 val with_weights : t -> weights -> t
 (** The same problem under different weights — the coverage degrees are

@@ -11,6 +11,7 @@ type tgd_stats = {
   index : int;
   tgd : Tgd.t;
   covers : Frac.t Tuple.Map.t;
+  rows : (int * Frac.t) array;
   error_tuples : Tuple.t list;
   produced : int;
   size : int;
@@ -56,6 +57,9 @@ let maps_into pattern inst =
    each row (0 for none yet). *)
 type rel_index = {
   rows : Tuple.t array;
+  offset : int;
+      (** tuples of [J] in relations named before this one: row [r] is
+          tuple [offset + length rows - 1 - r] of [Instance.tuples j] *)
   all_rows : int list;
   postings : int list Value.Tbl.t option array;
   best : int array;
@@ -68,6 +72,7 @@ type rel_index = {
    the rows whose [best] the current candidate raised from 0. *)
 type j_index = {
   j : Instance.t;
+  offsets : (string, int) Hashtbl.t Lazy.t;  (** per relation: its [offset] *)
   rels : (string, rel_index) Hashtbl.t;
   mutable touched : (rel_index * int) list;
 }
@@ -78,7 +83,26 @@ let rows_probed = Telemetry.Counter.make "cover.rows_probed"
 
 let configurations = Telemetry.Counter.make "cover.configurations"
 
-let index_j j = { j; rels = Hashtbl.create 8; touched = [] }
+let layouts = Telemetry.Counter.make "cover.layouts"
+
+(* [Instance.tuples j] lists the relations in ascending name order. *)
+let relation_offsets j =
+  let offsets = Hashtbl.create 8 in
+  ignore
+    (List.fold_left
+       (fun offset rel ->
+         Hashtbl.replace offsets rel offset;
+         offset + Tuple.Set.cardinal (Instance.tuples_of j rel))
+       0 (Instance.relations j));
+  offsets
+
+let index_j j =
+  {
+    j;
+    offsets = lazy (relation_offsets j);
+    rels = Hashtbl.create 8;
+    touched = [];
+  }
 
 let rel_index jx rel =
   match Hashtbl.find_opt jx.rels rel with
@@ -89,6 +113,8 @@ let rel_index jx rel =
     let ri =
       {
         rows;
+        offset =
+          Option.value ~default:0 (Hashtbl.find_opt (Lazy.force jx.offsets) rel);
         all_rows = List.init (Array.length rows) Fun.id;
         postings = Array.make width None;
         best = Array.make (Array.length rows) 0;
@@ -121,19 +147,28 @@ let raise_best jx ri r count =
   end
 
 (* The current candidate's coverage degrees, read off and cleared: each
-   touched row's best count over its arity. *)
+   touched row's best count over its arity, as the covers map and as row
+   numbers into [Instance.tuples j] in the map's order. Within a relation
+   the map's order is the rows' ascending order, and across relations it
+   is the offsets' order, so [offset + r] sorts the touched rows into it. *)
 let take_covers jx =
-  let covers =
-    List.fold_left
-      (fun acc (ri, r) ->
+  let touched = Array.of_list jx.touched in
+  Array.sort
+    (fun (ri, r) (ri', r') -> Int.compare (ri.offset + r) (ri'.offset + r'))
+    touched;
+  let covers = ref Tuple.Map.empty in
+  let rows =
+    Array.map
+      (fun (ri, r) ->
         let t = ri.rows.(r) in
         let d = Frac.make ri.best.(r) (Tuple.arity t) in
         ri.best.(r) <- 0;
-        Tuple.Map.add t d acc)
-      Tuple.Map.empty jx.touched
+        covers := Tuple.Map.add t d !covers;
+        (ri.offset + Array.length ri.rows - 1 - r, d))
+      touched
   in
   jx.touched <- [];
-  covers
+  (!covers, rows)
 
 (* --- per-trigger-group analysis --------------------------------------- *)
 
@@ -142,9 +177,16 @@ let take_covers jx =
    map: [slot.(i).(pos)] is the slot of group tuple [i]'s null at [pos], or
    [-1] where it holds a constant. The tuples are decided in [order]: those
    holding a constant first, so that their selective probes bind the nulls
-   the all-null tuples are then probed by. *)
+   the all-null tuples are then probed by.
+
+   Everything but [tuples] and the enumeration state from [value] on
+   depends only on the group's layout: each tuple's relation and arity,
+   which of its positions hold constants, and its nulls numbered by first
+   occurrence. Over a null-free source every trigger of one candidate has
+   the same layout, so a fold lays a group out once and [group_for] reuses
+   it for the candidate's later groups. *)
 type group = {
-  tuples : Tuple.t array;
+  mutable tuples : Tuple.t array;
   rels : rel_index array;  (** each tuple's relation of J *)
   slot : int array array;
   holders : int list array;  (** per slot: the group tuples holding it *)
@@ -184,6 +226,7 @@ let group_of jx tuples =
           t.Tuple.values)
       tuples
   in
+  Telemetry.Counter.incr layouts;
   let n = !n and count = Array.length tuples in
   let holders = Array.make n [] in
   for i = count - 1 downto 0 do
@@ -233,6 +276,57 @@ let group_of jx tuples =
     probed = 0;
     leaves = 0;
   }
+
+(* [tuples] has [g]'s layout. [g.value] is free between enumerations and
+   holds the nulls met so far, slot by slot. *)
+let same_layout g tuples =
+  Array.length tuples = Array.length g.tuples
+  &&
+  let seen = ref 0 in
+  let rec fresh v k =
+    k >= !seen || ((not (Value.equal g.value.(k) v)) && fresh v (k + 1))
+  in
+  let rec positions (t : Tuple.t) slot pos =
+    pos >= Array.length slot
+    ||
+    let s = slot.(pos) in
+    (match t.Tuple.values.(pos) with
+    | Value.Const _ -> s < 0
+    | Value.Null _ as v ->
+      if s = !seen then
+        fresh v 0
+        && begin
+          g.value.(s) <- v;
+          incr seen;
+          true
+        end
+      else s >= 0 && s < !seen && Value.equal g.value.(s) v)
+    && positions t slot (pos + 1)
+  in
+  let rec tuple i =
+    i >= Array.length tuples
+    ||
+    let t = tuples.(i) and t' = g.tuples.(i) in
+    String.equal t.Tuple.rel t'.Tuple.rel
+    && Array.length t.Tuple.values = Array.length t'.Tuple.values
+    && positions t g.slot.(i) 0
+    && tuple (i + 1)
+  in
+  tuple 0
+
+(* The group for [tuples]: [last] with its per-trigger state reset when
+   the layout is the same, else a new group. *)
+let group_for jx last tuples =
+  match last with
+  | Some g when same_layout g tuples ->
+    g.tuples <- tuples;
+    Array.fill g.best 0 (Array.length g.best) 0;
+    Array.fill g.found 0 (Array.length g.found) false;
+    Array.fill g.settled 0 (Array.length g.settled) false;
+    g.probed <- 0;
+    g.leaves <- 0;
+    g
+  | _ -> group_of jx tuples
 
 let unbind g mark =
   while g.top > mark do
@@ -396,8 +490,7 @@ and try_rows ~semantics ~jx g d i = function
     try_rows ~semantics ~jx g d i rest
 
 (* Folds one trigger group and prepends its error tuples to [errors]. *)
-let fold_group ~semantics ~jx tuples errors =
-  let g = group_of jx tuples in
+let fold_group ~semantics ~jx g errors =
   explore ~semantics ~jx g 0;
   if Telemetry.enabled () then begin
     Telemetry.Counter.add rows_probed g.probed;
@@ -405,22 +498,27 @@ let fold_group ~semantics ~jx tuples errors =
   end;
   let errors = ref errors in
   Array.iteri
-    (fun i found -> if not found then errors := tuples.(i) :: !errors)
+    (fun i found -> if not found then errors := g.tuples.(i) :: !errors)
     g.found;
   !errors
 
 let fold_triggers ~semantics ~jx ~index tgd triggers =
-  let errors, produced =
+  let errors, produced, _ =
     List.fold_left
-      (fun (errors, produced) (tr : Chase.Trigger.t) ->
-        let group = Array.of_list tr.Chase.Trigger.tuples in
-        (fold_group ~semantics ~jx group errors, produced + Array.length group))
-      ([], 0) triggers
+      (fun (errors, produced, last) (tr : Chase.Trigger.t) ->
+        let tuples = Array.of_list tr.Chase.Trigger.tuples in
+        let g = group_for jx last tuples in
+        ( fold_group ~semantics ~jx g errors,
+          produced + Array.length tuples,
+          Some g ))
+      ([], 0, None) triggers
   in
+  let covers, rows = take_covers jx in
   {
     index;
     tgd;
-    covers = take_covers jx;
+    covers;
+    rows;
     error_tuples = List.rev errors;
     produced;
     size = Tgd.size tgd;

@@ -39,6 +39,12 @@ type tgd_stats = {
   covers : Util.Frac.t Relational.Tuple.Map.t;
       (** per target tuple: best coverage degree; tuples with degree 0 are
           absent *)
+  rows : (int * Util.Frac.t) array;
+      (** [covers] again, in the map's order, with each tuple given as its
+          row number in [Relational.Instance.tuples j] (relations in
+          ascending name order, each relation's tuples descending): the
+          fold knows each covered tuple's relation and row, so a problem
+          build reads the numbers here instead of looking every tuple up *)
   error_tuples : Relational.Tuple.t list;
       (** trigger tuples with error 1, with multiplicity across triggers *)
   produced : int;  (** total trigger tuples produced (with multiplicity) *)
@@ -129,13 +135,23 @@ val analyze :
     row it matches is raised to that count once per group. A chase tuple
     is an error tuple exactly when no row matches it on its own.
 
+    A group's enumeration state is laid out by the group's layout: each
+    tuple's relation and arity, which positions hold constants, and the
+    nulls numbered by first occurrence. Over a null-free source every
+    trigger of one candidate has the same layout, so a fold keeps the last
+    group it laid out and reuses it for the next trigger group of the same
+    layout, resetting only the per-trigger state; a different layout
+    (frontier nulls from the source, or the core stage's filtered groups)
+    is laid out anew.
+
     The index is mutated as it fills and as each candidate is folded: a
     session belongs to one domain. Telemetry counts
     [cover.relations_indexed] per session, and [cover.rows_probed] (rows
     the fold tried to bind, whether in a branch or in an isolated tuple's
     one pass) and [cover.configurations] (leaves of the enumeration, with
     isolated tuples not branched on) per candidate fold, so the latter two
-    totals do not depend on the pool size. *)
+    totals do not depend on the pool size, and [cover.layouts] (group
+    layouts built, at most one per trigger group) per candidate fold. *)
 module Session : sig
   type t
 

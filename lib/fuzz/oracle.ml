@@ -307,7 +307,7 @@ let check_cq_index ctx =
 
 let triggers_equal (a : Chase.Trigger.t) (b : Chase.Trigger.t) =
   a.Chase.Trigger.tgd_index = b.Chase.Trigger.tgd_index
-  && Subst.equal a.Chase.Trigger.subst b.Chase.Trigger.subst
+  && Subst.equal (Chase.Trigger.subst a) (Chase.Trigger.subst b)
   && List.equal Tuple.equal a.Chase.Trigger.tuples b.Chase.Trigger.tuples
   && Value.Set.equal a.Chase.Trigger.nulls b.Chase.Trigger.nulls
 

@@ -67,39 +67,135 @@ let extensions inst s atoms = extensions_ordered inst s (order_atoms atoms)
 
 let answers inst atoms = extensions inst Subst.empty atoms
 
-module Index = struct
-  include Relational.Index
+module Index = Relational.Index
 
-  (* Candidate tuples for an atom under a substitution: probe the first
-     bound position, or fall back to the full relation, listed once when
-     the index was built. *)
-  let candidates t s (a : Atom.t) =
-    let rec first_bound i =
-      if i >= Array.length a.Atom.args then None
-      else
-        match Subst.apply_term s a.Atom.args.(i) with
-        | Some v -> Some (i, v)
-        | None -> first_bound (i + 1)
+(* A compiled conjunctive query: the atoms in [order_atoms] order, each
+   position resolved at compile time against the variables bound before
+   it. [Bind] writes a variable's first occurrence into its slot, [Check]
+   compares a later occurrence (in the same atom or a later one) with its
+   slot. An atom's probe is its first position holding a constant or a
+   variable bound by an earlier atom (or before the query), the position
+   the substitution-based evaluator probed by. *)
+module Plan = struct
+  type position =
+    | Const of Value.t
+    | Bind of int
+    | Check of int
+
+  type probe =
+    | Scan
+    | Fixed of int * Value.t
+    | Slot of int * int
+
+  type step = {
+    rel : string;
+    positions : position array;
+    probe : probe;
+  }
+
+  type t = {
+    steps : step array;
+    vars : string array;
+  }
+
+  let compile ?(bound = []) atoms =
+    let slots = Hashtbl.create 8 and names = ref (List.rev bound) in
+    List.iteri (fun i x -> Hashtbl.replace slots x i) bound;
+    let next = ref (List.length bound) in
+    let step (a : Atom.t) =
+      (* the slots below [start] were bound before this atom *)
+      let start = !next in
+      let positions =
+        Array.map
+          (function
+            | Term.Cst c -> Const (Value.Const c)
+            | Term.Var x -> (
+              match Hashtbl.find_opt slots x with
+              | Some s -> Check s
+              | None ->
+                let s = !next in
+                Hashtbl.replace slots x s;
+                names := x :: !names;
+                incr next;
+                Bind s))
+          a.Atom.args
+      in
+      let rec probe pos =
+        if pos >= Array.length positions then Scan
+        else
+          match positions.(pos) with
+          | Const v -> Fixed (pos, v)
+          | Check s when s < start -> Slot (pos, s)
+          | Check _ | Bind _ -> probe (pos + 1)
+      in
+      { rel = a.Atom.rel; positions; probe = probe 0 }
     in
-    match first_bound 0 with
-    | Some (pos, v) -> find t a.Atom.rel pos v
-    | None -> tuples_of t a.Atom.rel
+    let steps = Array.of_list (List.map step (order_atoms atoms)) in
+    { steps; vars = Array.of_list (List.rev !names) }
+
+  let vars t = t.vars
+
+  (* Binds the positions of one atom against one tuple. A failed match may
+     leave slots of this atom's own variables written; nothing reads them
+     before a later match overwrites them. *)
+  let matches positions env (tu : Tuple.t) =
+    let values = tu.Tuple.values in
+    let n = Array.length positions in
+    Array.length values = n
+    &&
+    let rec loop i =
+      i >= n
+      ||
+      match positions.(i) with
+      | Const c -> Value.equal c values.(i) && loop (i + 1)
+      | Check s -> Value.equal env.(s) values.(i) && loop (i + 1)
+      | Bind s ->
+        env.(s) <- values.(i);
+        loop (i + 1)
+    in
+    loop 0
+
+  let iter t index env f =
+    let n = Array.length t.steps in
+    let rec go d =
+      if d >= n then f env
+      else
+        let st = t.steps.(d) in
+        let candidates =
+          match st.probe with
+          | Scan -> Index.tuples_of index st.rel
+          | Fixed (pos, v) -> Index.find index st.rel pos v
+          | Slot (pos, s) -> Index.find index st.rel pos env.(s)
+        in
+        List.iter (fun tu -> if matches st.positions env tu then go (d + 1)) candidates
+    in
+    go 0
 end
 
 let extensions_indexed index s atoms =
-  let ordered = order_atoms atoms in
-  let rec eval s atoms acc =
-    match atoms with
-    | [] -> s :: acc
-    | a :: tl ->
-      List.fold_left
-        (fun acc tu ->
-          match match_atom s a tu with
-          | None -> acc
-          | Some s' -> eval s' tl acc)
-        acc (Index.candidates index s a)
+  let bound =
+    List.filter
+      (fun x -> Subst.mem x s)
+      (String_set.elements
+         (List.fold_left
+            (fun acc a -> String_set.union acc (Atom.vars a))
+            String_set.empty atoms))
   in
-  List.rev (eval s ordered [])
+  let plan = Plan.compile ~bound atoms in
+  let vars = Plan.vars plan in
+  let env =
+    Array.map
+      (fun x -> Option.value ~default:(Value.Const "") (Subst.find_opt x s))
+      vars
+  in
+  let first = List.length bound and answers = ref [] in
+  Plan.iter plan index env (fun env ->
+      let answer = ref s in
+      for k = first to Array.length vars - 1 do
+        answer := Subst.bind_exn vars.(k) env.(k) !answer
+      done;
+      answers := !answer :: !answers);
+  List.rev !answers
 
 let answers_indexed index atoms = extensions_indexed index Subst.empty atoms
 

@@ -39,7 +39,45 @@ module Index : sig
   val instance : t -> Relational.Instance.t
 end
 
+(** A query compiled once for the indexed evaluator, the one indexed
+    evaluator there is.
+
+    Compiling fixes everything the substitution-based evaluation decided
+    per answer: the atoms are taken in {!order_atoms} order; each variable
+    is numbered to a slot of an environment array, in binding order after
+    the pre-bound ones; each position is a constant, the first binding of
+    a variable (written into its slot) or a check against a bound slot;
+    and each atom's probe position is its first position holding a
+    constant or a variable bound by an earlier atom, or none (a scan of
+    the relation's {!Relational.Index.tuples_of}). The enumeration walks
+    the same candidate lists in the same order as a substitution-based
+    one would, so answers, and with them the null labels the chase
+    invents and its trigger order, follow the index's contract. *)
+module Plan : sig
+  type t
+
+  val compile : ?bound : string list -> Atom.t list -> t
+  (** [compile ~bound atoms] numbers the distinct variables in [bound]
+      (pre-bound by the caller, default none) to slots [0 ..] in list
+      order, and the remaining variables of [atoms] after them in the
+      order the plan binds them. *)
+
+  val vars : t -> string array
+  (** The variable of each slot. *)
+
+  val iter :
+    t -> Index.t -> Relational.Value.t array -> (Relational.Value.t array -> unit) -> unit
+  (** [iter plan index env f] calls [f env] once per answer, in
+      enumeration order, with [env] holding every slot's value. [env]
+      must have a slot per {!vars}, the pre-bound ones filled; it is
+      overwritten as the enumeration proceeds, so [f] copies what it
+      keeps. *)
+end
+
 val answers_indexed : Index.t -> Atom.t list -> Subst.t list
-(** Same results as {!answers} on the indexed instance. *)
+(** Same results as {!answers} on the indexed instance: the plan of the
+    query, with one substitution built per answer. *)
 
 val extensions_indexed : Index.t -> Subst.t -> Atom.t list -> Subst.t list
+(** Same results as {!extensions} on the indexed instance: the plan
+    compiled with the query variables [s] binds as pre-bound. *)

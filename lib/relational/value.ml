@@ -9,7 +9,11 @@ let compare a b =
   | Const _, Null _ -> -1
   | Null _, Const _ -> 1
 
-let equal a b = compare a b = 0
+let equal a b =
+  match a, b with
+  | Const x, Const y -> String.equal x y
+  | Null x, Null y -> Int.equal x y
+  | Const _, Null _ | Null _, Const _ -> false
 
 let is_null = function Null _ -> true | Const _ -> false
 

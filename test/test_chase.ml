@@ -270,6 +270,99 @@ let property_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* The compiled chase against the map-based one it replaced
+   (test/chase_oracle.ml), trigger for trigger and in order: the order
+   fixes the null labels, which every later stage reads. Sources carry
+   nulls and a relation [m] mixing arities 1 and 2; bodies of 1-3 atoms
+   draw from three variables, so a variable often repeats inside one atom,
+   and include constants and atoms whose arity some or all tuples of their
+   relation lack; heads have up to two existential variables. *)
+let oracle_source_gen =
+  QCheck2.Gen.(
+    let* base = Fixtures.nullable_instance_gen in
+    let* ones = list_size (int_range 0 4) (Fixtures.nullable_tuple_gen ~rel:"m" ~arity:1) in
+    let* twos = list_size (int_range 0 6) (Fixtures.nullable_tuple_gen ~rel:"m" ~arity:2) in
+    return (Instance.add_all (ones @ twos) base))
+
+let oracle_term_gen vars =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun x -> Term.Var x) (oneofl vars));
+        (1, map (fun i -> Term.Cst (Printf.sprintf "c%d" i)) (int_range 0 8));
+      ])
+
+let oracle_atom_gen ~rels vars =
+  QCheck2.Gen.(
+    let* rel, arity = oneofl rels in
+    let* args = list_size (return arity) (oracle_term_gen vars) in
+    return (Atom.make rel args))
+
+let oracle_tgd_gen =
+  QCheck2.Gen.(
+    let* body =
+      list_size (int_range 1 3)
+        (oracle_atom_gen
+           ~rels:[ ("r2", 2); ("r3", 3); ("m", 1); ("m", 2); ("r2", 3) ]
+           [ "X"; "Y"; "Z" ])
+    in
+    let body_vars =
+      String_set.elements
+        (List.fold_left
+           (fun acc a -> String_set.union acc (Atom.vars a))
+           String_set.empty body)
+    in
+    let* head =
+      list_size (int_range 1 2)
+        (oracle_atom_gen ~rels:[ ("t2", 2); ("t3", 3) ] ("E2" :: "E1" :: body_vars))
+    in
+    return (Tgd.make ~body ~head ()))
+
+let oracle_case_gen =
+  QCheck2.Gen.(
+    let* src = oracle_source_gen in
+    let* tgds = list_size (int_range 1 3) oracle_tgd_gen in
+    let* x = oneofl [ "X"; "Y"; "Z" ] in
+    let* v = Fixtures.nullable_value_gen in
+    return (src, tgds, (x, v)))
+
+let oracle_print (src, tgds, (x, v)) =
+  Format.asprintf "source: %a@.tgds: %a@.pre-bound: %s=%a" Instance.pp src
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Tgd.pp)
+    tgds x Value.pp v
+
+let chase_oracle_tests =
+  let open QCheck2 in
+  [
+    Test.make ~name:"fire equals the map-based chase, trigger for trigger"
+      ~count:500 ~print:oracle_print oracle_case_gen (fun (src, tgds, _) ->
+        let expected = Chase_oracle.fire (Relational.Index.build src) tgds in
+        let actual = Chase.fire ~index:(Cq.Index.build src) src tgds in
+        List.length expected = List.length actual
+        && List.for_all2
+             (fun (o : Chase_oracle.trigger) (tr : Chase.Trigger.t) ->
+               o.Chase_oracle.tgd_index = tr.Chase.Trigger.tgd_index
+               && Subst.equal o.Chase_oracle.subst (Chase.Trigger.subst tr)
+               && List.equal Relational.Tuple.equal o.Chase_oracle.tuples
+                    tr.Chase.Trigger.tuples
+               && Value.Set.equal o.Chase_oracle.nulls tr.Chase.Trigger.nulls)
+             expected actual);
+    Test.make ~name:"extensions_indexed equals the map-based one, in order"
+      ~count:500 ~print:oracle_print oracle_case_gen
+      (fun (src, tgds, (x, v)) ->
+        let index = Cq.Index.build src in
+        List.for_all
+          (fun (tgd : Tgd.t) ->
+            List.for_all
+              (fun s ->
+                List.equal Subst.equal
+                  (Chase_oracle.extensions_indexed index s tgd.Tgd.body)
+                  (Cq.extensions_indexed index s tgd.Tgd.body))
+              [ Subst.empty; Subst.singleton x v; Subst.singleton "Q" v ])
+          tgds);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 (* implication and certain-answer tests *)
 
 let implication_tests =
@@ -579,6 +672,7 @@ let () =
       ("basic", basic_tests);
       ("edge-cases", edge_case_tests);
       ("properties", property_tests);
+      ("oracle", chase_oracle_tests);
       ("implication", implication_tests);
       ("certain", certain_tests);
       ("minimize-tgd", minimize_tgd_tests);

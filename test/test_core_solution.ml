@@ -51,7 +51,7 @@ let chase_columnar_tests =
     && List.for_all2
          (fun (x : Chase.Trigger.t) (y : Chase.Trigger.t) ->
            x.Chase.Trigger.tgd_index = y.Chase.Trigger.tgd_index
-           && Subst.equal x.Chase.Trigger.subst y.Chase.Trigger.subst
+           && Subst.equal (Chase.Trigger.subst x) (Chase.Trigger.subst y)
            && List.equal Tuple.equal x.Chase.Trigger.tuples
                 y.Chase.Trigger.tuples)
          a.Chase.triggers b.Chase.triggers

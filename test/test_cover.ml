@@ -416,10 +416,22 @@ module Scan = struct
           (covers, errors, produced + Array.length group))
         (Tuple.Map.empty, [], 0) triggers
     in
+    (* each covered tuple's position in [Instance.tuples j], found by a
+       scan *)
+    let row t =
+      let rec find k = function
+        | [] -> Alcotest.fail "a covered tuple is not in J"
+        | t' :: rest -> if Tuple.equal t t' then k else find (k + 1) rest
+      in
+      find 0 (Instance.tuples j)
+    in
     {
       Cover.index;
       tgd;
       covers;
+      rows =
+        Array.of_list
+          (List.map (fun (t, d) -> (row t, d)) (Tuple.Map.bindings covers));
       error_tuples = List.rev errors;
       produced;
       size = Logic.Tgd.size tgd;
@@ -436,6 +448,10 @@ end
 let same_stats (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
   a.Cover.index = b.Cover.index
   && Tuple.Map.equal Frac.equal a.Cover.covers b.Cover.covers
+  && Array.length a.Cover.rows = Array.length b.Cover.rows
+  && Array.for_all2
+       (fun (r, d) (r', d') -> r = r' && Frac.equal d d')
+       a.Cover.rows b.Cover.rows
   && List.equal Tuple.equal a.Cover.error_tuples b.Cover.error_tuples
   && a.Cover.produced = b.Cover.produced
   && a.Cover.size = b.Cover.size
@@ -454,7 +470,9 @@ let same_analysis a b =
    atoms, which mix copied variables, existentials shared between atoms,
    constants that may or may not occur in [J], and atoms made of
    existentials only. Source nulls are labelled from 100 up, apart from
-   the labels the chase invents. *)
+   the labels the chase invents; half the uncored draws with a small [J]
+   add three source rows whose frontier nulls change the trigger-group
+   layout between consecutive groups. *)
 let differential_gen =
   let open QCheck2.Gen in
   let const k = Value.Const (Printf.sprintf "c%d" k) in
@@ -499,6 +517,15 @@ let differential_gen =
           ~head ())
       (list_size (int_range 1 4) atom)
   in
+  (* three source rows chased one after another whose first and last
+     positions hold one null, two nulls, then one null again: consecutive
+     trigger groups of one candidate whose frontier nulls are numbered
+     differently *)
+  let twins =
+    let* n = int_range 100 101 and* e = source_value in
+    let row p o = Tuple.make "proj" [ Value.Null p; e; Value.Null o ] in
+    oneofl [ []; [ row n n; row n (n + 1); row (n + 1) (n + 1) ] ]
+  in
   let* source = list_size (int_range 0 8) source_tuple in
   let* j =
     list_size (frequency [ (1, int_range 0 14); (1, int_range 20 48) ]) j_tuple
@@ -507,6 +534,12 @@ let differential_gen =
   let* tgds = flatten_l (List.mapi (fun k () -> tgd k) tgds) in
   let* semantics = oneofl Cover.[ Corroborated; Strict; Generous ] in
   let* core = bool in
+  (* the linear scan's enumeration grows as |J| to the group size over
+     all-null tuples, and the core of a chased instance this rich in
+     shared nulls can take minutes to find, so the twins go with the
+     smaller J and the uncored fold only *)
+  let* twins = if List.length j < 20 && not core then twins else return [] in
+  let source = source @ twins in
   return (Instance.of_tuples source, Instance.of_tuples j, tgds, semantics, core)
 
 let print_differential (source, j, tgds, _, core) =
@@ -562,7 +595,61 @@ let differential_tests =
                       t.Tuple.values
                     && Cover.maps_into t j)
                   tr.Chase.Trigger.tuples)
-              (Chase.run source tgds).Chase.triggers));
+              (Chase.run source tgds).Chase.triggers);
+        (* consecutive trigger groups of one candidate whose layouts
+           differ, so the fold lays a group out anew mid-candidate *)
+        let triggers source (tgd : Logic.Tgd.t) =
+          List.map
+            (fun tr ->
+              let s = Chase.Trigger.subst tr in
+              fun x ->
+                if Logic.String_set.mem x (Logic.Tgd.head_vars tgd) then
+                  Logic.Subst.find_opt x s
+                else None)
+            (Chase.fire source [ tgd ])
+        in
+        let source_null = function
+          | Some (Value.Null k) -> k >= 100
+          | _ -> false
+        in
+        let rec consecutive p = function
+          | a :: (b :: _ as rest) -> p a b || consecutive p rest
+          | [ _ ] | [] -> false
+        in
+        let frontier = [ "P"; "E"; "O" ] in
+        check "a frontier variable bound to a constant, then to a source null"
+          (fun (source, _, tgds, _, _) ->
+            List.exists
+              (fun tgd ->
+                consecutive
+                  (fun a b ->
+                    List.exists
+                      (fun x ->
+                        (match a x with Some (Value.Const _) -> true | _ -> false)
+                        && source_null (b x))
+                      frontier)
+                  (triggers source tgd))
+              tgds);
+        let twin a b =
+          List.exists
+            (fun x ->
+              List.exists
+                (fun y ->
+                  x < y && source_null (a x) && a x = a y && source_null (b x)
+                  && source_null (b y) && b x <> b y)
+                frontier)
+            frontier
+        in
+        check
+          "two frontier variables bound to one source null, then to two, \
+           then to one"
+          (fun (source, _, tgds, _, _) ->
+            List.exists
+              (fun tgd ->
+                let groups = triggers source tgd in
+                consecutive twin groups
+                && consecutive (fun a b -> twin b a) groups)
+              tgds));
   ]
 
 (* The fold's enumeration, pinned. One trigger of
@@ -622,6 +709,44 @@ let fold_tests =
         Alcotest.check frac "m joined to t1" (Frac.make 1 2) (m "x1" "y1");
         Alcotest.(check int)
           "no other m row covered" 5
+          (List.length (Cover.covered_targets stats));
+        Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
+    Alcotest.test_case "one layout serves a candidate's 30 groups" `Quick
+      (fun () ->
+        (* the pinned group's candidate over 30 source rows that differ
+           only in a column the head drops: 30 trigger groups of one
+           layout, each enumerated as the single group above *)
+        let _, j, tgd = pinned_group () in
+        let var x = Logic.Term.Var x in
+        let tgd =
+          Logic.Tgd.make ~label:"g"
+            ~body:
+              [
+                Logic.Atom.make "src"
+                  (List.map var [ "A"; "B"; "C"; "D"; "E"; "K" ]);
+              ]
+            ~head:tgd.Logic.Tgd.head ()
+        in
+        let source =
+          Instance.of_tuples
+            (List.init 30 (fun k ->
+                 Tuple.of_consts "src"
+                   [ "a"; "b"; "c"; "d"; "e"; Printf.sprintf "k%d" k ]))
+        in
+        let stats, counts =
+          Fixtures.counting
+            [
+              "chase.triggers";
+              "cover.layouts";
+              "cover.configurations";
+              "cover.rows_probed";
+            ]
+            (fun () -> (Cover.analyze ~source ~j [ tgd ]).(0))
+        in
+        Alcotest.(check (list int))
+          "groups, layouts, configurations, rows probed" [ 30; 1; 300; 330 ]
+          counts;
+        Alcotest.(check int) "5 covered rows" 5
           (List.length (Cover.covered_targets stats));
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
   ]
