@@ -102,6 +102,30 @@ let component ~tuples start =
   Hashtbl.replace seen start ();
   List.sort compare (grow start_nulls [ start ])
 
+(* The ids of a component in matching order: the lowest id first, then
+   repeatedly, among the ids sharing a null with one already placed, the one
+   with the fewest nulls not yet bound (the lowest id on a tie). Each
+   pattern after the first then meets some of its nulls bound, so a wrong
+   choice fails at once instead of being multiplied by the choices of
+   patterns placed between it and its neighbours. *)
+let connected_order ~nulls_of ids =
+  let rec place bound acc = function
+    | [] -> List.rev acc
+    | first :: _ as rest ->
+      let free i = Value.Set.cardinal (Value.Set.diff (nulls_of i) bound) in
+      let next =
+        match List.filter (fun i -> not (Value.Set.disjoint bound (nulls_of i))) rest with
+        | [] -> first
+        | linked :: others ->
+          List.fold_left (fun b i -> if free i < free b then i else b) linked others
+      in
+      place
+        (Value.Set.union bound (nulls_of next))
+        (next :: acc)
+        (List.filter (fun i -> i <> next) rest)
+  in
+  place Value.Set.empty [] ids
+
 let hom_exists ~from ~into =
   let targets (pattern : Tuple.t) =
     Tuple.Set.elements (Instance.tuples_of into pattern.Tuple.rel)
@@ -118,7 +142,11 @@ let hom_exists ~from ~into =
     | [] -> true
     | (i, _) :: _ ->
       let comp = component ~tuples:with_nulls i in
-      let patterns = List.map (fun k -> List.assoc k indexed) comp in
+      let patterns =
+        List.map
+          (fun k -> List.assoc k indexed)
+          (connected_order ~nulls_of:(fun k -> List.assoc k with_nulls) comp)
+      in
       Option.is_some (search_hom ~targets ~asg:Value.Map.empty patterns)
       && check (List.filter (fun (k, _) -> not (List.mem k comp)) remaining)
   in
@@ -152,7 +180,11 @@ let core inst =
         (fun i -> if i = avoid then None else Some tuples.(i))
         (alive_of_rel pattern.Tuple.rel)
     in
-    let patterns = List.map (fun i -> tuples.(i)) comp in
+    let patterns =
+      List.map
+        (fun i -> tuples.(i))
+        (connected_order ~nulls_of:(fun i -> tuple_nulls tuples.(i)) comp)
+    in
     match search_hom ~targets ~asg:Value.Map.empty patterns with
     | None -> None
     | Some asg -> Some (comp, asg)

@@ -9,8 +9,10 @@
     [core] runs iterated proper-endomorphism elimination: while some
     non-ground tuple [t0] admits a homomorphism of its null-connected
     component into the instance minus [t0], replace the component by its
-    image. The search is deterministic (ascending tuple order), so the
-    returned sub-instance is a pure function of its input — the
+    image. The search is deterministic (tuples tried in ascending order; a
+    component's tuples matched in connectivity order, each sharing a null
+    with one matched before it), so the returned sub-instance is a pure
+    function of its input — the
     [core-solution] fuzz family pins sub-instance containment,
     homomorphic equivalence in both directions, and idempotence. *)
 

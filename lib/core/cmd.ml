@@ -29,6 +29,21 @@ type result = {
   num_constraints : int;
 }
 
+(* A tuple's support: the (candidate, degree) pairs that can explain it,
+   candidates descending. Equal supports are equal lists, compared by exact
+   degree. *)
+module Support = Hashtbl.Make (struct
+  type t = (int * Frac.t) list
+
+  let equal =
+    List.equal (fun (c, d) (c', d') -> Int.equal c c' && Frac.equal d d')
+
+  let hash =
+    List.fold_left
+      (fun h (c, d) -> Hashtbl.hash (h, c, Frac.num d, Frac.den d))
+      0
+end)
+
 let build_model ?(squared = false) (p : Problem.t) =
   (* Linear soft losses become squared hinges in the squared flavour; their
      expressions are non-negative over the box, so the hinge is exact. *)
@@ -38,8 +53,27 @@ let build_model ?(squared = false) (p : Problem.t) =
   in
   let m = Problem.num_candidates p in
   let n_tuples = Problem.num_tuples p in
-  let model = Psl.Hlmrf.create ~num_vars:(m + n_tuples) in
-  let w1 = float_of_int p.Problem.weights.Problem.w_unexplained in
+  let support = Array.make n_tuples [] in
+  Array.iteri
+    (fun c cover_list ->
+      Array.iter (fun (ti, d) -> support.(ti) <- (c, d) :: support.(ti)) cover_list)
+    p.Problem.covers;
+  (* lifting: tuples with equal supports share one explained-atom, numbered
+     by its first tuple; [groups] holds (support, size), in that order *)
+  let index = Support.create 64 in
+  let groups = ref [] in
+  Array.iter
+    (fun sup ->
+      match Support.find_opt index sup with
+      | Some size -> incr size
+      | None ->
+        let size = ref 1 in
+        Support.add index sup size;
+        groups := (sup, size) :: !groups)
+    support;
+  let groups = List.rev !groups in
+  let model = Psl.Hlmrf.create ~num_vars:(m + List.length groups) in
+  let w1 = p.Problem.weights.Problem.w_unexplained in
   (* per-candidate selection cost: w2·errors + w3·size, as ¬in(θ) priors *)
   Array.iteri
     (fun c cost ->
@@ -48,25 +82,19 @@ let build_model ?(squared = false) (p : Problem.t) =
         Psl.Hlmrf.add_potential model
           (soft cost (Psl.Linexpr.make [ (c, 1.) ] 0.)))
     p.Problem.cand_cost;
-  (* per-tuple: the "wants to be explained" loss and its support constraint *)
-  let support = Array.make n_tuples [] in
-  Array.iteri
-    (fun c cover_list ->
-      Array.iter
-        (fun (ti, d) -> support.(ti) <- (c, Frac.to_float d) :: support.(ti))
-        cover_list)
-    p.Problem.covers;
-  Array.iteri
-    (fun ti sup ->
-      let y = m + ti in
+  (* per group of k tuples: k copies of the "wants to be explained" loss as
+     one, and the shared support constraint *)
+  List.iteri
+    (fun g (sup, size) ->
+      let y = m + g in
       Psl.Hlmrf.add_potential model
-        (soft w1 (Psl.Linexpr.make [ (y, -1.) ] 1.));
+        (soft (float_of_int (!size * w1)) (Psl.Linexpr.make [ (y, -1.) ] 1.));
       Psl.Hlmrf.add_constraint model
         (Psl.Hlmrf.Leq
            (Psl.Linexpr.make
-              ((y, 1.) :: List.map (fun (c, d) -> (c, -.d)) sup)
+              ((y, 1.) :: List.map (fun (c, d) -> (c, -.Frac.to_float d)) sup)
               0.)))
-    support;
+    groups;
   model
 
 let conditional_round (p : Problem.t) fractional =

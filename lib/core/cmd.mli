@@ -2,13 +2,20 @@
 
     The selection problem is translated into a ground probabilistic-soft-logic
     program over decision atoms [in(θ) ∈ [0,1]] (one per candidate) and
-    auxiliary atoms [explained(t) ∈ [0,1]] (one per coverable target tuple):
+    auxiliary atoms [explained(g) ∈ [0,1]], one per distinct support: the
+    coverable target tuples whose [(θ, covers(θ,t))] pairs are equal (by
+    exact degree) share one atom [g] of size [k_g]:
 
-    - soft, weight [w1]: [explained(t)] — a linear loss [1 − y_t];
-    - hard: [explained(t) ≤ Σ_θ covers(θ,t)·in(θ)] — the Łukasiewicz
+    - soft, weight [k_g·w1]: [explained(g)] — a linear loss [1 − y_g], the
+      [k_g] per-tuple losses [w1·(1 − y_t)] as one;
+    - hard: [explained(g) ≤ Σ_θ covers(θ,t)·in(θ)] — the Łukasiewicz
       disjunction of the candidates' support;
     - soft, weight [w2·errors(θ) + w3·size(θ)]: [¬in(θ)] — a linear loss
       [cost_θ · x_θ].
+
+    For a fixed [x] each per-tuple [y_t] would be set alone to
+    [min(1, Σ covers·x)], the same value for every tuple of a group, so the
+    lifted model's minimum over [in(θ)] is the per-tuple model's.
 
     MAP inference on the resulting hinge-loss MRF (consensus ADMM,
     {!Psl.Admm}) yields fractional [in(θ)] values; a discrete mapping is
@@ -41,7 +48,9 @@ type result = {
   objective : Util.Frac.t;  (** exact objective of [selection] *)
   fractional : float array;  (** the MAP values of [in(θ)], per candidate *)
   admm : Psl.Admm.outcome;
-  num_vars : int;  (** variables of the ground model *)
+  num_vars : int;
+      (** variables of the ground model: the candidates and one
+          explained-atom per distinct support *)
   num_potentials : int;
   num_constraints : int;
 }
@@ -52,5 +61,8 @@ val solve : ?options : options -> Problem.t -> result
 
 val build_model : ?squared : bool -> Problem.t -> Psl.Hlmrf.t
 (** The ground HL-MRF for a (typically preprocessed) problem, with variables
-    [0..m-1] the candidates and [m..m+T-1] the explained-atoms. Exposed for
-    testing and for the scaling benchmarks. *)
+    [0..m-1] the candidates and [m..m+G-1] the explained-atoms, one per
+    distinct support, numbered in the order of their first tuple. Squared
+    flavour: the losses are [k_g·w1·(1 − y_g)²] and [cost_θ·x_θ²].
+    Deterministic in the problem. Exposed for testing and for the scaling
+    benchmarks. *)

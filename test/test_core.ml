@@ -107,8 +107,132 @@ let model_shape_tests =
         Alcotest.(check int) "vars" 4 (Psl.Hlmrf.num_vars model);
         Alcotest.(check int) "constraints" 2 (Psl.Hlmrf.num_constraints model);
         (* 2 candidate costs + 2 explained losses *)
-        Alcotest.(check int) "potentials" 4 (Psl.Hlmrf.num_potentials model));
+        Alcotest.(check int) "potentials" 4 (Psl.Hlmrf.num_potentials model);
+        (* theta1 alone over the extended example: task(ML,Alice,111) and
+           task(Proj0,Alice,111) both have the support [theta1 at 2/3], so
+           they share one explained-atom whose loss counts them both *)
+        let i', j' = Fixtures.extended_example 1 in
+        let weights = { Problem.w_unexplained = 3; w_errors = 1; w_size = 1 } in
+        let p = Problem.make ~weights ~source:i' ~j:j' [ Fixtures.theta1 ] in
+        let reduced = (Preprocess.run p).Preprocess.problem in
+        Alcotest.(check int) "2 coverable tuples" 2 (Problem.num_tuples reduced);
+        let model = Cmd.build_model reduced in
+        Alcotest.(check int) "shared: vars" 2 (Psl.Hlmrf.num_vars model);
+        Alcotest.(check int) "shared: constraints" 1
+          (Psl.Hlmrf.num_constraints model);
+        let explained_weights =
+          List.filter_map
+            (function
+              | Psl.Hlmrf.Linear { weight; expr }
+                when Psl.Linexpr.vars expr = [ 1 ] ->
+                Some weight
+              | _ -> None)
+            (Psl.Hlmrf.potentials model)
+        in
+        Alcotest.(check (list (float 0.))) "one loss of weight 2·w1" [ 6. ]
+          explained_weights);
   ]
+
+(* Random problems for the lifting law: a few support patterns (candidates
+   at degrees 1/3, 1/2, 2/3 or 1), each shared by any number of up to a
+   dozen coverable tuples, with random costs and w1; and the preprocessed
+   selection problems of [Fixtures]. Only the fields CMD's model reads are
+   drawn; the rest are the appendix problem's. *)
+let lifting_problem_gen =
+  let open QCheck2.Gen in
+  let drawn =
+    let* m = int_range 1 6 in
+    let degree =
+      oneofl [ Frac.make 1 3; Frac.make 1 2; Frac.make 2 3; Frac.one ]
+    in
+    (* a support: each candidate at a degree or absent, never empty *)
+    let pattern =
+      map
+        (fun ds ->
+          let sup = List.mapi (fun c -> Option.map (fun d -> (c, d))) ds in
+          match List.filter_map Fun.id sup with
+          | [] -> [ (0, Frac.one) ]
+          | sup -> sup)
+        (list_repeat m (opt degree))
+    in
+    let* patterns = map Array.of_list (list_size (int_range 1 4) pattern) in
+    let* tuple_pattern =
+      array_size (int_range 1 12) (int_bound (Array.length patterns - 1))
+    in
+    let* costs = array_repeat m (map Frac.of_int (int_range 0 4)) in
+    let* w1 = int_range 1 3 in
+    let base = appendix_problem () in
+    let covers =
+      Array.init m (fun c ->
+          Array.to_list tuple_pattern
+          |> List.mapi (fun ti k ->
+                 Option.map (fun d -> (ti, d)) (List.assoc_opt c patterns.(k)))
+          |> List.filter_map Fun.id |> Array.of_list)
+    in
+    return
+      {
+        Problem.candidates = Array.make m base.Problem.candidates.(0);
+        stats = Array.make m base.Problem.stats.(0);
+        tuples =
+          Array.mapi
+            (fun ti _ -> Tuple.of_consts "t" [ string_of_int ti ])
+            tuple_pattern;
+        covers;
+        cand_cost = costs;
+        weights = { base.Problem.weights with Problem.w_unexplained = w1 };
+      }
+  in
+  oneof
+    [
+      drawn;
+      map
+        (fun p -> (Preprocess.run p).Preprocess.problem)
+        Fixtures.selection_problem_gen;
+    ]
+
+(* The per-tuple model's energy at [x], each explained-atom at its best
+   value [min(1, Σ d·x)]: the relaxed objective as a function of [x]. *)
+let per_tuple_energy p ~squared x =
+  let m = Problem.num_candidates p in
+  let model = Ground_oracle.build_model ~squared p in
+  Psl.Hlmrf.energy model (Ground_oracle.extend model ~m x)
+
+let lifting_tests =
+  let open QCheck2 in
+  [
+    Test.make ~name:"lifted energy equals per-tuple energy at every x"
+      ~count:500
+      Gen.(
+        let* p = lifting_problem_gen and* squared = bool in
+        let+ x =
+          array_repeat (Problem.num_candidates p) (float_bound_inclusive 1.)
+        in
+        (p, squared, x))
+      (fun (p, squared, x) ->
+        let m = Problem.num_candidates p in
+        let lifted = Cmd.build_model ~squared p in
+        let e_lifted = Psl.Hlmrf.energy lifted (Ground_oracle.extend lifted ~m x) in
+        let e_tuple = per_tuple_energy p ~squared x in
+        Float.abs (e_lifted -. e_tuple)
+        <= 1e-9 *. Float.max (Float.abs e_lifted) (Float.abs e_tuple));
+    (* at default tolerances the two solutions' energies differ by up to
+       about 6e-3; tightened a hundredfold, by at most 4e-5 in 1,600 draws *)
+    Test.make ~name:"ADMM on either model reaches the same per-tuple energy"
+      ~count:200 Gen.(pair lifting_problem_gen bool) (fun (p, squared) ->
+        let m = Problem.num_candidates p in
+        let options =
+          { Psl.Admm.default_options with Psl.Admm.eps_abs = 1e-7; eps_rel = 1e-6 }
+        in
+        let solve model =
+          Array.sub (Psl.Admm.solve ~options model).Psl.Admm.solution 0 m
+        in
+        let e_lifted = per_tuple_energy p ~squared (solve (Cmd.build_model ~squared p)) in
+        let e_tuple =
+          per_tuple_energy p ~squared (solve (Ground_oracle.build_model ~squared p))
+        in
+        Float.abs (e_lifted -. e_tuple) <= 1e-3 *. Float.max 1. (Float.abs e_tuple));
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
 
 let preprocess_tests =
   [
@@ -708,6 +832,7 @@ let () =
       ("objective", objective_tests);
       ("solvers", solver_agreement_tests);
       ("model-shape", model_shape_tests);
+      ("lifting", lifting_tests);
       ("preprocess", preprocess_tests);
       ("properties", property_tests);
       ("setcover", setcover_tests);

@@ -6,7 +6,8 @@
    2. the chase aliases [Columnar.of_instance] / [Chase.run_columnar] equal
       [Chase.run] trigger for trigger;
    3. Core_solution: worked examples, ground fixpoints, sub-instance
-      containment, two-way homomorphic equivalence, idempotence. *)
+      containment, two-way homomorphic equivalence, idempotence, and a
+      wall-clock bound on a chase rich in shared nulls. *)
 
 open Relational
 open Logic
@@ -146,6 +147,62 @@ let core_tests =
           (Chase.Core_solution.hom_exists ~from ~into:into_no));
   ]
 
+(* Eight source rows whose positions share nulls, chased by a tgd whose
+   head joins two existentials across four atoms: 32 target tuples in
+   null-linked components of up to a dozen. Matching a component's patterns
+   in ascending id order, the retraction search backtracked through every
+   placement of its independent patterns and did not finish in minutes. *)
+let shared_null_chase () =
+  let v x = Term.Var x in
+  let tgd =
+    Tgd.make ~label:"d"
+      ~body:[ Atom.make "proj" [ v "P"; v "E"; v "O" ] ]
+      ~head:
+        [
+          Atom.make "task" [ v "T"; v "V" ];
+          Atom.make "org" [ v "O"; v "U" ];
+          Atom.make "task" [ v "T"; v "U"; v "P" ];
+          Atom.make "org" [ v "T"; v "V" ];
+        ]
+      ()
+  in
+  let value = function
+    | `N k -> Value.Null k
+    | `C x -> Value.Const x
+  in
+  let row p o = Tuple.make "proj" [ value p; Value.Const "c2"; value o ] in
+  let source =
+    Instance.of_tuples
+      [
+        row (`N 102) (`N 102);
+        row (`N 101) (`N 102);
+        row (`N 101) (`N 101);
+        row (`N 101) (`N 100);
+        row (`N 100) (`C "c0");
+        row (`C "c2") (`C "c0");
+        row (`C "c1") (`N 100);
+        row (`C "c0") (`N 101);
+      ]
+  in
+  (Chase.run source [ tgd ]).Chase.solution
+
+let shared_null_tests =
+  [
+    Alcotest.test_case "core of a chase rich in shared nulls within 10 s"
+      `Quick (fun () ->
+        let solution = shared_null_chase () in
+        Alcotest.(check int) "32 chased tuples" 32 (Instance.cardinal solution);
+        let start = Unix.gettimeofday () in
+        let c = Chase.Core_solution.core solution in
+        let elapsed = Unix.gettimeofday () -. start in
+        Alcotest.(check bool) "within 10 s" true (elapsed < 10.);
+        Alcotest.(check bool) "a sub-instance" true (Instance.subset c solution);
+        Alcotest.(check bool) "a core" true (Chase.Core_solution.is_core c);
+        Alcotest.(check bool)
+          "homomorphically equivalent" true
+          (Chase.Core_solution.hom_exists ~from:solution ~into:c));
+  ]
+
 let core_qcheck =
   let open QCheck2 in
   let small_nullable_gen =
@@ -185,5 +242,5 @@ let () =
     [
       ("bitset", bitset_qcheck);
       ("chase-columnar", chase_columnar_tests);
-      ("core", core_tests @ core_qcheck);
+      ("core", core_tests @ shared_null_tests @ core_qcheck);
     ]

@@ -470,9 +470,10 @@ let same_analysis a b =
    atoms, which mix copied variables, existentials shared between atoms,
    constants that may or may not occur in [J], and atoms made of
    existentials only. Source nulls are labelled from 100 up, apart from
-   the labels the chase invents; half the uncored draws with a small [J]
-   add three source rows whose frontier nulls change the trigger-group
-   layout between consecutive groups. *)
+   the labels the chase invents; half the draws with a small [J] add three
+   source rows whose frontier nulls change the trigger-group layout between
+   consecutive groups (and, cored, make null-linked components the core
+   search must order well). *)
 let differential_gen =
   let open QCheck2.Gen in
   let const k = Value.Const (Printf.sprintf "c%d" k) in
@@ -535,10 +536,8 @@ let differential_gen =
   let* semantics = oneofl Cover.[ Corroborated; Strict; Generous ] in
   let* core = bool in
   (* the linear scan's enumeration grows as |J| to the group size over
-     all-null tuples, and the core of a chased instance this rich in
-     shared nulls can take minutes to find, so the twins go with the
-     smaller J and the uncored fold only *)
-  let* twins = if List.length j < 20 && not core then twins else return [] in
+     all-null tuples, so the twins go with the smaller J only *)
+  let* twins = if List.length j < 20 then twins else return [] in
   let source = source @ twins in
   return (Instance.of_tuples source, Instance.of_tuples j, tgds, semantics, core)
 
