@@ -96,7 +96,7 @@ let run_multihop ~solver ~jobs ~cache ~weights ~seed ~rows ~hops ~pi_corresp
          s.Ibench.Multihop.hops)
     (Fuzz.Case.of_multihop ~weights s)
 
-let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
+let select file scenario seed solver jobs cache trace hops pi_corresp pi_errors
     pi_unexplained rows w1 w2 w3 =
   Cli.install_trace trace;
   let cache = Cli.resolve_cache cache in
@@ -179,6 +179,18 @@ let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
       ~candidates:s.Ibench.Scenario.candidates
       ~source:s.Ibench.Scenario.instance_i ~j:s.Ibench.Scenario.instance_j
       ~truth:s.Ibench.Scenario.ground_truth
+
+(* The exact objective is native-int arithmetic that raises rather than
+   wraps; large weights make it unrepresentable, which is bad input. *)
+let run file scenario seed solver jobs cache trace hops pi_corresp pi_errors
+    pi_unexplained rows w1 w2 w3 =
+  try
+    select file scenario seed solver jobs cache trace hops pi_corresp pi_errors
+      pi_unexplained rows w1 w2 w3
+  with Util.Frac.Overflow ->
+    prerr_endline
+      "cmd_select: the objective overflows native integers; use smaller weights";
+    exit 1
 
 let file =
   Arg.(value & opt (some file) None & info [ "f"; "file" ] ~docv:"FILE"

@@ -16,8 +16,6 @@ let make coeffs constant =
   in
   { coeffs; constant }
 
-let constant c = { coeffs = []; constant = c }
-
 let eval t x =
   List.fold_left (fun acc (i, c) -> acc +. (c *. x.(i))) t.constant t.coeffs
 

@@ -8,8 +8,6 @@ type t = {
 val make : (int * float) list -> float -> t
 (** Combines duplicate indices and drops zero coefficients. *)
 
-val constant : float -> t
-
 val eval : t -> float array -> float
 
 val vars : t -> int list

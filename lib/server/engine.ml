@@ -184,6 +184,14 @@ let handle (t : t) ?progress (req : Protocol.request) =
     | exception Fail (kind, message) ->
       Atomic.incr t.errors;
       Protocol.Error { id; kind; message }
+    | exception Util.Frac.Overflow ->
+      Atomic.incr t.errors;
+      Protocol.Error
+        {
+          id;
+          kind = Protocol.Overflow;
+          message = "the objective overflows native integers";
+        }
     | exception exn ->
       Atomic.incr t.errors;
       Protocol.Error

@@ -42,8 +42,9 @@ val handle :
   Protocol.request ->
   Protocol.response
 (** Answers one request. Never raises: scenario and solver problems map to
-    their typed {!Protocol.error_kind}s and anything unexpected to
-    [Internal]. [progress] (only invoked for [solve] calls that asked for
-    it) receives lifecycle events — [queued] is the server's, the engine
-    emits [started], [resolved] (with the problem digest as [name]) and
-    [done]; span-derived events are routed by the scheduler, not here. *)
+    their typed {!Protocol.error_kind}s, an objective past native integers
+    to [Overflow] and anything unexpected to [Internal]. [progress] (only
+    invoked for [solve] calls that asked for it) receives lifecycle
+    events — [queued] is the server's, the engine emits [started],
+    [resolved] (with the problem digest as [name]) and [done];
+    span-derived events are routed by the scheduler, not here. *)

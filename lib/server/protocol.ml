@@ -30,6 +30,7 @@ type error_kind =
   | Overloaded
   | Deadline_exceeded
   | Shutting_down
+  | Overflow
   | Internal
 
 type response =
@@ -49,6 +50,7 @@ let kind_label = function
   | Overloaded -> "overloaded"
   | Deadline_exceeded -> "deadline_exceeded"
   | Shutting_down -> "shutting_down"
+  | Overflow -> "overflow"
   | Internal -> "internal"
 
 (* --- decoding ----------------------------------------------------------- *)
@@ -90,9 +92,15 @@ let field_str ?id ~where name j =
 let decode_weights ~id j =
   match Json.to_list j with
   | Some [ a; b; c ] -> (
+    let too_large = function
+      | Json.Num f -> Float.is_integer f && f >= Int.to_float max_int
+      | _ -> false
+    in
     match (Json.to_int a, Json.to_int b, Json.to_int c) with
     | Some w1, Some w2, Some w3 when w1 > 0 && w2 > 0 && w3 > 0 ->
       { Core.Problem.w_unexplained = w1; w_errors = w2; w_size = w3 }
+    | _ when List.exists too_large [ a; b; c ] ->
+      reject ~id Overflow "params.weights overflow native integers"
     | _ ->
       reject ~id Invalid_request "params.weights must be three positive integers")
   | _ -> reject ~id Invalid_request "params.weights must be [w1, w2, w3]"

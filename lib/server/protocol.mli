@@ -91,6 +91,9 @@ type error_kind =
           connection stays open and the client may retry *)
   | Deadline_exceeded  (** still queued when the deadline passed *)
   | Shutting_down
+  | Overflow
+      (** a weight, or the exact objective it scales, does not fit a
+          native integer ({!Util.Frac.Overflow}) *)
   | Internal
 
 type response =

@@ -326,7 +326,8 @@ let to_int = function
   | Num f
     when Float.is_integer f
          && f >= Int.to_float min_int
-         && f <= Int.to_float max_int -> Some (Float.to_int f)
+         (* [Int.to_float max_int] rounds up to 2{^62}, itself out of range *)
+         && f < Int.to_float max_int -> Some (Float.to_int f)
   | _ -> None
 
 let to_bool = function Bool b -> Some b | _ -> None

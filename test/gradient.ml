@@ -1,3 +1,5 @@
+open Psl
+
 let clip01 v = Float.max 0. (Float.min 1. v)
 
 let penalised_energy ~penalty model x =

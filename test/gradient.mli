@@ -1,15 +1,15 @@
 (** Projected subgradient descent on HL-MRF energies.
 
-    A slow but straightforward reference solver used to cross-check
-    {!Admm} in tests. Hard constraints are handled by a quadratic penalty,
-    so the result is only approximately feasible; prefer {!Admm} everywhere
-    else. *)
+    A slow but straightforward reference solver, kept only as the oracle
+    of [test_psl]'s cross-check of {!Psl.Admm}. Hard constraints are
+    handled by a quadratic penalty, so the result is only approximately
+    feasible. *)
 
 val solve :
   ?iterations : int ->
   ?step : float ->
   ?penalty : float ->
-  Hlmrf.t ->
+  Psl.Hlmrf.t ->
   float array
 (** [solve model] returns the best (lowest penalised energy) iterate of
     [iterations] (default 5000) projected subgradient steps with step size

@@ -102,6 +102,15 @@ let prop_parse_line_agrees_with_parse =
         | Error _, Error _ -> true
         | _ -> false)
 
+(* max_int is 2^62 - 1, which no float holds: the nearest is 2^62, and
+   converting that wraps to min_int *)
+let test_to_int_range () =
+  let to_int f = Json.to_int (Json.Num f) in
+  Alcotest.(check (option int)) "2^62" None (to_int (Float.ldexp 1. 62));
+  Alcotest.(check (option int)) "-2^62" (Some min_int) (to_int (Float.ldexp (-1.) 62));
+  Alcotest.(check (option int)) "largest float below 2^62"
+    (Some (max_int - 511)) (to_int (Float.pred (Float.ldexp 1. 62)))
+
 let () =
   Alcotest.run "json"
     [
@@ -124,4 +133,5 @@ let () =
             test_parse_line_rejects_blank;
           QCheck_alcotest.to_alcotest prop_parse_line_agrees_with_parse;
         ] );
+      ("accessors", [ Alcotest.test_case "to_int range" `Quick test_to_int_range ]);
     ]

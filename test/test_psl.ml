@@ -229,347 +229,6 @@ let oracle_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
-(* --- rule layer -------------------------------------------------------- *)
-
-let smokers_db friends =
-  Database.create
-    [ Predicate.make ~closed:true "friend" 2; Predicate.make "smokes" 1 ]
-  |> Database.observe_all
-       (List.map (fun (a, b) -> (Gatom.make "friend" [ a; b ], 1.0)) friends)
-
-let influence_rule =
-  Rule.make ~label:"influence" ~weight:(Some 1.)
-    ~body:[ Rule.pos "friend" [ Rule.V "X"; Rule.V "Y" ]; Rule.pos "smokes" [ Rule.V "X" ] ]
-    ~head:[ Rule.pos "smokes" [ Rule.V "Y" ] ]
-    ()
-
-let grounding_tests =
-  [
-    Alcotest.test_case "one grounding per closed fact" `Quick (fun () ->
-        let db = smokers_db [ ("a", "b"); ("b", "c") ] in
-        let g = Grounding.ground db [ influence_rule ] in
-        Alcotest.(check int) "2 groundings" 2 g.Grounding.groundings;
-        Alcotest.(check int) "3 open atoms" 3 (Array.length g.Grounding.atoms));
-    Alcotest.test_case "influence propagates smoking" `Quick (fun () ->
-        let db = smokers_db [ ("a", "b") ] in
-        let reward =
-          Rule.make ~label:"fact" ~weight:(Some 2.) ~body:[]
-            ~head:[ Rule.pos "smokes" [ Rule.C "a" ] ]
-            ()
-        in
-        let prior =
-          Rule.make ~label:"prior" ~weight:(Some 0.5)
-            ~body:[ Rule.pos "smokes" [ Rule.V "X" ]; Rule.pos "friend" [ Rule.V "X"; Rule.V "Y" ] ]
-            ~head:[] ()
-        in
-        ignore prior;
-        let g = Grounding.ground db [ influence_rule; reward ] in
-        let r = Grounding.map_inference g in
-        let truth name =
-          Option.get (Grounding.truth_in g r.Admm.solution (Gatom.make "smokes" [ name ]))
-        in
-        Alcotest.check (close ~tol:1e-2 ()) "a smokes" 1.0 (truth "a");
-        Alcotest.check (close ~tol:1e-2 ()) "b smokes" 1.0 (truth "b"));
-    Alcotest.test_case "hard rule forces truth" `Quick (fun () ->
-        let db =
-          Database.create [ Predicate.make "p" 1 ]
-        in
-        let force =
-          Rule.make ~label:"force" ~weight:None ~body:[]
-            ~head:[ Rule.pos "p" [ Rule.C "a" ] ]
-            ()
-        in
-        let discourage =
-          Rule.make ~label:"discourage" ~weight:(Some 5.)
-            ~body:[ Rule.pos "p" [ Rule.C "a" ] ]
-            ~head:[] ()
-        in
-        let g = Grounding.ground db [ force; discourage ] in
-        let r = Grounding.map_inference g in
-        Alcotest.check (close ~tol:1e-2 ()) "forced" 1.0
-          (Option.get (Grounding.truth_in g r.Admm.solution (Gatom.make "p" [ "a" ]))));
-    Alcotest.test_case "violated constant hard rule raises" `Quick (fun () ->
-        let db = Database.create [ Predicate.make ~closed:true "q" 1 ] in
-        let impossible =
-          Rule.make ~label:"impossible" ~weight:None ~body:[]
-            ~head:[ Rule.pos "q" [ Rule.C "a" ] ]
-            ()
-        in
-        Alcotest.check_raises "raises"
-          (Grounding.Unsatisfiable_hard_rule "impossible") (fun () ->
-            ignore (Grounding.ground db [ impossible ])));
-    Alcotest.test_case "trivially satisfied groundings are dropped" `Quick
-      (fun () ->
-        let db = smokers_db [ ("a", "b") ] in
-        let tautology =
-          Rule.make ~label:"taut" ~weight:(Some 1.)
-            ~body:[ Rule.pos "friend" [ Rule.V "X"; Rule.V "Y" ] ]
-            ~head:[ Rule.pos "friend" [ Rule.V "X"; Rule.V "Y" ] ]
-            ()
-        in
-        let g = Grounding.ground db [ tautology ] in
-        Alcotest.(check int) "0 groundings" 0 g.Grounding.groundings);
-    Alcotest.test_case "unbound variable is rejected" `Quick (fun () ->
-        let db = smokers_db [] in
-        let bad =
-          Rule.make ~label:"bad" ~weight:(Some 1.)
-            ~body:[ Rule.pos "smokes" [ Rule.V "X" ] ]
-            ~head:[ Rule.pos "smokes" [ Rule.V "Y" ] ]
-            ()
-        in
-        Alcotest.(check bool)
-          "raises" true
-          (match Grounding.ground db [ bad ] with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "soft truth values weight the hinge" `Quick (fun () ->
-        (* friend(a,b) observed at 0.5: the influence grounding becomes
-           max(0, 0.5 + smokes(a) − 1 − smokes(b)) *)
-        let db =
-          Database.create
-            [ Predicate.make ~closed:true "friend" 2; Predicate.make "smokes" 1 ]
-          |> Database.observe (Gatom.make "friend" [ "a"; "b" ]) 0.5
-        in
-        let reward =
-          Rule.make ~label:"fact" ~weight:(Some 10.) ~body:[]
-            ~head:[ Rule.pos "smokes" [ Rule.C "a" ] ]
-            ()
-        in
-        let discourage_b =
-          Rule.make ~label:"disc" ~weight:(Some 1.)
-            ~body:[ Rule.pos "smokes" [ Rule.C "b" ] ]
-            ~head:[] ()
-        in
-        (* smokes(b) only needs to reach 0.5 to satisfy the influence rule *)
-        let g = Grounding.ground db [ influence_rule; reward; discourage_b ] in
-        let r = Grounding.map_inference g in
-        let b = Option.get (Grounding.truth_in g r.Admm.solution (Gatom.make "smokes" [ "b" ])) in
-        Alcotest.(check bool) "b near 0.5 or lower" true (b <= 0.55));
-  ]
-
-let database_tests =
-  [
-    Alcotest.test_case "closed world truth" `Quick (fun () ->
-        let db = smokers_db [ ("a", "b") ] in
-        Alcotest.check (close ()) "observed" 1.0
-          (Database.truth_closed db (Gatom.make "friend" [ "a"; "b" ]));
-        Alcotest.check (close ()) "unobserved" 0.0
-          (Database.truth_closed db (Gatom.make "friend" [ "b"; "a" ])));
-    Alcotest.test_case "observe validates" `Quick (fun () ->
-        let db = smokers_db [] in
-        Alcotest.(check bool)
-          "bad arity" true
-          (match Database.observe (Gatom.make "friend" [ "a" ]) 1.0 db with
-          | exception Invalid_argument _ -> true
-          | _ -> false);
-        Alcotest.(check bool)
-          "bad value" true
-          (match Database.observe (Gatom.make "friend" [ "a"; "b" ]) 1.5 db with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-  ]
-
-(* --- weight learning ---------------------------------------------------- *)
-
-let learning_tests =
-  [
-    Alcotest.test_case "influence weight grows, prior shrinks" `Quick
-      (fun () ->
-        (* labels say everyone smokes, but the initial weights make the MAP
-           state non-smoking: learning must strengthen influence and weaken
-           the prior until the MAP matches the labels *)
-        let db =
-          Database.create
-            [ Predicate.make ~closed:true "friend" 2; Predicate.make "smokes" 1 ]
-          |> Database.observe_all
-               [
-                 (Gatom.make "friend" [ "a"; "b" ], 1.0);
-                 (Gatom.make "friend" [ "b"; "c" ], 1.0);
-                 (* training labels for the open predicate *)
-                 (Gatom.make "smokes" [ "a" ], 1.0);
-                 (Gatom.make "smokes" [ "b" ], 1.0);
-                 (Gatom.make "smokes" [ "c" ], 1.0);
-               ]
-        in
-        let anchor =
-          Rule.make ~label:"anchor" ~weight:None ~body:[]
-            ~head:[ Rule.pos "smokes" [ Rule.C "a" ] ]
-            ()
-        in
-        let influence =
-          Rule.make ~label:"influence" ~weight:(Some 0.1)
-            ~body:
-              [ Rule.pos "friend" [ Rule.V "X"; Rule.V "Y" ];
-                Rule.pos "smokes" [ Rule.V "X" ] ]
-            ~head:[ Rule.pos "smokes" [ Rule.V "Y" ] ]
-            ()
-        in
-        let prior =
-          Rule.make ~label:"prior" ~weight:(Some 2.0)
-            ~body:[ Rule.pos "smokes" [ Rule.V "Y" ];
-                    Rule.pos "friend" [ Rule.V "X"; Rule.V "Y" ] ]
-            ~head:[] ()
-        in
-        let rules = [ anchor; influence; prior ] in
-        let learned = Learn.learn db rules in
-        let weight_of label =
-          Option.get
-            (List.find_map
-               (fun (r : Rule.t) ->
-                 if String.equal r.Rule.label label then r.Rule.weight else None)
-               learned)
-        in
-        Alcotest.(check bool) "influence grew" true (weight_of "influence" > 0.1);
-        Alcotest.(check bool) "prior shrank" true (weight_of "prior" < 2.0);
-        (* after learning, MAP inference reproduces the labels *)
-        let g = Grounding.ground db learned in
-        let r = Grounding.map_inference g in
-        List.iter
-          (fun p ->
-            let truth =
-              Option.get (Grounding.truth_in g r.Admm.solution (Gatom.make "smokes" [ p ]))
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s smokes after learning" p)
-              true (truth > 0.9))
-          [ "a"; "b"; "c" ]);
-    Alcotest.test_case "hard rules keep their weightlessness" `Quick (fun () ->
-        let db = Database.create [ Predicate.make "p" 1 ] in
-        let hard =
-          Rule.make ~label:"hard" ~weight:None ~body:[]
-            ~head:[ Rule.pos "p" [ Rule.C "a" ] ]
-            ()
-        in
-        match Learn.learn db [ hard ] with
-        | [ r ] -> Alcotest.(check bool) "still hard" true (r.Rule.weight = None)
-        | _ -> Alcotest.fail "one rule expected");
-    Alcotest.test_case "weights never fall below the floor" `Quick (fun () ->
-        (* a rule contradicted by every label is driven to the floor, not
-           below *)
-        let db =
-          Database.create [ Predicate.make ~closed:true "q" 1; Predicate.make "p" 1 ]
-          |> Database.observe (Gatom.make "q" [ "a" ]) 1.0
-          |> Database.observe (Gatom.make "p" [ "a" ]) 0.0
-        in
-        let wrong =
-          Rule.make ~label:"wrong" ~weight:(Some 1.0)
-            ~body:[ Rule.pos "q" [ Rule.V "X" ] ]
-            ~head:[ Rule.pos "p" [ Rule.V "X" ] ]
-            ()
-        in
-        match Learn.learn db [ wrong ] with
-        | [ r ] ->
-          Alcotest.(check bool)
-            "floored" true
-            (match r.Rule.weight with Some w -> w >= 0.0099 && w < 1.0 | None -> false)
-        | _ -> Alcotest.fail "one rule expected");
-    Alcotest.test_case "observed_assignment reads open observations" `Quick
-      (fun () ->
-        let db =
-          Database.create [ Predicate.make ~closed:true "q" 1; Predicate.make "p" 1 ]
-          |> Database.observe (Gatom.make "q" [ "a" ]) 1.0
-          |> Database.observe (Gatom.make "p" [ "a" ]) 0.75
-        in
-        let rule =
-          Rule.make ~weight:(Some 1.0)
-            ~body:[ Rule.pos "q" [ Rule.V "X" ] ]
-            ~head:[ Rule.pos "p" [ Rule.V "X" ] ]
-            ()
-        in
-        let g = Grounding.ground db [ rule ] in
-        let obs = Learn.observed_assignment db g in
-        Alcotest.(check int) "one var" 1 (Array.length obs);
-        Alcotest.(check (float 1e-9)) "label" 0.75 obs.(0));
-    Alcotest.test_case "rule_distances sums per rule" `Quick (fun () ->
-        let db =
-          Database.create [ Predicate.make ~closed:true "q" 1; Predicate.make "p" 1 ]
-          |> Database.observe (Gatom.make "q" [ "a" ]) 1.0
-          |> Database.observe (Gatom.make "q" [ "b" ]) 1.0
-        in
-        let rule =
-          Rule.make ~weight:(Some 1.0)
-            ~body:[ Rule.pos "q" [ Rule.V "X" ] ]
-            ~head:[ Rule.pos "p" [ Rule.V "X" ] ]
-            ()
-        in
-        let g = Grounding.ground db [ rule ] in
-        (* with p(a)=p(b)=0, both groundings have distance 1 *)
-        let d = Grounding.rule_distances g ~num_rules:1 [| 0.; 0. |] in
-        Alcotest.(check (float 1e-9)) "2.0" 2.0 d.(0));
-  ]
-
-(* --- program text format ------------------------------------------------ *)
-
-let program_text = String.concat "\n"
-  [
-    "# comment";
-    "predicate friend/2 closed";
-    "predicate smokes/1";
-    "observe friend(a, b) = 1.0";
-    "observe smokes(a) = 0.8";
-    "rule influence 2.0: friend(X, Y) & smokes(X) -> smokes(Y)";
-    "rule prior 0.5: smokes(X) & friend(X, Y) ->";
-    "rule anchor hard: -> smokes(a)";
-    "rule sq 1.5 squared: smokes(X) & friend(X, Y) -> smokes(X)";
-  ]
-
-let program_tests =
-  [
-    Alcotest.test_case "parse the full feature set" `Quick (fun () ->
-        match Program.parse program_text with
-        | Error e -> Alcotest.failf "%a" Program.pp_error e
-        | Ok p ->
-          Alcotest.(check int) "2 predicates" 2 (List.length p.Program.predicates);
-          Alcotest.(check int) "2 observations" 2 (List.length p.Program.observations);
-          Alcotest.(check int) "4 rules" 4 (List.length p.Program.rules);
-          let anchor = List.nth p.Program.rules 2 in
-          Alcotest.(check bool) "hard" true (anchor.Rule.weight = None);
-          let sq = List.nth p.Program.rules 3 in
-          Alcotest.(check bool) "squared" true sq.Rule.squared);
-    Alcotest.test_case "roundtrip through pp" `Quick (fun () ->
-        match Program.parse program_text with
-        | Error e -> Alcotest.failf "%a" Program.pp_error e
-        | Ok p -> (
-          match Program.parse (Format.asprintf "%a" Program.pp p) with
-          | Error e -> Alcotest.failf "reparse: %a" Program.pp_error e
-          | Ok p' ->
-            Alcotest.(check int)
-              "rules survive"
-              (List.length p.Program.rules)
-              (List.length p'.Program.rules);
-            Alcotest.(check int)
-              "observations survive"
-              (List.length p.Program.observations)
-              (List.length p'.Program.observations)));
-    Alcotest.test_case "database applies the observations" `Quick (fun () ->
-        match Program.parse program_text with
-        | Error e -> Alcotest.failf "%a" Program.pp_error e
-        | Ok p ->
-          let db = Program.database p in
-          Alcotest.check (close ()) "friend" 1.0
-            (Database.truth_closed db (Gatom.make "friend" [ "a"; "b" ]));
-          Alcotest.(check bool)
-            "open label" true
-            (Database.truth db (Gatom.make "smokes" [ "a" ]) = Some 0.8));
-    Alcotest.test_case "errors carry line numbers" `Quick (fun () ->
-        let bad = "predicate p/1\nnot a directive\n" in
-        match Program.parse bad with
-        | Ok _ -> Alcotest.fail "expected error"
-        | Error e -> Alcotest.(check int) "line 2" 2 e.Program.line);
-    Alcotest.test_case "bad weight rejected" `Quick (fun () ->
-        Alcotest.(check bool)
-          "rejected" true
-          (Result.is_error (Program.parse "rule r nan-ish!: p(X) -> p(X)\n")));
-    Alcotest.test_case "program is solvable end to end" `Quick (fun () ->
-        match Program.parse program_text with
-        | Error e -> Alcotest.failf "%a" Program.pp_error e
-        | Ok p ->
-          let db = Program.database p in
-          let g = Grounding.ground db p.Program.rules in
-          let r = Grounding.map_inference g in
-          Alcotest.(check bool) "converged" true r.Admm.converged);
-  ]
-
 let admm_options_tests =
   [
     Alcotest.test_case "different rho, same optimum" `Quick (fun () ->
@@ -610,38 +269,8 @@ let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ]
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
 
-let smokers_text weight observed =
-  String.concat "\n"
-    [
-      "predicate friend/2 closed";
-      "predicate smokes/1";
-      "observe friend(anna, bob) = 1.0";
-      "observe smokes(bob) = " ^ observed;
-      "rule influence " ^ weight ^ ": friend(X, Y) & smokes(X) -> smokes(Y)";
-    ]
-
 let non_finite_tests =
   [
-    Alcotest.test_case "Rule.make rejects non-finite weights" `Quick (fun () ->
-        List.iter
-          (fun w ->
-            Alcotest.(check bool)
-              (Printf.sprintf "weight %g" w) true
-              (raises_invalid (fun () ->
-                   Rule.make ~weight:(Some w)
-                     ~body:[ Rule.pos "p" [ Rule.V "X" ] ]
-                     ~head:[] ())))
-          non_finite);
-    Alcotest.test_case "Database.observe rejects non-finite truth values"
-      `Quick (fun () ->
-        let db = smokers_db [] in
-        List.iter
-          (fun v ->
-            Alcotest.(check bool)
-              (Printf.sprintf "value %g" v) true
-              (raises_invalid (fun () ->
-                   Database.observe (Gatom.make "smokes" [ "a" ]) v db)))
-          non_finite);
     Alcotest.test_case "Hlmrf rejects non-finite weights, coefficients, constants"
       `Quick (fun () ->
         List.iter
@@ -687,25 +316,6 @@ let non_finite_tests =
         in
         Alcotest.(check int) "zero tolerances and iterations are valid" 0
           r.Admm.iterations);
-    Alcotest.test_case "parse reports the line of a non-finite number" `Quick
-      (fun () ->
-        let line_of text =
-          match Program.parse text with
-          | Ok _ -> None
-          | Error e -> Some e.Program.line
-        in
-        Alcotest.(check (option int)) "finite program parses" None
-          (line_of (smokers_text "0.2" "1.0"));
-        List.iter
-          (fun w ->
-            Alcotest.(check (option int)) ("rule weight " ^ w) (Some 5)
-              (line_of (smokers_text w "1.0")))
-          [ "nan"; "inf"; "-inf"; "infinity" ];
-        List.iter
-          (fun v ->
-            Alcotest.(check (option int)) ("truth value " ^ v) (Some 4)
-              (line_of (smokers_text "0.2" v)))
-          [ "nan"; "inf"; "-nan"; "1.5" ]);
   ]
 
 let () =
@@ -715,10 +325,6 @@ let () =
       ("admm", admm_tests);
       ("admm-properties", property_tests);
       ("admm-oracle", oracle_tests);
-      ("database", database_tests);
-      ("grounding", grounding_tests);
-      ("learning", learning_tests);
-      ("program", program_tests);
       ("admm-options", admm_options_tests);
       ("non-finite", non_finite_tests);
     ]

@@ -192,22 +192,6 @@ let file_tests =
                 "I" true
                 (Relational.Instance.equal doc.Document.instance_i
                    appendix_doc.Document.instance_i)));
-    Alcotest.test_case "psl program save/parse_file roundtrips" `Quick
-      (fun () ->
-        let program =
-          "predicate p/1\nrule r 1.0: p(X) -> p(X)\nobserve p(a) = 0.5\n"
-        in
-        let path = Filename.temp_file "repro_psl" ".psl" in
-        Fun.protect
-          ~finally:(fun () -> Sys.remove path)
-          (fun () ->
-            let oc = open_out path in
-            output_string oc program;
-            close_out oc;
-            match Psl.Program.parse_file path with
-            | Error e -> Alcotest.failf "%a" Psl.Program.pp_error e
-            | Ok p ->
-              Alcotest.(check int) "one rule" 1 (List.length p.Psl.Program.rules)));
   ]
 
 let () =

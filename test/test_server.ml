@@ -120,6 +120,35 @@ let test_engine_typed_errors () =
   Alcotest.(check int) "errors counted" 3 s.Server.Engine.errors;
   Alcotest.(check int) "no solver ran" 0 s.Server.Engine.solves
 
+(* A weight past native integers, or one whose exact objective is, gets the
+   typed [overflow] kind rather than [internal] with an exception string.
+   JSON numbers are floats: max_int arrives as 2^62, one past it, while
+   2^62 - 512 decodes and overflows the appendix's unexplained term. *)
+let test_engine_overflow () =
+  let engine = Server.Engine.create () in
+  let appendix =
+    Serialize.Document.to_string (Option.get (Scenarios.Zoo.find "appendix")).Scenarios.Zoo.doc
+  in
+  let answer w1 =
+    let frame =
+      Printf.sprintf
+        {|{"id":"w","method":"solve","params":{"scenario":%s,"solver":"greedy","weights":[%s,1,1]}}|}
+        (Json.to_string (Json.Str appendix)) w1
+    in
+    let resp =
+      match Protocol.parse_request frame with
+      | Ok req -> Server.Engine.handle engine req
+      | Error resp -> resp
+    in
+    match resp with
+    | Protocol.Error { kind; _ } -> Protocol.kind_label kind
+    | Protocol.Result _ -> "result"
+  in
+  Alcotest.(check string) "max_int weight" "overflow" (answer "4611686018427387903");
+  Alcotest.(check string) "overflowing objective" "overflow"
+    (answer "4611686018427387392");
+  Alcotest.(check string) "unit weights solve" "result" (answer "1")
+
 (* --- coalescing ---------------------------------------------------------- *)
 
 let run_identical ~jobs ~n =
@@ -400,6 +429,7 @@ let () =
           Alcotest.test_case "bit-identical responses" `Quick
             test_engine_deterministic;
           Alcotest.test_case "typed errors" `Quick test_engine_typed_errors;
+          Alcotest.test_case "overflowing weights" `Quick test_engine_overflow;
         ] );
       ( "coalescing",
         [
