@@ -58,8 +58,7 @@ let big_problem =
          ~primitives:(List.map (fun k -> (k, 2)) Ibench.Primitive.all)
          ~seed:4 ~pi_corresp:25 ~pi_errors:10 ~pi_unexplained:10 ()
      in
-     let p = problem_of (Ibench.Generator.generate config) in
-     (Core.Preprocess.run p).Core.Preprocess.problem)
+     problem_of (Ibench.Generator.generate config))
 
 let big_model = lazy (Core.Cmd.build_model (Lazy.force big_problem))
 
@@ -310,8 +309,7 @@ let tests =
              Logic.Cq.answers_indexed index q));
       Test.make ~name:"substrate-psl-grounding"
         (stage (fun () ->
-             let p = Lazy.force noisy_problem in
-             Core.Cmd.build_model (Core.Preprocess.run p).Core.Preprocess.problem));
+             Core.Cmd.build_model (Lazy.force noisy_problem)));
       Test.make ~name:"substrate-local-search"
         (stage (fun () ->
              let p = Lazy.force small_problem in

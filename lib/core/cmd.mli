@@ -2,9 +2,10 @@
 
     The selection problem is translated into a ground probabilistic-soft-logic
     program over decision atoms [in(θ) ∈ [0,1]] (one per candidate) and
-    auxiliary atoms [explained(g) ∈ [0,1]], one per distinct support: the
-    coverable target tuples whose [(θ, covers(θ,t))] pairs are equal (by
-    exact degree) share one atom [g] of size [k_g]:
+    auxiliary atoms [explained(g) ∈ [0,1]], one per support group of the
+    problem's lifted view ([Problem.t.group_size]): the coverable target
+    tuples whose [(θ, covers(θ,t))] pairs are equal (by exact degree) share
+    one atom [g] of size [k_g]:
 
     - soft, weight [k_g·w1]: [explained(g)] — a linear loss [1 − y_g], the
       [k_g] per-tuple losses [w1·(1 − y_t)] as one;
@@ -21,8 +22,8 @@
     {!Psl.Admm}) yields fractional [in(θ)] values; a discrete mapping is
     recovered by conditional rounding — candidates are visited in decreasing
     fractional value and kept iff they improve the exact discrete objective —
-    followed by a single-flip repair pass. Certainly-unexplained tuples are
-    removed before the model is built ({!Preprocess}).
+    followed by a single-flip repair pass. Certainly-unexplained tuples
+    form no group, so they get no atom: they are the problem's constant.
 
     The LP relaxation uses the capped-sum semantics of Łukasiewicz
     disjunction for [explains]; the rounding and all reported objective
@@ -56,13 +57,14 @@ type result = {
 }
 
 val solve : ?options : options -> Problem.t -> result
-(** Preprocess, ground, MAP inference, rounding and repair, as above.
+(** Ground, MAP inference, rounding and repair, as above.
     Deterministic in the problem. *)
 
 val build_model : ?squared : bool -> Problem.t -> Psl.Hlmrf.t
-(** The ground HL-MRF for a (typically preprocessed) problem, with variables
-    [0..m-1] the candidates and [m..m+G-1] the explained-atoms, one per
-    distinct support, numbered in the order of their first tuple. Squared
+(** The ground HL-MRF of a problem, with variables [0..m-1] the candidates
+    and [m..m+G-1] the explained-atoms, one per support group, numbered as
+    the problem numbers its groups (in the order of their first tuple).
+    Each support constraint lists its candidates in descending order. Squared
     flavour: the losses are [k_g·w1·(1 − y_g)²] and [cost_θ·x_θ²].
     Deterministic in the problem. Exposed for testing and for the scaling
     benchmarks. *)

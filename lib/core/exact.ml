@@ -5,27 +5,18 @@ let solve ?(max_candidates = 25) (p : Problem.t) =
   if m > max_candidates then
     Solver_error.raise_ ~solver:"exact"
       "%d candidates exceed the branch-and-bound limit of %d" m max_candidates;
-  let n_tuples = Problem.num_tuples p in
-  let w1 = Frac.of_int p.Problem.weights.Problem.w_unexplained in
   (* Incumbent from greedy. *)
   let best_sel = ref (Greedy.solve p) in
   let best_val = ref (Objective.value p !best_sel) in
   let sel = Array.make m false in
   (* excluded.(c) = candidate decided out on the current path *)
   let excluded = Array.make m false in
-  (* Optimistic per-tuple coverage given the exclusions: max over candidates
-     not excluded. Recomputed per node only over the affected tuples would be
-     fancier; at ≤25 candidates a full pass is cheap. *)
+  (* Optimistic coverage of each support group given the exclusions: max
+     over the candidates not excluded, i.e. the lower bound of the problem
+     without them. Recomputed per node only over the affected groups would
+     be fancier; at ≤25 candidates a full pass is cheap. *)
   let optimistic_unexplained () =
-    let best = Array.make n_tuples Frac.zero in
-    for c = 0 to m - 1 do
-      if not excluded.(c) then
-        Array.iter
-          (fun (ti, d) -> if Frac.(best.(ti) < d) then best.(ti) <- d)
-          p.Problem.covers.(c)
-    done;
-    let covered = Array.fold_left Frac.add Frac.zero best in
-    Frac.mul w1 (Frac.sub (Frac.of_int n_tuples) covered)
+    Objective.unexplained p (Objective.group_coverage p (Array.map not excluded))
   in
   let rec branch i cost =
     if i >= m then begin

@@ -5,7 +5,8 @@
     (ground truth for experiments, correctness oracle for tests). The search
     enumerates include/exclude decisions in candidate order, pruning with the
     bound [cost(selected) + w1·Σ_t (1 − maxcover(t))] where [maxcover] is the
-    best coverage achievable by the candidates not yet excluded; the greedy
+    best coverage achievable by the candidates not yet excluded, summed over
+    the support groups; the greedy
     solution provides the initial incumbent. *)
 
 val solve : ?max_candidates : int -> Problem.t -> bool array

@@ -3,9 +3,12 @@ open Util
 let marginal_gain (p : Problem.t) ~best c =
   let coverage_gain =
     Array.fold_left
-      (fun acc (ti, d) ->
-        if Frac.(best.(ti) < d) then Frac.add acc (Frac.sub d best.(ti)) else acc)
-      Frac.zero p.Problem.covers.(c)
+      (fun acc (g, d) ->
+        if Frac.(best.(g) < d) then
+          Frac.add acc
+            (Frac.mul (Frac.of_int p.Problem.group_size.(g)) (Frac.sub d best.(g)))
+        else acc)
+      Frac.zero p.Problem.group_covers.(c)
   in
   Frac.sub
     (Frac.mul (Frac.of_int p.Problem.weights.Problem.w_unexplained) coverage_gain)

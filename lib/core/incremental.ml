@@ -9,44 +9,46 @@ end)
 type t = {
   problem : Problem.t;
   sel : bool array;
+  mult : Frac.t array;  (* per group: its multiplicity k *)
+  n_tuples : Frac.t;  (* |J|: the uncoverable tuples and the groups' *)
   degrees : int Fmap.t array;
-      (* per tuple: degree → how many selected candidates cover it at that
+      (* per group: degree → how many selected candidates cover it at that
          degree; [explains] is the maximum key *)
   best : Frac.t array;  (* cached multiset maxima ([Frac.zero] when empty) *)
-  mutable covered : Frac.t;  (* Σ best *)
+  mutable covered : Frac.t;  (* Σ k·best *)
   mutable errors : int;
   mutable size : int;
   mutable cand_cost : Frac.t;
 }
 
-let add_degree st ti d =
-  let m = st.degrees.(ti) in
+let add_degree st g d =
+  let m = st.degrees.(g) in
   let n = match Fmap.find_opt d m with Some n -> n | None -> 0 in
-  st.degrees.(ti) <- Fmap.add d (n + 1) m;
-  if Frac.(st.best.(ti) < d) then begin
-    st.covered <- Frac.add st.covered (Frac.sub d st.best.(ti));
-    st.best.(ti) <- d
+  st.degrees.(g) <- Fmap.add d (n + 1) m;
+  if Frac.(st.best.(g) < d) then begin
+    st.covered <- Frac.add st.covered (Frac.mul st.mult.(g) (Frac.sub d st.best.(g)));
+    st.best.(g) <- d
   end
 
-let remove_degree st ti d =
-  let m = st.degrees.(ti) in
+let remove_degree st g d =
+  let m = st.degrees.(g) in
   let n = Fmap.find d m in
   let m' = if n = 1 then Fmap.remove d m else Fmap.add d (n - 1) m in
-  st.degrees.(ti) <- m';
-  if n = 1 && Frac.equal d st.best.(ti) then begin
+  st.degrees.(g) <- m';
+  if n = 1 && Frac.equal d st.best.(g) then begin
     let next =
       match Fmap.max_binding_opt m' with
       | Some (d', _) -> d'
       | None -> Frac.zero
     in
-    st.covered <- Frac.sub st.covered (Frac.sub st.best.(ti) next);
-    st.best.(ti) <- next
+    st.covered <- Frac.sub st.covered (Frac.mul st.mult.(g) (Frac.sub st.best.(g) next));
+    st.best.(g) <- next
   end
 
 let select st c =
   let p = st.problem in
   st.sel.(c) <- true;
-  Array.iter (fun (ti, d) -> add_degree st ti d) p.Problem.covers.(c);
+  Array.iter (fun (g, d) -> add_degree st g d) p.Problem.group_covers.(c);
   st.errors <- st.errors + Cover.error_count p.Problem.stats.(c);
   st.size <- st.size + p.Problem.stats.(c).Cover.size;
   st.cand_cost <- Frac.add st.cand_cost p.Problem.cand_cost.(c)
@@ -54,7 +56,7 @@ let select st c =
 let deselect st c =
   let p = st.problem in
   st.sel.(c) <- false;
-  Array.iter (fun (ti, d) -> remove_degree st ti d) p.Problem.covers.(c);
+  Array.iter (fun (g, d) -> remove_degree st g d) p.Problem.group_covers.(c);
   st.errors <- st.errors - Cover.error_count p.Problem.stats.(c);
   st.size <- st.size - p.Problem.stats.(c).Cover.size;
   st.cand_cost <- Frac.sub st.cand_cost p.Problem.cand_cost.(c)
@@ -74,12 +76,16 @@ let flip st c =
 let create (p : Problem.t) sel =
   if Array.length sel <> Problem.num_candidates p then
     invalid_arg "Incremental.create: selection length mismatch";
+  let n_groups = Problem.num_groups p in
   let st =
     {
       problem = p;
       sel = Array.make (Problem.num_candidates p) false;
-      degrees = Array.make (Problem.num_tuples p) Fmap.empty;
-      best = Array.make (Problem.num_tuples p) Frac.zero;
+      mult = Array.map Frac.of_int p.Problem.group_size;
+      n_tuples =
+        Frac.of_int (Array.fold_left ( + ) p.Problem.uncoverable p.Problem.group_size);
+      degrees = Array.make n_groups Fmap.empty;
+      best = Array.make n_groups Frac.zero;
       covered = Frac.zero;
       errors = 0;
       size = 0;
@@ -94,43 +100,42 @@ let flip_delta st c =
   let p = st.problem in
   let w1 = Frac.of_int p.Problem.weights.Problem.w_unexplained in
   if st.sel.(c) then
-    (* Dropping [c]: each tuple it covers at the current maximum with
+    (* Dropping [c]: each group it covers at the current maximum with
        multiplicity one falls back to the next-largest degree. *)
     let lost =
       Array.fold_left
-        (fun acc (ti, d) ->
-          if Frac.(d < st.best.(ti)) then acc
-          else if Fmap.find d st.degrees.(ti) > 1 then acc
+        (fun acc (g, d) ->
+          if Frac.(d < st.best.(g)) then acc
+          else if Fmap.find d st.degrees.(g) > 1 then acc
           else
             let next =
               match
                 Fmap.find_last_opt
                   (fun d' -> Frac.compare d' d < 0)
-                  st.degrees.(ti)
+                  st.degrees.(g)
               with
               | Some (d', _) -> d'
               | None -> Frac.zero
             in
-            Frac.add acc (Frac.sub d next))
-        Frac.zero p.Problem.covers.(c)
+            Frac.add acc (Frac.mul st.mult.(g) (Frac.sub d next)))
+        Frac.zero p.Problem.group_covers.(c)
     in
     Frac.sub (Frac.mul w1 lost) p.Problem.cand_cost.(c)
   else
     let gained =
       Array.fold_left
-        (fun acc (ti, d) ->
-          if Frac.(st.best.(ti) < d) then
-            Frac.add acc (Frac.sub d st.best.(ti))
+        (fun acc (g, d) ->
+          if Frac.(st.best.(g) < d) then
+            Frac.add acc (Frac.mul st.mult.(g) (Frac.sub d st.best.(g)))
           else acc)
-        Frac.zero p.Problem.covers.(c)
+        Frac.zero p.Problem.group_covers.(c)
     in
     Frac.sub p.Problem.cand_cost.(c) (Frac.mul w1 gained)
 
 let unexplained st =
-  let p = st.problem in
   Frac.mul
-    (Frac.of_int p.Problem.weights.Problem.w_unexplained)
-    (Frac.sub (Frac.of_int (Problem.num_tuples p)) st.covered)
+    (Frac.of_int st.problem.Problem.weights.Problem.w_unexplained)
+    (Frac.sub st.n_tuples st.covered)
 
 let value st = Frac.add (unexplained st) st.cand_cost
 
@@ -148,7 +153,7 @@ let self_check st =
   let p = st.problem in
   let naive = Objective.breakdown p st.sel in
   let mine = breakdown st in
-  let best = Objective.best_coverage p st.sel in
+  let best = Objective.group_coverage p st.sel in
   if not (Frac.equal naive.Objective.total mine.Objective.total) then
     Error
       (Format.asprintf "total drifted: naive %a, incremental %a" Frac.pp
@@ -159,36 +164,32 @@ let self_check st =
     Error "error accumulator drifted"
   else if naive.Objective.size <> mine.Objective.size then
     Error "size accumulator drifted"
-  else
+  else begin
+    (* per group: how many selected candidates cover it *)
+    let expected = Array.make (Array.length best) 0 in
+    Array.iteri
+      (fun c selected ->
+        if selected then
+          Array.iter (fun (g, _) -> expected.(g) <- expected.(g) + 1)
+            p.Problem.group_covers.(c))
+      st.sel;
     let bad = ref None in
     Array.iteri
-      (fun ti b ->
-        if !bad = None then begin
-          if not (Frac.equal b st.best.(ti)) then
-            bad := Some (Printf.sprintf "cached maximum of tuple %d drifted" ti);
-          let count =
-            Fmap.fold (fun _ n acc -> n + acc) st.degrees.(ti) 0
-          in
-          let expected =
-            Array.to_seq p.Problem.covers |> Seq.mapi (fun c covers -> (c, covers))
-            |> Seq.fold_left
-                 (fun acc (c, covers) ->
-                   if st.sel.(c) then
-                     acc
-                     + Array.fold_left
-                         (fun acc (ti', _) -> if ti' = ti then acc + 1 else acc)
-                         0 covers
-                   else acc)
-                 0
-          in
-          if count <> expected && !bad = None then
-            bad :=
-              Some
-                (Printf.sprintf "degree multiset of tuple %d has %d entries, expected %d"
-                   ti count expected)
-        end)
+      (fun g b ->
+        if !bad = None then
+          if not (Frac.equal b st.best.(g)) then
+            bad := Some (Printf.sprintf "cached maximum of group %d drifted" g)
+          else
+            let count = Fmap.fold (fun _ n acc -> n + acc) st.degrees.(g) 0 in
+            if count <> expected.(g) then
+              bad :=
+                Some
+                  (Printf.sprintf
+                     "degree multiset of group %d has %d entries, expected %d" g
+                     count expected.(g)))
       best;
     match !bad with None -> Ok () | Some msg -> Error msg
+  end
 
 let is_selected st c = st.sel.(c)
 

@@ -5,18 +5,21 @@
     O(m · |covers|) per probe. This module maintains a mutable evaluation
     state from which the objective of the current selection — and the exact
     effect of any single flip — is available in O(|covers(c)| · log k) per
-    flip, where k bounds the number of selected candidates covering one
-    tuple.
+    flip, where [covers(c)] are the support groups candidate [c] covers
+    (the problem's lifted view, [Problem.t.group_covers]) and k bounds the
+    number of selected candidates covering one group.
 
-    Per target tuple the state keeps the multiset of coverage degrees
-    contributed by the currently selected candidates; [explains(M, t)] is
-    the multiset maximum, so committing or probing a flip only touches the
-    tuples the flipped candidate covers. Running accumulators track the
+    Per support group the state keeps the multiset of coverage degrees
+    contributed by the currently selected candidates; [explains(M, t)] of
+    each of the group's tuples is the multiset maximum, so committing or
+    probing a flip only touches the groups the flipped candidate covers, a
+    group of [k] tuples weighing [k]. Running accumulators track the
     covered mass, error and size counts, and the summed candidate cost.
 
     All arithmetic is exact [Util.Frac] rationals: every value produced here
     is bit-identical to the naive evaluator's, which the qcheck differential
-    suite in [test/test_incremental.ml] enforces. *)
+    suite in [test/test_incremental.ml] enforces, and to a per-tuple
+    evaluation, which its [lifted] group checks. *)
 
 type t
 
@@ -41,7 +44,7 @@ val breakdown : t -> Objective.breakdown
     [Objective.breakdown p (selection st)]. *)
 
 val self_check : t -> (unit, string) result
-(** Verifies the internal state (accumulators, cached per-tuple maxima,
+(** Verifies the internal state (accumulators, cached per-group maxima,
     degree-multiset cardinalities) against a from-scratch naive evaluation.
     O(full evaluation) — a diagnostic hook for the fuzzing harness, not for
     hot paths. *)

@@ -7,36 +7,38 @@ type breakdown = {
   total : Frac.t;
 }
 
-let best_coverage (p : Problem.t) sel =
-  let best = Array.make (Array.length p.Problem.tuples) Frac.zero in
+let group_coverage (p : Problem.t) sel =
+  let best = Array.make (Problem.num_groups p) Frac.zero in
   Array.iteri
     (fun c selected ->
       if selected then
         Array.iter
-          (fun (ti, d) -> if Frac.(best.(ti) < d) then best.(ti) <- d)
-          p.Problem.covers.(c))
+          (fun (g, d) -> if Frac.(best.(g) < d) then best.(g) <- d)
+          p.Problem.group_covers.(c))
     sel;
   best
 
-let explains (p : Problem.t) sel ti =
-  let best = ref Frac.zero in
+(* Σ_g k_g·best_g: the explained mass of the tuples *)
+let covered (p : Problem.t) best =
+  let acc = ref Frac.zero in
   Array.iteri
-    (fun c selected ->
-      if selected then
-        Array.iter
-          (fun (ti', d) -> if ti' = ti && Frac.(!best < d) then best := d)
-          p.Problem.covers.(c))
-    sel;
-  !best
+    (fun g b ->
+      if not (Frac.is_zero b) then
+        acc := Frac.add !acc (Frac.mul (Frac.of_int p.Problem.group_size.(g)) b))
+    best;
+  !acc
+
+(* |J| as the constant's tuples plus the groups' *)
+let tuple_count (p : Problem.t) =
+  Array.fold_left ( + ) p.Problem.uncoverable p.Problem.group_size
+
+let unexplained (p : Problem.t) best =
+  Frac.mul
+    (Frac.of_int p.Problem.weights.Problem.w_unexplained)
+    (Frac.sub (Frac.of_int (tuple_count p)) (covered p best))
 
 let breakdown (p : Problem.t) sel =
-  let best = best_coverage p sel in
-  let covered = Array.fold_left Frac.add Frac.zero best in
-  let unexplained =
-    Frac.mul
-      (Frac.of_int p.Problem.weights.Problem.w_unexplained)
-      (Frac.sub (Frac.of_int (Array.length p.Problem.tuples)) covered)
-  in
+  let unexplained = unexplained p (group_coverage p sel) in
   let errors = ref 0 and size = ref 0 and cost = ref Frac.zero in
   Array.iteri
     (fun c selected ->
@@ -52,22 +54,11 @@ let value p sel = (breakdown p sel).total
 
 let lower_bound (p : Problem.t) =
   (* The root bound of the branch-and-bound search: selecting is free and
-     every tuple enjoys its best achievable coverage over all candidates.
+     every group enjoys its best achievable coverage over all candidates.
      No selection can score below this. *)
-  let best = Array.make (Array.length p.Problem.tuples) Frac.zero in
-  Array.iter
-    (fun cover_list ->
-      Array.iter
-        (fun (ti, d) -> if Frac.(best.(ti) < d) then best.(ti) <- d)
-        cover_list)
-    p.Problem.covers;
-  let covered = Array.fold_left Frac.add Frac.zero best in
-  Frac.mul
-    (Frac.of_int p.Problem.weights.Problem.w_unexplained)
-    (Frac.sub (Frac.of_int (Array.length p.Problem.tuples)) covered)
+  unexplained p (group_coverage p (Array.make (Problem.num_candidates p) true))
 
-let empty_value (p : Problem.t) =
-  Frac.of_int (p.Problem.weights.Problem.w_unexplained * Array.length p.Problem.tuples)
+let empty_value p = unexplained p (Array.make (Problem.num_groups p) Frac.zero)
 
 let pp_breakdown ppf b =
   Format.fprintf ppf "unexplained %a + errors %d + size %d = %a" Frac.pp

@@ -10,7 +10,12 @@
     v}
 
     with [explains(M, t) = max_{θ ∈ M} covers(θ, t)]. All values are exact
-    rationals. *)
+    rationals.
+
+    Every function here reads the problem's lifted view: the first sum runs
+    over the support groups, a group of [k] tuples counting [k] times, plus
+    [w1] for each uncoverable tuple. The values are those of the per-tuple
+    sum, since [k] equal terms add up to [k] times the term exactly. *)
 
 type breakdown = {
   unexplained : Util.Frac.t;  (** [w1 · Σ (1 − explains)] *)
@@ -24,12 +29,14 @@ val value : Problem.t -> bool array -> Util.Frac.t
 
 val breakdown : Problem.t -> bool array -> breakdown
 
-val explains : Problem.t -> bool array -> int -> Util.Frac.t
-(** [explains problem sel i]: the degree to which the selection explains the
-    [i]-th target tuple. *)
+val group_coverage : Problem.t -> bool array -> Util.Frac.t array
+(** Per support group, the degree to which the selection explains each of
+    its tuples ([explains]), as a fresh array. *)
 
-val best_coverage : Problem.t -> bool array -> Util.Frac.t array
-(** Per-tuple [explains] values for a selection, as a fresh array. *)
+val unexplained : Problem.t -> Util.Frac.t array -> Util.Frac.t
+(** [unexplained p best]: the first term [w1 · Σ_t (1 − explains)] when
+    every tuple of group [g] is explained to [best.(g)] (an array as
+    {!group_coverage} returns). *)
 
 val empty_value : Problem.t -> Util.Frac.t
 (** [F({})] — [w1 · |J|]. *)

@@ -14,6 +14,9 @@ type t = {
   stats : Cover.tgd_stats array;
   tuples : Tuple.t array;
   covers : (int * Frac.t) array array;
+  group_size : int array;
+  group_covers : (int * Frac.t) array array;
+  uncoverable : int;
   cand_cost : Frac.t array;
   weights : weights;
 }
@@ -22,38 +25,123 @@ let check_weights w =
   if w.w_unexplained <= 0 || w.w_errors <= 0 || w.w_size <= 0 then
     invalid_arg "Problem: weights must be positive"
 
+(* w2·errors + w3·size in checked arithmetic: [Frac.Overflow], not a wrap *)
+let costs weights stats =
+  Array.map
+    (fun s ->
+      Frac.add
+        (Frac.mul (Frac.of_int weights.w_errors) (Frac.of_int (Cover.error_count s)))
+        (Frac.mul (Frac.of_int weights.w_size) (Frac.of_int s.Cover.size)))
+    stats
+
+(* The support groups by partition refinement. Every tuple starts in class
+   0, the empty support. Each candidate in turn moves the tuples it covers
+   to a fresh class per (class, degree) pair, so after the last candidate
+   two tuples share a class exactly when they share a support, degrees
+   compared as exact fractions. Groups are the non-empty classes, numbered
+   in the order of their first tuple. *)
+let lift ~n_tuples covers =
+  let cls = Array.make n_tuples 0 in
+  (* a class is made per cover entry at most *)
+  let classes = Array.fold_left (fun n rows -> n + Array.length rows) 1 covers in
+  (* [moved.(k) = c]: candidate [c] moved class [k]'s tuples at degree
+     [num.(k)/den.(k)] to [target.(k)]; the pairs of [k] with another
+     degree, rare, are in [spill]. A degree is kept as its normal form's
+     two ints: equal ints are equal fractions, and storing them allocates
+     nothing. *)
+  let moved = Array.make classes (-1) in
+  let num = Array.make classes 0 and den = Array.make classes 0 in
+  let target = Array.make classes 0 in
+  let spill = Hashtbl.create 8 in
+  let next = ref 1 in
+  Array.iteri
+    (fun c rows ->
+      if Hashtbl.length spill > 0 then Hashtbl.reset spill;
+      Array.iter
+        (fun (ti, d) ->
+          let k = cls.(ti) in
+          if moved.(k) <> c then begin
+            moved.(k) <- c;
+            num.(k) <- Frac.num d;
+            den.(k) <- Frac.den d;
+            target.(k) <- !next;
+            incr next
+          end;
+          if num.(k) = Frac.num d && den.(k) = Frac.den d then cls.(ti) <- target.(k)
+          else
+            let key = (k, Frac.num d, Frac.den d) in
+            match Hashtbl.find_opt spill key with
+            | Some k' -> cls.(ti) <- k'
+            | None ->
+              Hashtbl.add spill key !next;
+              cls.(ti) <- !next;
+              incr next)
+        rows)
+    covers;
+  let group_of_class = Array.make !next (-1) in
+  let groups = ref 0 in
+  let group =
+    Array.map
+      (fun c ->
+        if c = 0 then -1
+        else begin
+          if group_of_class.(c) < 0 then begin
+            group_of_class.(c) <- !groups;
+            incr groups
+          end;
+          group_of_class.(c)
+        end)
+      cls
+  in
+  let group_size = Array.make !groups 0 in
+  let uncoverable = ref 0 in
+  Array.iter
+    (fun g -> if g < 0 then incr uncoverable else group_size.(g) <- group_size.(g) + 1)
+    group;
+  (* one entry per group a candidate reaches: its tuples share the degree *)
+  let last = Array.make !groups (-1) in
+  let group_covers =
+    Array.mapi
+      (fun c rows ->
+        let entries = ref [] in
+        Array.iter
+          (fun (ti, d) ->
+            let g = group.(ti) in
+            if last.(g) <> c then begin
+              last.(g) <- c;
+              entries := (g, d) :: !entries
+            end)
+          rows;
+        let entries = Array.of_list !entries in
+        Array.sort (fun (g, _) (g', _) -> Int.compare g g') entries;
+        entries)
+      covers
+  in
+  (group_size, group_covers, !uncoverable)
+
 let of_stats ?(weights = default_weights) ~j stats =
   check_weights weights;
   let tuples = Array.of_list (Instance.tuples j) in
   (* the fold numbered each covered tuple by its row in [tuples] *)
   let covers = Array.map (fun s -> s.Cover.rows) stats in
-  let cand_cost =
-    Array.map
-      (fun s ->
-        Frac.of_int
-          ((weights.w_errors * Cover.error_count s)
-          + (weights.w_size * s.Cover.size)))
-      stats
+  let group_size, group_covers, uncoverable =
+    lift ~n_tuples:(Array.length tuples) covers
   in
   {
     candidates = Array.map (fun s -> s.Cover.tgd) stats;
     stats;
     tuples;
     covers;
-    cand_cost;
+    group_size;
+    group_covers;
+    uncoverable;
+    cand_cost = costs weights stats;
     weights;
   }
 
 let with_weights t weights =
   check_weights weights;
-  let cand_cost =
-    Array.map
-      (fun s ->
-        Frac.of_int
-          ((weights.w_errors * Cover.error_count s) + (weights.w_size * s.Cover.size)))
-      t.stats
-  in
-  { t with cand_cost; weights }
+  { t with cand_cost = costs weights t.stats; weights }
 
 let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
   let stats =
@@ -148,6 +236,8 @@ let digest t =
 let num_candidates t = Array.length t.candidates
 
 let num_tuples t = Array.length t.tuples
+
+let num_groups t = Array.length t.group_size
 
 let selection_of_indices t indices =
   let sel = Array.make (num_candidates t) false in

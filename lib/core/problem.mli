@@ -6,7 +6,17 @@
     objective evaluation is a cheap pass over the precomputed degrees. The
     weighted objective of the appendix is supported through the positive
     integer weights [(w1, w2, w3)] on coverage, errors and size; the paper's
-    Eq. 9 is [(1, 1, 1)]. *)
+    Eq. 9 is [(1, 1, 1)].
+
+    {b The lifted view.} A tuple's term [1 − explains(M, t)] depends on [t]
+    only through its support: the candidates that cover it and their exact
+    degrees. The build groups the target tuples by support once, and every
+    solver and the objective read the groups: a group of [k] tuples counts
+    [k] times. Tuples with an empty support (Section III-C's certainly
+    unexplained tuples) form no group; they add the constant
+    [w1 · uncoverable] to every selection's objective. [tuples] and
+    [covers] stay for what is tuple-level: {!digest}, the metrics and the
+    all-full fast path {!Full}. *)
 
 type weights = {
   w_unexplained : int;  (** w1: per unit of unexplained target tuple *)
@@ -24,8 +34,19 @@ type t = {
   covers : (int * Util.Frac.t) array array;
       (** per candidate: (tuple index, coverage degree), positive degrees
           only *)
+  group_size : int array;
+      (** per support group: its multiplicity [k], the number of tuples
+          sharing the support; groups are numbered in the order of their
+          first tuple *)
+  group_covers : (int * Util.Frac.t) array array;
+      (** per candidate: (group, coverage degree), groups ascending — the
+          lifted [covers] *)
+  uncoverable : int;
+      (** tuples that no candidate covers, so
+          [uncoverable + Σ group_size = |J|] *)
   cand_cost : Util.Frac.t array;
-      (** per candidate: [w2·errors + w3·size] — its selection cost *)
+      (** per candidate: [w2·errors + w3·size] — its selection cost,
+          computed in checked arithmetic *)
   weights : weights;
 }
 
@@ -47,7 +68,8 @@ val make :
     core-flagged keys. With [cache], each candidate's chase and coverage
     statistics are memoized content-addressed (bit-identical to the uncached
     analysis; the cached stats are weight-independent, so any weights share
-    the entries). Raises [Invalid_argument] on non-positive weights. *)
+    the entries). Raises [Invalid_argument] on non-positive weights and
+    [Util.Frac.Overflow] as {!of_stats} does. *)
 
 val digest : t -> string
 (** A content digest of the full problem (weights, target tuples, per
@@ -63,16 +85,22 @@ val of_stats :
     when several solvers share one analysis). The statistics must have been
     computed against this [j]: each candidate's coverage entries are its
     [Cover.tgd_stats.rows], row numbers into [Relational.Instance.tuples j],
-    read as they are. *)
+    read as they are. Groups the tuples by support (the lifted view above).
+    Raises [Invalid_argument] on non-positive weights and
+    [Util.Frac.Overflow] when a candidate cost does not fit in native
+    integers. *)
 
 val with_weights : t -> weights -> t
 (** The same problem under different weights — the coverage degrees are
     weight-independent, so only the candidate costs are recomputed. Raises
-    [Invalid_argument] on non-positive weights. *)
+    [Invalid_argument] on non-positive weights and [Util.Frac.Overflow] as
+    {!of_stats} does. *)
 
 val num_candidates : t -> int
 
 val num_tuples : t -> int
+
+val num_groups : t -> int
 
 val selection_of_indices : t -> int list -> bool array
 

@@ -193,5 +193,6 @@ val maps_into : Relational.Tuple.t -> Relational.Instance.t -> bool
 val uncovered_targets :
   tgd_stats array -> Relational.Instance.t -> Relational.Tuple.Set.t
 (** Target tuples of [J] that no candidate covers to any positive degree —
-    the "certainly unexplained" tuples that preprocessing removes (each
-    contributes a constant 1 to the objective regardless of the selection). *)
+    the "certainly unexplained" tuples that a problem counts as its
+    constant (each contributes [w1] to the objective regardless of the
+    selection). *)

@@ -9,8 +9,16 @@ type scores = {
 let make precision recall =
   { precision; recall; f1 = Stats.harmonic precision recall }
 
+(* Tuple-level: each target tuple's [explains], from the per-tuple covers *)
 let tuple_level (p : Core.Problem.t) sel =
-  let best = Core.Objective.best_coverage p sel in
+  let best = Array.make (Core.Problem.num_tuples p) Frac.zero in
+  Array.iteri
+    (fun c selected ->
+      if selected then
+        Array.iter
+          (fun (ti, d) -> if Frac.(best.(ti) < d) then best.(ti) <- d)
+          p.Core.Problem.covers.(c))
+    sel;
   let covered = Array.fold_left Frac.add Frac.zero best in
   let n_tuples = Array.length p.Core.Problem.tuples in
   let recall =

@@ -1,8 +1,9 @@
 (* CMD's ground model as it stood before the lifting of [Core.Cmd]: one
    explained-atom, one loss of weight [w1] and one support constraint per
-   coverable tuple, the tuple's atom numbered [m + t]. Kept only as the
-   oracle of [test_core]'s lifting properties, which compare the two models'
-   energies. *)
+   coverable tuple, the atoms numbered from [m] in tuple order. Tuples no
+   candidate covers get none: they were removed before grounding, as the
+   lifted view's constant is now. Kept only as the oracle of [test_core]'s
+   lifting properties, which compare the two models' energies. *)
 
 open Util
 
@@ -12,8 +13,15 @@ let build_model ?(squared = false) (p : Core.Problem.t) =
     else Psl.Hlmrf.Linear { weight; expr }
   in
   let m = Core.Problem.num_candidates p in
-  let n_tuples = Core.Problem.num_tuples p in
-  let model = Psl.Hlmrf.create ~num_vars:(m + n_tuples) in
+  let support = Array.make (Core.Problem.num_tuples p) [] in
+  Array.iteri
+    (fun c cover_list ->
+      Array.iter
+        (fun (ti, d) -> support.(ti) <- (c, Frac.to_float d) :: support.(ti))
+        cover_list)
+    p.Core.Problem.covers;
+  let support = List.filter (fun sup -> sup <> []) (Array.to_list support) in
+  let model = Psl.Hlmrf.create ~num_vars:(m + List.length support) in
   let w1 = float_of_int p.Core.Problem.weights.Core.Problem.w_unexplained in
   Array.iteri
     (fun c cost ->
@@ -22,14 +30,7 @@ let build_model ?(squared = false) (p : Core.Problem.t) =
         Psl.Hlmrf.add_potential model
           (soft cost (Psl.Linexpr.make [ (c, 1.) ] 0.)))
     p.Core.Problem.cand_cost;
-  let support = Array.make n_tuples [] in
-  Array.iteri
-    (fun c cover_list ->
-      Array.iter
-        (fun (ti, d) -> support.(ti) <- (c, Frac.to_float d) :: support.(ti))
-        cover_list)
-    p.Core.Problem.covers;
-  Array.iteri
+  List.iteri
     (fun ti sup ->
       let y = m + ti in
       Psl.Hlmrf.add_potential model

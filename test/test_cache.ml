@@ -367,10 +367,6 @@ let ibench_problem_gen =
 let problem_digest_matches p =
   let expected = Reference.problem_digest p in
   String.equal expected (Problem.digest p)
-  (* the digest of a preprocessed problem walks remapped cover indices *)
-  && String.equal
-       (Reference.problem_digest (Preprocess.run p).Preprocess.problem)
-       (Problem.digest (Preprocess.run p).Preprocess.problem)
 
 let key_oracle_tests =
   List.map QCheck_alcotest.to_alcotest

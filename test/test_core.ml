@@ -101,9 +101,9 @@ let model_shape_tests =
   [
     Alcotest.test_case "cmd ground model shape" `Quick (fun () ->
         let p = appendix_problem () in
-        let reduced = Preprocess.run p in
-        let model = Cmd.build_model reduced.Preprocess.problem in
-        (* 2 candidates + 2 coverable tuples *)
+        let model = Cmd.build_model p in
+        (* 2 candidates + 2 coverable tuples, the 2 uncoverable ones are the
+           problem's constant *)
         Alcotest.(check int) "vars" 4 (Psl.Hlmrf.num_vars model);
         Alcotest.(check int) "constraints" 2 (Psl.Hlmrf.num_constraints model);
         (* 2 candidate costs + 2 explained losses *)
@@ -114,9 +114,9 @@ let model_shape_tests =
         let i', j' = Fixtures.extended_example 1 in
         let weights = { Problem.w_unexplained = 3; w_errors = 1; w_size = 1 } in
         let p = Problem.make ~weights ~source:i' ~j:j' [ Fixtures.theta1 ] in
-        let reduced = (Preprocess.run p).Preprocess.problem in
-        Alcotest.(check int) "2 coverable tuples" 2 (Problem.num_tuples reduced);
-        let model = Cmd.build_model reduced in
+        Alcotest.(check (array int)) "one group of 2 coverable tuples" [| 2 |]
+          p.Problem.group_size;
+        let model = Cmd.build_model p in
         Alcotest.(check int) "shared: vars" 2 (Psl.Hlmrf.num_vars model);
         Alcotest.(check int) "shared: constraints" 1
           (Psl.Hlmrf.num_constraints model);
@@ -133,62 +133,11 @@ let model_shape_tests =
           explained_weights);
   ]
 
-(* Random problems for the lifting law: a few support patterns (candidates
-   at degrees 1/3, 1/2, 2/3 or 1), each shared by any number of up to a
-   dozen coverable tuples, with random costs and w1; and the preprocessed
-   selection problems of [Fixtures]. Only the fields CMD's model reads are
-   drawn; the rest are the appendix problem's. *)
+(* Random problems for the lifting law: problems drawn by their support
+   patterns, each shared by up to a dozen tuples, and the selection problems
+   of [Fixtures]. *)
 let lifting_problem_gen =
-  let open QCheck2.Gen in
-  let drawn =
-    let* m = int_range 1 6 in
-    let degree =
-      oneofl [ Frac.make 1 3; Frac.make 1 2; Frac.make 2 3; Frac.one ]
-    in
-    (* a support: each candidate at a degree or absent, never empty *)
-    let pattern =
-      map
-        (fun ds ->
-          let sup = List.mapi (fun c -> Option.map (fun d -> (c, d))) ds in
-          match List.filter_map Fun.id sup with
-          | [] -> [ (0, Frac.one) ]
-          | sup -> sup)
-        (list_repeat m (opt degree))
-    in
-    let* patterns = map Array.of_list (list_size (int_range 1 4) pattern) in
-    let* tuple_pattern =
-      array_size (int_range 1 12) (int_bound (Array.length patterns - 1))
-    in
-    let* costs = array_repeat m (map Frac.of_int (int_range 0 4)) in
-    let* w1 = int_range 1 3 in
-    let base = appendix_problem () in
-    let covers =
-      Array.init m (fun c ->
-          Array.to_list tuple_pattern
-          |> List.mapi (fun ti k ->
-                 Option.map (fun d -> (ti, d)) (List.assoc_opt c patterns.(k)))
-          |> List.filter_map Fun.id |> Array.of_list)
-    in
-    return
-      {
-        Problem.candidates = Array.make m base.Problem.candidates.(0);
-        stats = Array.make m base.Problem.stats.(0);
-        tuples =
-          Array.mapi
-            (fun ti _ -> Tuple.of_consts "t" [ string_of_int ti ])
-            tuple_pattern;
-        covers;
-        cand_cost = costs;
-        weights = { base.Problem.weights with Problem.w_unexplained = w1 };
-      }
-  in
-  oneof
-    [
-      drawn;
-      map
-        (fun p -> (Preprocess.run p).Preprocess.problem)
-        Fixtures.selection_problem_gen;
-    ]
+  QCheck2.Gen.oneof [ Fixtures.support_problem_gen; Fixtures.selection_problem_gen ]
 
 (* The per-tuple model's energy at [x], each explained-atom at its best
    value [min(1, Σ d·x)]: the relaxed objective as a function of [x]. *)
@@ -234,27 +183,31 @@ let lifting_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* Section III-C's preprocessing is the lifted view's constant: tuples no
+   candidate covers form no group, and each adds w1 to every objective. *)
 let preprocess_tests =
+  (* the unexplained term with every group fully explained *)
+  let constant p =
+    Objective.unexplained p (Array.make (Problem.num_groups p) Frac.one)
+  in
   [
     Alcotest.test_case "certainly unexplained tuples are removed" `Quick
       (fun () ->
         let p = appendix_problem () in
-        let r = Preprocess.run p in
         Alcotest.(check int)
           "2 kept" 2
-          (Problem.num_tuples r.Preprocess.problem);
-        Alcotest.(check int) "2 removed" 2 (List.length r.Preprocess.removed_tuples);
-        Alcotest.check frac "constant 2" (Frac.of_int 2) r.Preprocess.constant);
+          (Array.fold_left ( + ) 0 p.Problem.group_size);
+        Alcotest.(check int) "2 removed" 2 p.Problem.uncoverable;
+        Alcotest.check frac "constant 2" (Frac.of_int 2) (constant p));
     Alcotest.test_case "full_value matches the original objective" `Quick
       (fun () ->
         let p = appendix_problem () in
-        let r = Preprocess.run p in
         List.iter
           (fun idx ->
             let s = sel p idx in
             Alcotest.check frac
               (Printf.sprintf "selection of %d" (List.length idx))
-              (Objective.value p s) (Preprocess.full_value r s))
+              (Tuple_oracle.value p s) (Objective.value p s))
           [ []; [ 0 ]; [ 1 ]; [ 0; 1 ] ]);
     Alcotest.test_case "weights scale the removed constant" `Quick (fun () ->
         let weights = { Problem.w_unexplained = 3; w_errors = 1; w_size = 1 } in
@@ -263,8 +216,7 @@ let preprocess_tests =
             ~j:Fixtures.instance_j
             [ Fixtures.theta1; Fixtures.theta3 ]
         in
-        let r = Preprocess.run p in
-        Alcotest.check frac "constant 6" (Frac.of_int 6) r.Preprocess.constant);
+        Alcotest.check frac "constant 6" (Frac.of_int 6) (constant p));
   ]
 
 (* --- random-problem properties ----------------------------------------- *)
@@ -306,12 +258,11 @@ let property_tests =
       (fun p -> Frac.((Cmd.solve p).Cmd.objective <= Objective.empty_value p));
     Test.make ~name:"preprocessing preserves objectives" ~count:40 problem_gen
       (fun p ->
-        let r = Preprocess.run p in
         let m = Problem.num_candidates p in
         List.for_all
           (fun mask ->
             let s = Array.init m (fun i -> mask land (1 lsl i) <> 0) in
-            Frac.equal (Objective.value p s) (Preprocess.full_value r s))
+            Frac.equal (Objective.value p s) (Tuple_oracle.value p s))
           [ 0; 1; (1 lsl m) - 1 ]);
   ]
   |> List.map QCheck_alcotest.to_alcotest
@@ -691,7 +642,7 @@ let invariant_property_tests =
         let c = pick mod m in
         if sel.(c) then true
         else begin
-          let best = Objective.best_coverage p sel in
+          let best = Objective.group_coverage p sel in
           let gain = Greedy.marginal_gain p ~best c in
           let before = Objective.value p sel in
           sel.(c) <- true;
@@ -744,6 +695,27 @@ let tune_tests =
            with
           | exception Invalid_argument _ -> true
           | _ -> false));
+    Alcotest.test_case "candidate costs overflow rather than wrap" `Quick
+      (fun () ->
+        (* theta1 has 2 errors and size 3: 2·w2 overflows, and so does
+           (max_int/2)·2 + 3, a sum of two products that each fit *)
+        let overflows weights =
+          match
+            Problem.make ~weights ~source:Fixtures.instance_i ~j:Fixtures.instance_j
+              [ Fixtures.theta1; Fixtures.theta3 ]
+          with
+          | exception Frac.Overflow -> (
+            match Problem.with_weights (appendix_problem ()) weights with
+            | exception Frac.Overflow -> true
+            | _ -> false)
+          | _ -> false
+        in
+        Alcotest.(check bool) "w2 = 2^62 - 512" true
+          (overflows { Problem.w_unexplained = 1; w_errors = 4611686018427387392; w_size = 1 });
+        Alcotest.(check bool) "w2 = max_int / 2" true
+          (overflows { Problem.w_unexplained = 1; w_errors = max_int / 2; w_size = 1 });
+        Alcotest.(check bool) "w3 = max_int / 2" true
+          (overflows { Problem.w_unexplained = 1; w_errors = 1; w_size = max_int / 2 }));
     Alcotest.test_case "grid search finds a perfect-score triple" `Quick
       (fun () ->
         (* gold = the exact optimum under (1,1,1); since (1,1,1) is in the
@@ -812,7 +784,7 @@ let edge_case_tests =
         let p = appendix_problem () in
         Alcotest.check frac "tuple 0 by theta3" Frac.one
           (let s = sel p [ 1 ] in
-           let best = Objective.best_coverage p s in
+           let best = Objective.group_coverage p s in
            Array.fold_left Frac.max Frac.zero best));
     Alcotest.test_case "setcover validate rejects zero budget" `Quick
       (fun () ->

@@ -169,7 +169,7 @@ module Naive = struct
       let pick = ref None in
       for c = 0 to m - 1 do
         if not sel.(c) then begin
-          let gain = Greedy.marginal_gain p ~best c in
+          let gain = Tuple_oracle.marginal_gain p ~best c in
           if Frac.(Frac.zero < gain) then
             match !pick with
             | Some (_, g) when Frac.(gain <= g) -> ()
@@ -278,6 +278,128 @@ let solver_property_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* --- the lifted view against the per-tuple oracle ------------------------ *)
+
+(* Problems drawn by their support patterns (many tuples per support, some
+   uncoverable) and the [Fixtures] selection problems, with a random mask
+   and flip sequence as above. *)
+let lifted_gen =
+  QCheck2.Gen.(
+    triple
+      (oneof [ Fixtures.support_problem_gen; Fixtures.selection_problem_gen ])
+      (int_range 0 255)
+      (list_size (int_range 1 25) (int_range 0 1000)))
+
+let print_lifted (p, mask, flips) =
+  Printf.sprintf "m=%d tuples=%d groups=[%s] uncoverable=%d mask=%d flips=[%s]"
+    (Problem.num_candidates p) (Problem.num_tuples p)
+    (String.concat ";" (Array.to_list (Array.map string_of_int p.Problem.group_size)))
+    p.Problem.uncoverable mask
+    (String.concat ";" (List.map string_of_int flips))
+
+(* Each tuple's support read off [covers], candidates ascending. *)
+let tuple_supports (p : Problem.t) =
+  let support = Array.make (Problem.num_tuples p) [] in
+  for c = Problem.num_candidates p - 1 downto 0 do
+    Array.iter (fun (ti, d) -> support.(ti) <- (c, d) :: support.(ti)) p.Problem.covers.(c)
+  done;
+  support
+
+let support_equal = List.equal (fun (c, d) (c', d') -> c = c' && Frac.equal d d')
+
+(* The groups the problem should hold: the distinct non-empty supports in
+   the order of their first tuple, each with its tuple count. *)
+let expected_groups p =
+  let groups = ref [] in
+  Array.iter
+    (function
+      | [] -> ()
+      | sup -> (
+        match List.find_opt (fun (s, _) -> support_equal s sup) !groups with
+        | Some (_, k) -> incr k
+        | None -> groups := (sup, ref 1) :: !groups))
+    (tuple_supports p);
+  List.rev_map (fun (s, k) -> (s, !k)) !groups
+
+let lifted_tests =
+  let open QCheck2 in
+  [
+    Test.make ~name:"groups partition the coverable tuples by support" ~count:500
+      ~print:print_lifted lifted_gen (fun (p, _, _) ->
+        let expected = expected_groups p in
+        let n_groups = Problem.num_groups p in
+        (* each group's support, read back off the lifted covers *)
+        let group_support = Array.make n_groups [] in
+        for c = Problem.num_candidates p - 1 downto 0 do
+          Array.iter
+            (fun (g, d) -> group_support.(g) <- (c, d) :: group_support.(g))
+            p.Problem.group_covers.(c)
+        done;
+        let ascending entries =
+          let gs = Array.to_list (Array.map fst entries) in
+          List.sort_uniq compare gs = gs
+        in
+        let uncoverable =
+          Array.fold_left
+            (fun n sup -> match sup with [] -> n + 1 | _ :: _ -> n)
+            0 (tuple_supports p)
+        in
+        List.length expected = n_groups
+        && List.for_all2
+             (fun (sup, k) (g_sup, g_k) -> support_equal sup g_sup && k = g_k)
+             expected
+             (List.combine (Array.to_list group_support) (Array.to_list p.Problem.group_size))
+        && Array.for_all ascending p.Problem.group_covers
+        && p.Problem.uncoverable = uncoverable
+        && Array.fold_left ( + ) p.Problem.uncoverable p.Problem.group_size
+           = Problem.num_tuples p);
+    Test.make ~name:"values, breakdowns and gains equal the per-tuple ones" ~count:500
+      ~print:print_lifted lifted_gen (fun (p, mask, flips) ->
+        let m = Problem.num_candidates p in
+        List.for_all
+          (fun f ->
+            let sel = initial_selection p (mask lxor f) in
+            breakdown_equal (Tuple_oracle.breakdown p sel) (Objective.breakdown p sel)
+            && breakdown_equal (Tuple_oracle.breakdown p sel)
+                 (Incremental.breakdown (Incremental.create p sel))
+            (* CMD's rounding adds candidates by this gain *)
+            && List.for_all
+                 (fun c ->
+                   Frac.equal
+                     (Tuple_oracle.marginal_gain p
+                        ~best:(Tuple_oracle.best_coverage p sel) c)
+                     (Greedy.marginal_gain p ~best:(Objective.group_coverage p sel) c))
+                 (List.init m Fun.id))
+          (0 :: flips)
+        && Frac.equal (Tuple_oracle.lower_bound p) (Objective.lower_bound p)
+        && Frac.equal (Tuple_oracle.value p (Array.make m false)) (Objective.empty_value p));
+    Test.make ~name:"every flip_delta equals the per-tuple one" ~count:500
+      ~print:print_lifted lifted_gen (fun (p, mask, flips) ->
+        let m = Problem.num_candidates p in
+        let sel = initial_selection p mask in
+        let lifted = Incremental.create p sel and tuple = Tuple_oracle.create p sel in
+        List.for_all
+          (fun f ->
+            List.for_all
+              (fun c ->
+                Frac.equal (Tuple_oracle.flip_delta tuple c)
+                  (Incremental.flip_delta lifted c))
+              (List.init m Fun.id)
+            &&
+            let c = f mod m in
+            Incremental.flip lifted c;
+            Tuple_oracle.flip tuple c;
+            Frac.equal (Tuple_oracle.state_value tuple) (Incremental.value lifted))
+          flips);
+    Test.make ~name:"greedy, local search and exact select as per tuple" ~count:500
+      ~print:print_lifted lifted_gen (fun (p, mask, _) ->
+        let start = initial_selection p mask in
+        Greedy.solve p = Tuple_oracle.greedy p
+        && Local_search.improve p start = Tuple_oracle.improve p start
+        && Exact.solve p = Tuple_oracle.exact p);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 (* --- golden regression on fixed iBench scenarios ------------------------ *)
 
 let regression_tests =
@@ -308,5 +430,6 @@ let () =
       ("appendix-anchor", appendix_tests);
       ("differential-properties", property_tests);
       ("solver-differential", solver_property_tests);
+      ("lifted", lifted_tests);
       ("golden-regression", regression_tests);
     ]

@@ -208,8 +208,7 @@ let cmd_models =
            Core.Problem.make ~source:s.Ibench.Scenario.instance_i
              ~j:s.Ibench.Scenario.instance_j s.Ibench.Scenario.candidates
          in
-         let reduced = (Core.Preprocess.run p).Core.Preprocess.problem in
-         [ Core.Cmd.build_model reduced; Core.Cmd.build_model ~squared:true reduced ])
+         [ Core.Cmd.build_model p; Core.Cmd.build_model ~squared:true p ])
     |> List.concat |> Array.of_list)
 
 let oracle_tests =

@@ -123,17 +123,18 @@ let test_engine_typed_errors () =
 (* A weight past native integers, or one whose exact objective is, gets the
    typed [overflow] kind rather than [internal] with an exception string.
    JSON numbers are floats: max_int arrives as 2^62, one past it, while
-   2^62 - 512 decodes and overflows the appendix's unexplained term. *)
+   2^62 - 512 decodes and overflows the appendix's unexplained term, or as
+   w2 a candidate's cost, before any solver runs. *)
 let test_engine_overflow () =
   let engine = Server.Engine.create () in
   let appendix =
     Serialize.Document.to_string (Option.get (Scenarios.Zoo.find "appendix")).Scenarios.Zoo.doc
   in
-  let answer w1 =
+  let answer ?(solver = "greedy") ?(w2 = "1") w1 =
     let frame =
       Printf.sprintf
-        {|{"id":"w","method":"solve","params":{"scenario":%s,"solver":"greedy","weights":[%s,1,1]}}|}
-        (Json.to_string (Json.Str appendix)) w1
+        {|{"id":"w","method":"solve","params":{"scenario":%s,"solver":"%s","weights":[%s,%s,1]}}|}
+        (Json.to_string (Json.Str appendix)) solver w1 w2
     in
     let resp =
       match Protocol.parse_request frame with
@@ -147,6 +148,8 @@ let test_engine_overflow () =
   Alcotest.(check string) "max_int weight" "overflow" (answer "4611686018427387903");
   Alcotest.(check string) "overflowing objective" "overflow"
     (answer "4611686018427387392");
+  Alcotest.(check string) "overflowing candidate cost" "overflow"
+    (answer ~solver:"cmd" ~w2:"4611686018427387392" "1");
   Alcotest.(check string) "unit weights solve" "result" (answer "1")
 
 (* --- coalescing ---------------------------------------------------------- *)
