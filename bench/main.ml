@@ -397,9 +397,10 @@ let parallel_speedup () =
 
 (* Warm-vs-cold evaluation cache on the E6-scale scenario: the speedup is
    measured, not asserted, and the bit-identity contract is checked via
-   the problem digest. The warm build still pays for the source index and
-   per-candidate re-indexing, so the ratio is bounded by the share the
-   chase takes of construction — which is what the cache exists to skip. *)
+   the problem digest, with the warm build's memoized key against it. The
+   warm build still pays for the source index and per-candidate
+   re-indexing, so the ratio is bounded by the share the chase takes of
+   construction — which is what the cache exists to skip. *)
 let cache_speedup () =
   Format.printf "@.=====================================================@.";
   Format.printf " Evaluation cache: cold vs warm on the E6 scenario@.";
@@ -424,7 +425,9 @@ let cache_speedup () =
   let warm, warm_ms = best_ms (fun () -> build (Some cache)) in
   let d = Core.Problem.digest uncached in
   let identical =
-    d = Core.Problem.digest cold && d = Core.Problem.digest warm
+    d = Core.Problem.digest cold
+    && d = Core.Problem.digest warm
+    && d = Core.Problem.key warm
   in
   Format.printf
     "problem-build (%d candidates)       uncached %8.1f ms   cold %8.1f ms   \
@@ -455,8 +458,8 @@ let cache_speedup () =
 (* Re-served sweeps end to end: re-serving a pi_errors grid from a cached
    solver context — the serving daemon's and experiment suite's steady
    state — against solving it uncached. The re-served pass rebuilds every
-   problem from its scenario (stats tier hits), then answers each point
-   from the cache's selection tier. Scenario generation is hoisted out of
+   problem from its scenario (stats and problem-key tier hits), then
+   answers each point from the cache's selection tier. Scenario generation is hoisted out of
    the timed region (identical work in every pass, it would only dilute
    the ratio). Re-serving is a pure accelerator — per-point selections
    must be bit-identical across all passes — and the ratio keeps its

@@ -185,8 +185,6 @@ module Key = struct
     Bytes.unsafe_set w.bytes (start + digits) ':';
     w.len <- w.len + digits + 1
 
-  let set w pos s = Bytes.blit_string s 0 w.bytes pos (String.length s)
-
   let md5_hex w ~from =
     Digest.to_hex (Digest.subbytes w.bytes from (w.len - from))
 
@@ -226,6 +224,7 @@ type payload =
   | Stats of Cover.tgd_stats  (* stored with [index = 0] *)
   | Selection of bool array
   | Chase_triggers of Chase.Trigger.t list
+  | Problem_key of string
 
 (* Completed entries sit in a circular doubly-linked list through a
    sentinel: most recent after the sentinel, eviction victim before it.
@@ -397,29 +396,27 @@ let lookup t key compute =
 (* --- typed entry points ------------------------------------------------- *)
 
 (* A problem build needs both keys and, on a fully warm build, key
-   derivation is its dominant cost: one writer holds both frames, each
-   instance rendered into it once. The frame ["src"; source] is written from
-   byte 1 and hashed; its one-byte-longer header ["data"] is then written
-   over bytes 0 to 5, and [j] appended, for the frame
-   ["data"; source; j]. *)
+   derivation is a large share of its cost: one writer holds both frames.
+   The frame ["src"; source] is hashed first; the frame
+   ["data"; source_key; j] is written after it and hashed from where it
+   starts, so the source's bytes are hashed once. *)
 let example_keys ~source ~j =
   Telemetry.with_span "cache.key" (fun () ->
-      let src_header = "3:src" and data_header = "4:data" in
       Key.with_scratch @@ fun w ->
-      Key.add_char w ' ';
-      Key.add_string w src_header;
+      Key.add_string_part w "src";
       let start = Key.length w in
       Key.add_instance w source;
       Key.close_part w start;
-      let source_key = Key.md5_hex w ~from:1 in
-      let src_bytes = Key.length w - 1 in
-      Key.set w 0 data_header;
+      let source_key = Key.md5_hex w ~from:0 in
+      let data = Key.length w in
+      Key.add_string_part w "data";
+      Key.add_string_part w source_key;
       let start = Key.length w in
       Key.add_instance w j;
       Key.close_part w start;
       if Telemetry.enabled () then
-        Telemetry.Counter.add key_bytes_counter (src_bytes + Key.length w);
-      (source_key, Key.md5_hex w ~from:0))
+        Telemetry.Counter.add key_bytes_counter (Key.length w);
+      (source_key, Key.md5_hex w ~from:data))
 
 (* The chase depends on (source, tgd) only — not on the target instance —
    so a sweep over noise levels that perturb only [J] reuses every chase
@@ -433,21 +430,26 @@ let chase t ~source_key tgd compute =
   | Chase_triggers r -> r
   | _ -> assert false
 
-let tgd_stats t ?(semantics = Cover.Corroborated) ?(core = false) ~data_key
-    ~index tgd compute =
-  (* the core flag joins the key only when set, so uncored keys are the
-     bytes they were before the flag existed, while cored and uncored stats
-     can never collide *)
-  let key =
-    Key.digest
-      (("stats" :: Key.semantics semantics :: (if core then [ "core" ] else []))
-      @ [ Key.tgd tgd; data_key ])
-  in
+(* the core flag joins the key only when set, so uncored keys are the bytes
+   they were before the flag existed, while cored and uncored stats can
+   never collide *)
+let stats_key ?(semantics = Cover.Corroborated) ?(core = false) ~data_key tgd =
+  Key.digest
+    (("stats" :: Key.semantics semantics :: (if core then [ "core" ] else []))
+    @ [ Key.tgd tgd; data_key ])
+
+let tgd_stats t ~key ~index compute =
   let payload =
     lookup t key (fun () -> Stats { (compute ()) with Cover.index = 0 })
   in
   match payload with
   | Stats s -> { s with Cover.index }
+  | _ -> assert false
+
+let problem_key t ~build compute =
+  let key = Key.digest ("build" :: build) in
+  match lookup t key (fun () -> Problem_key (compute ())) with
+  | Problem_key k -> k
   | _ -> assert false
 
 let selection t ~solver ~seed ~problem_key compute =

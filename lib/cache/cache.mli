@@ -7,8 +7,18 @@
     inputs repeat constantly, so the derivation is cached here, keyed by a
     canonical digest of everything the result depends on — the candidate tgd
     (exact text: variable names fix the chase's null labels), the source and
-    target instances, and the coverage semantics. Solver selections are
-    cached the same way, keyed by (solver name, seed, problem digest).
+    target instances, and the coverage semantics. Four tiers share one
+    table:
+
+    - {b chase} ({!chase}): a candidate's triggers, keyed by
+      [(tgd, source)];
+    - {b stats} ({!tgd_stats}): a candidate's statistics, keyed by
+      {!stats_key};
+    - {b problem key} ({!problem_key}): a problem build's content digest,
+      keyed by the build's inputs, so a repeated build does not hash the
+      problem again;
+    - {b selection} ({!selection}): a solver's selection, keyed by
+      (solver name, seed, problem digest).
 
     {b Determinism contract} (mirrors the telemetry layer's):
 
@@ -157,36 +167,51 @@ val example_keys :
   j : Relational.Instance.t ->
   string * string
 (** [(source_key, data_key)] of one data example: the digests of
-    [["src"; source]] and of [["data"; source; j]], the instances rendered
-    by {!Key.add_instance}. [data_key] is the expensive half of a
-    {!tgd_stats} key and [source_key] the key half of the {!chase} tier.
+    [["src"; source]] and of [["data"; source_key; j]], the instances
+    rendered by {!Key.add_instance}. [data_key] is the expensive half of a
+    {!stats_key} and [source_key] the key half of the {!chase} tier.
     Rendering the instances is linear in the data, so callers looking up
     many candidates against one [(source, j)] pair derive these once and
-    pass them to every lookup; on a fully warm problem build this is the
-    dominant cost, so each instance is rendered once. Runs inside a
-    [cache.key] span and adds the bytes of both frames to
+    pass them to every lookup; each instance is rendered and hashed once.
+    Runs inside a [cache.key] span and adds the bytes of both frames to
     [cache.key_bytes] once. *)
 
-val tgd_stats :
-  t ->
+val stats_key :
   ?semantics : Cover.semantics ->
   ?core : bool ->
   data_key : string ->
-  index : int ->
   Logic.Tgd.t ->
+  string
+(** The {!tgd_stats} key of a candidate: the digest of
+    [(semantics, core, tgd, data_key)], with [data_key] from {!example_keys}.
+    The [core] flag (default [false]) says whether the statistics run the
+    core stage ({!Cover.stats_of_result}): cored statistics differ from
+    uncored ones on the same example, so the flag is part of the key —
+    uncored keys keep their historical bytes, and the two can never
+    collide. *)
+
+val tgd_stats :
+  t ->
+  key : string ->
+  index : int ->
   (unit -> Cover.tgd_stats) ->
   Cover.tgd_stats
-(** [tgd_stats t ~data_key ~index tgd compute] is [compute ()] memoized
-    under the digest of [(semantics, core, tgd, data_key)], with [data_key]
-    from {!example_keys} on the example [compute] evaluates against. The [core]
-    flag (default [false]) must say whether [compute] runs the core stage
-    ({!Cover.stats_of_result}): cored statistics differ from uncored ones
-    on the same example, so the flag is part of the key — uncored entries
-    keep their historical keys, and the two can never collide. The stored
-    value is normalised to candidate position 0 and returned re-indexed at
-    [index], so one cached analysis serves a candidate wherever it appears
-    in a list. [compute] must derive its result from exactly the keyed
-    inputs (chase [source] with [tgd], fold against [j]). *)
+(** [tgd_stats t ~key ~index compute] is [compute ()] memoized under [key],
+    a {!stats_key} whose inputs are exactly those [compute] evaluates (chase
+    [source] with [tgd], fold against [j]). The stored value is normalised
+    to candidate position 0 and returned re-indexed at [index], so one
+    cached analysis serves a candidate wherever it appears in a list. *)
+
+val problem_key :
+  t ->
+  build : string list ->
+  (unit -> string) ->
+  string
+(** [problem_key t ~build compute] is [compute ()], a problem's content
+    digest, memoized under the digest of ["build" :: build]. [build] must
+    determine the problem's content: [Core.Problem.make] passes its weights,
+    its [data_key] and each candidate's {!stats_key} in list order. Only the
+    digest is stored, never the problem. *)
 
 val chase :
   t ->
@@ -211,6 +236,6 @@ val selection :
   bool array
 (** [selection t ~solver ~seed ~problem_key compute] memoizes a solver's
     selection; [problem_key] must digest the full problem content (see
-    [Core.Problem.digest]). Sound because every registered solver is
+    [Core.Problem.key]). Sound because every registered solver is
     deterministic in [(problem, seed)]. The returned array is a fresh
     copy. *)

@@ -19,6 +19,7 @@ type t = {
   uncoverable : int;
   cand_cost : Frac.t array;
   weights : weights;
+  memo : string option Atomic.t;
 }
 
 let check_weights w =
@@ -137,44 +138,12 @@ let of_stats ?(weights = default_weights) ~j stats =
     uncoverable;
     cand_cost = costs weights stats;
     weights;
+    memo = Atomic.make None;
   }
 
 let with_weights t weights =
   check_weights weights;
-  { t with cand_cost = costs weights t.stats; weights }
-
-let make ?weights ?semantics ?(core = false) ?cache ~source ~j candidates =
-  let stats =
-    match cache with
-    | None -> Cover.analyze ?semantics ~core ~source ~j candidates
-    | Some cache ->
-      (* Same per-candidate derivation as [Cover.analyze], through one
-         [Cover.Session], each candidate memoized separately. The chase
-         restarts its null labels per run, so the cached stats are
-         position-independent and [Cache.tgd_stats] can re-index them for
-         this candidate list. The data digest is computed once; the
-         session builds its chase fixture and J index only on a miss, so a
-         fully warm build touches neither the chase nor the data beyond
-         this one rendering. *)
-      let source_key, data_key = Cache.example_keys ~source ~j in
-      let session = Cover.Session.make ~source ~j in
-      (* The chase tier sits under the stats tier: a stats miss whose chase
-         was already run for another target instance (a neighbouring sweep
-         point) redoes only the coverage fold. *)
-      let chase tgd =
-        Cache.chase cache ~source_key tgd (fun () ->
-            Cover.Session.chase session tgd)
-      in
-      Array.of_list
-        (List.mapi
-           (fun index tgd ->
-             Cache.tgd_stats cache ?semantics ~core ~data_key ~index tgd
-               (fun () ->
-                 Cover.Session.stats ?semantics ~core session ~index tgd
-                   (chase tgd)))
-           candidates)
-  in
-  of_stats ?weights ~j stats
+  { t with cand_cost = costs weights t.stats; weights; memo = Atomic.make None }
 
 (* One pass into one frame, byte for byte the length-prefixed part list
    ["problem"; weights; each J tuple; each candidate's statistics], each
@@ -232,6 +201,60 @@ let digest t =
           K.close_part w start)
         t.stats;
       K.digest_frame w)
+
+let key t =
+  match Atomic.get t.memo with
+  | Some k -> k
+  | None ->
+    let k = digest t in
+    Atomic.set t.memo (Some k);
+    k
+
+let make ?(weights = default_weights) ?semantics ?(core = false) ?cache ~source
+    ~j candidates =
+  match cache with
+  | None -> of_stats ~weights ~j (Cover.analyze ?semantics ~core ~source ~j candidates)
+  | Some cache ->
+    (* Same per-candidate derivation as [Cover.analyze], through one
+       [Cover.Session], each candidate memoized separately. The chase
+       restarts its null labels per run, so the cached stats are
+       position-independent and [Cache.tgd_stats] can re-index them for
+       this candidate list. The data digest is computed once; the session
+       builds its chase fixture and J index only on a miss, so a fully warm
+       build touches neither the chase nor the data beyond this one
+       rendering. *)
+    let source_key, data_key = Cache.example_keys ~source ~j in
+    let session = Cover.Session.make ~source ~j in
+    (* The chase tier sits under the stats tier: a stats miss whose chase
+       was already run for another target instance (a neighbouring sweep
+       point) redoes only the coverage fold. *)
+    let chase tgd =
+      Cache.chase cache ~source_key tgd (fun () ->
+          Cover.Session.chase session tgd)
+    in
+    let keys =
+      List.map (fun tgd -> Cache.stats_key ?semantics ~core ~data_key tgd) candidates
+    in
+    let stats =
+      Array.of_list
+        (List.mapi
+           (fun index (key, tgd) ->
+             Cache.tgd_stats cache ~key ~index (fun () ->
+                 Cover.Session.stats ?semantics ~core session ~index tgd
+                   (chase tgd)))
+           (List.combine keys candidates))
+    in
+    let t = of_stats ~weights ~j stats in
+    (* The build reads the weights, J (through [data_key]) and each
+       candidate's stats key in list order; the stats keys cover the
+       semantics, the core flag and the tgd text. *)
+    let build =
+      Printf.sprintf "w %d %d %d" weights.w_unexplained weights.w_errors
+        weights.w_size
+      :: data_key :: keys
+    in
+    Atomic.set t.memo (Some (Cache.problem_key cache ~build (fun () -> digest t)));
+    t
 
 let num_candidates t = Array.length t.candidates
 

@@ -16,7 +16,12 @@
     unexplained tuples) form no group; they add the constant
     [w1 · uncoverable] to every selection's objective. [tuples] and
     [covers] stay for what is tuple-level: {!digest}, the metrics and the
-    all-full fast path {!Full}. *)
+    all-full fast path {!Full}.
+
+    {b Content and key.} {!digest} hashes the whole problem; {!key} is the
+    same value, computed once per problem and, for a build through a
+    cache, looked up under the build's inputs, so a repeated build does not
+    hash the problem again. *)
 
 type weights = {
   w_unexplained : int;  (** w1: per unit of unexplained target tuple *)
@@ -27,7 +32,7 @@ type weights = {
 val default_weights : weights
 (** [(1, 1, 1)] — the unweighted objective of Eq. 9. *)
 
-type t = {
+type t = private {
   candidates : Logic.Tgd.t array;
   stats : Cover.tgd_stats array;  (** aligned with [candidates] *)
   tuples : Relational.Tuple.t array;  (** the target tuples of [J] *)
@@ -48,6 +53,10 @@ type t = {
       (** per candidate: [w2·errors + w3·size] — its selection cost,
           computed in checked arithmetic *)
   weights : weights;
+  memo : string option Atomic.t;
+      (** {!key} once known. An [Atomic], not a [Lazy], because domains
+          of one pool may ask for the key of a shared problem at once. The
+          type is private so that no copy of a problem shares its memo. *)
 }
 
 val make :
@@ -68,13 +77,22 @@ val make :
     core-flagged keys. With [cache], each candidate's chase and coverage
     statistics are memoized content-addressed (bit-identical to the uncached
     analysis; the cached stats are weight-independent, so any weights share
-    the entries). Raises [Invalid_argument] on non-positive weights and
+    the entries), and so is {!key}, under the weights, [j] and each
+    candidate's statistics key in list order ({!Cache.problem_key}).
+    Raises [Invalid_argument] on non-positive weights and
     [Util.Frac.Overflow] as {!of_stats} does. *)
 
 val digest : t -> string
 (** A content digest of the full problem (weights, target tuples, per
-    candidate: tgd, cost, coverage degrees, error tuples) — the key under
-    which {!Cache.selection} memoizes solver results. *)
+    candidate: tgd, cost, coverage degrees, error tuples), hashed afresh on
+    every call. It is the reference {!key} must equal, and what the
+    bit-identity checks compare between cached and uncached builds. *)
+
+val key : t -> string
+(** [digest t], computed at most once per problem (a build through a cache
+    reads it from the cache) — the key under which {!Cache.selection}
+    memoizes solver results and the daemon's wire [digest]. Safe to call
+    from several domains at once. *)
 
 val of_stats :
   ?weights : weights ->
@@ -92,7 +110,8 @@ val of_stats :
 
 val with_weights : t -> weights -> t
 (** The same problem under different weights — the coverage degrees are
-    weight-independent, so only the candidate costs are recomputed. Raises
+    weight-independent, so only the candidate costs are recomputed, and
+    {!key} is computed afresh. Raises
     [Invalid_argument] on non-positive weights and [Util.Frac.Overflow] as
     {!of_stats} does. *)
 

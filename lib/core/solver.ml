@@ -114,7 +114,7 @@ let solve (module S : S) ?pool ?seed ?cache p =
           (* Sound because [S.solve] is deterministic in (problem, seed) —
              the interface contract above — and never in [pool]. *)
           Cache.selection cache ~solver:S.name ~seed
-            ~problem_key:(Problem.digest p) run
+            ~problem_key:(Problem.key p) run
       in
       match !stash with
       | Some o -> { o with selection = sel }

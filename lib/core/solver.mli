@@ -61,6 +61,6 @@ val solve :
 (** [solve s ?pool ?seed p] runs the solver inside a [solver.<name>]
     telemetry span (the outcome returned is byte-identical with telemetry
     on or off). With [cache], the selection is
-    memoized under [(name, seed, Problem.digest p)] — sound because every
+    memoized under [(name, seed, Problem.key p)] — sound because every
     registered solver is deterministic in [(problem, seed)]; on a cache hit
     [fractional] is [None]. *)

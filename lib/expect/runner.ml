@@ -129,6 +129,8 @@ let pipeline ~rtest (test : Rtest.test) source =
         add_hard "cache identity: cold cached problem digest differs";
       if Core.Problem.digest warm <> d then
         add_hard "cache identity: warm cached problem digest differs";
+      if Core.Problem.key warm <> d then
+        add_hard "cache identity: warm cached problem key differs";
       Some (c, cold)
     end
     else None

@@ -395,6 +395,8 @@ let check_cache_identity ctx =
       Fail "cold cached problem differs from the uncached problem"
     else if Problem.digest p_warm <> key then
       Fail "warm cached problem differs from the uncached problem"
+    else if Problem.key p_warm <> key then
+      Fail "warm cached problem key differs from its digest"
     else if after_warm <> after_cold then
       failf "warm rebuild recomputed %d candidate analyses"
         (after_warm - after_cold)

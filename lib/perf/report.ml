@@ -403,8 +403,8 @@ let gate ?(band = 3.0) ~baseline ~fresh () =
       fresh.ratios;
     (* likewise a hard floor: a sweep re-served through a cached context
        must stay >= 5x over the uncached grid — the whole point of the
-       cache's stats and selection tiers — independent of whatever the
-       baseline measured *)
+       cache's stats, problem-key and selection tiers — independent of
+       whatever the baseline measured *)
     List.iter
       (fun (f : ratio) ->
         if f.r_name = "sweep.warm_speedup" && f.value < 5.0 then

@@ -124,7 +124,7 @@ let solve ?(compose = false) t ~progress (p : Protocol.solve_params) =
     Core.Problem.make ~weights ~cache:t.cache ~source:m.Fuzz.Case.source
       ~j:m.Fuzz.Case.j m.Fuzz.Case.candidates
   in
-  let digest = Core.Problem.digest problem in
+  let digest = Core.Problem.key problem in
   emit progress ~event:"resolved" ~name:digest ();
   let seed = p.Protocol.seed in
   let selection =

@@ -6,7 +6,7 @@
     never on cache state, concurrency or call order. The cache can only
     change {e how fast} the answer arrives, because every solver in the
     registry is deterministic in [(problem, seed)] and the cache's
-    selection tier is keyed by the full {!Core.Problem.digest}.
+    selection tier is keyed by the full problem content ({!Core.Problem.key}).
 
     Coalescing accounting: [solves] counts actual solver invocations (the
     compute closures the cache actually ran), so for [n] concurrent

@@ -106,14 +106,16 @@ let test_problem_bit_identity () =
   let key = Problem.digest plain in
   Alcotest.(check string) "cold digest" key (Problem.digest cold);
   Alcotest.(check string) "warm digest" key (Problem.digest warm);
+  Alcotest.(check string) "warm key" key (Problem.key warm);
   let s = Cache.stats cache in
-  (* cold build: one stats analysis plus one chase-tier entry per candidate *)
+  (* cold build: one stats analysis plus one chase-tier entry per
+     candidate, and the problem key *)
   Alcotest.(check int)
-    "one analysis + one chase per candidate"
-    (2 * List.length appendix_candidates)
+    "one analysis + one chase per candidate + the problem key"
+    ((2 * List.length appendix_candidates) + 1)
     s.Cache.misses;
   Alcotest.(check int)
-    "warm rebuild all hits" (List.length appendix_candidates)
+    "warm rebuild all hits" (List.length appendix_candidates + 1)
     s.Cache.hits
 
 let test_reindexing () =
@@ -124,10 +126,13 @@ let test_reindexing () =
     Problem.make ~cache ~source:Fixtures.instance_i ~j:Fixtures.instance_j
       [ Fixtures.theta3; Fixtures.theta1 ]
   in
-  (* 2 stats + 2 chase-tier misses from the first build; the swapped
-     rebuild recomputes nothing *)
+  (* 2 stats + 2 chase-tier misses and the problem key from the first
+     build; the swapped rebuild recomputes no analysis, only the key of its
+     own candidate order *)
   Alcotest.(check int)
-    "swapped order is all hits" 4 (Cache.stats cache).Cache.misses;
+    "swapped order recomputes only its key" 6 (Cache.stats cache).Cache.misses;
+  Alcotest.(check string) "swapped key" (Problem.digest swapped)
+    (Problem.key swapped);
   Array.iteri
     (fun i (s : Cover.tgd_stats) ->
       Alcotest.(check int) (Printf.sprintf "stats %d re-indexed" i) i
@@ -237,8 +242,8 @@ module Reference = struct
   let frac f = Printf.sprintf "%d/%d" (Frac.num f) (Frac.den f)
 
   let example_keys ~source ~j =
-    let src = instance source in
-    (digest [ "src"; src ], digest [ "data"; src; instance j ])
+    let source_key = digest [ "src"; instance source ] in
+    (source_key, digest [ "data"; source_key; instance j ])
 
   let problem_parts (t : Problem.t) =
     let stat_part (s : Cover.tgd_stats) =
@@ -478,39 +483,174 @@ let key_telemetry_tests =
         let build =
           key_bytes (fun () -> make_problem ~cache:(Cache.create ()) ())
         in
+        (* the cold build's two: example_keys, and the digest its problem
+           key stores *)
         Alcotest.(check int)
-          "one cache.key span each" 3
+          "one cache.key span each, two for the build" 4
           (span_count "cache.key" - spans_before);
         (* the pinned figures, then where they come from *)
-        Alcotest.(check (list int)) "example_keys" [ 188 ] keys;
+        Alcotest.(check (list int)) "example_keys" [ 174 ] keys;
         Alcotest.(check (list int)) "Problem.digest" [ 498 ] digest;
-        Alcotest.(check (list int)) "cold cached build" [ 732 ] build;
+        Alcotest.(check (list int)) "cold cached build" [ 1337 ] build;
         let frame_bytes parts = String.length (Reference.frame parts) in
-        let src = Reference.instance source in
+        let source_key, data_key = Reference.example_keys ~source ~j in
         Alcotest.(check (list int))
           "example_keys = both frames"
           [
-            frame_bytes [ "src"; src ]
-            + frame_bytes [ "data"; src; Reference.instance j ];
+            frame_bytes [ "src"; Reference.instance source ]
+            + frame_bytes [ "data"; source_key; Reference.instance j ];
           ]
           keys;
         Alcotest.(check (list int))
           "Problem.digest = its frame"
           [ frame_bytes (Reference.problem_parts p) ]
           digest;
-        let source_key, data_key = Reference.example_keys ~source ~j in
+        let stats_part tgd = [ "stats"; "corroborated"; Reference.tgd tgd; data_key ] in
         let per_candidate tgd =
           frame_bytes [ "chase"; Reference.tgd tgd; source_key ]
-          + frame_bytes [ "stats"; "corroborated"; Reference.tgd tgd; data_key ]
+          + frame_bytes (stats_part tgd)
+        in
+        let build_frame =
+          frame_bytes
+            ("build" :: "w 1 1 1" :: data_key
+            :: List.map
+                 (fun tgd -> Reference.digest (stats_part tgd))
+                 appendix_candidates)
         in
         Alcotest.(check (list int))
-          "build = example_keys + a chase and a stats key per candidate"
+          "build = example_keys + a chase and a stats key per candidate + \
+           the build key + the digest"
           [
             List.fold_left
               (fun acc tgd -> acc + per_candidate tgd)
-              (List.hd keys) appendix_candidates;
+              (List.hd keys + build_frame + List.hd digest)
+              appendix_candidates;
           ]
           build);
+  ]
+
+(* --- the memoized problem key ---------------------------------------------- *)
+
+(* Two existentials in one head: the chase invents a null per atom, and the
+   core folds one task tuple onto the other, so cored statistics differ from
+   uncored ones. *)
+let twin_heads =
+  let v x = Logic.Term.Var x in
+  Logic.Tgd.make ~label:"twin_heads"
+    ~body:[ Logic.Atom.make "proj" [ v "P"; v "E"; v "O" ] ]
+    ~head:
+      [
+        Logic.Atom.make "task" [ v "P"; v "E"; v "T" ];
+        Logic.Atom.make "task" [ v "P"; v "E"; v "U" ];
+      ]
+    ()
+
+(* A data example over the appendix vocabulary, a non-empty candidate list
+   and a permutation of it, and two weight triples. *)
+let key_law_gen =
+  QCheck2.Gen.(
+    let const = oneofl [ "a"; "b"; "c"; "SAP" ] in
+    let mk rel arity =
+      map (fun cs -> Relational.Tuple.of_consts rel cs) (list_repeat arity const)
+    in
+    let weights =
+      let* w1 = int_range 1 5 and* w2 = int_range 1 5 and* w3 = int_range 1 5 in
+      return { Problem.w_unexplained = w1; w_errors = w2; w_size = w3 }
+    in
+    let pool = twin_heads :: Fixtures.selection_candidate_pool in
+    let* source = list_size (int_range 1 3) (mk "proj" 3) in
+    let* tasks = list_size (int_range 0 5) (mk "task" 3) in
+    let* orgs = list_size (int_range 0 3) (mk "org" 2) in
+    let* mask = list_repeat (List.length pool) bool in
+    let cands = List.filteri (fun i _ -> List.nth mask i) pool in
+    let cands = if cands = [] then [ twin_heads ] else cands in
+    let* permuted = shuffle_l cands in
+    let* w = weights and* w' = weights in
+    return
+      ( Relational.Instance.of_tuples source,
+        Relational.Instance.of_tuples (tasks @ orgs),
+        (cands, permuted),
+        (w, w') ))
+
+let print_key_law (source, j, (cands, permuted), _) =
+  let labels l = String.concat "," (List.map (fun t -> t.Logic.Tgd.label) l) in
+  Printf.sprintf "I = %s\nJ = %s\ncandidates %s, permuted %s"
+    (Reference.instance source) (Reference.instance j) (labels cands)
+    (labels permuted)
+
+let key_is_digest p = String.equal (Problem.key p) (Problem.digest p)
+
+(* Every build of one data example through one cache, twice over, under
+   every semantics, core flag, candidate order and weight triple: each
+   build's key, and the key of each build re-weighted, is its digest. A
+   build key that missed an input the problem depends on would hand one
+   build another's digest. *)
+let key_law (source, j, (cands, permuted), (w, w')) =
+  let cache = Cache.create () in
+  List.for_all
+    (fun semantics ->
+      List.for_all
+        (fun core ->
+          List.for_all
+            (fun candidates ->
+              List.for_all
+                (fun (weights, other) ->
+                  List.for_all
+                    (fun () ->
+                      let p =
+                        Problem.make ~weights ~semantics ~core ~cache ~source ~j
+                          candidates
+                      in
+                      key_is_digest p
+                      && key_is_digest (Problem.with_weights p other))
+                    [ (); () ])
+                [ (w, w'); (w', w) ])
+            [ cands; permuted ])
+        [ false; true ])
+    Cover.[ Corroborated; Strict; Generous ]
+
+(* [n] domains ask for [f ()] at once. *)
+let at_once n f =
+  let ready = Atomic.make 0 in
+  List.init n (fun _ ->
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < n do
+            Domain.cpu_relax ()
+          done;
+          f ()))
+  |> List.map Domain.join
+
+let problem_key_tests =
+  [
+    QCheck2.Test.make ~count:100 ~name:"key equals digest over builds in one cache"
+      ~print:print_key_law key_law_gen key_law
+    |> QCheck_alcotest.to_alcotest;
+    Alcotest.test_case "a build with no candidates is keyed by its J" `Quick
+      (fun () ->
+        let cache = Cache.create () in
+        let build j =
+          Problem.make ~cache ~source:Fixtures.instance_i ~j []
+        in
+        let empty = build Relational.Instance.empty in
+        let appendix = build Fixtures.instance_j in
+        Alcotest.(check bool) "empty J" true (key_is_digest empty);
+        Alcotest.(check bool) "appendix J" true (key_is_digest appendix));
+    Alcotest.test_case "four domains get one key" `Quick (fun () ->
+        let p = make_problem () in
+        let d = Problem.digest p in
+        Alcotest.(check (list string)) "uncached problem" [ d; d; d; d ]
+          (at_once 4 (fun () -> Problem.key p));
+        let cache = Cache.create () in
+        let warm = make_problem ~cache () in
+        Alcotest.(check (list string)) "cached build" [ d; d; d; d ]
+          (at_once 4 (fun () -> Problem.key warm));
+        let cache = Cache.create () in
+        Alcotest.(check (list string)) "builds through one cache"
+          [ d; d; d; d ]
+          (at_once 4 (fun () -> Problem.key (make_problem ~cache ())));
+        (* single-flight: one miss per distinct key, whatever the races *)
+        Alcotest.(check int) "misses" 5 (Cache.stats cache).Cache.misses);
   ]
 
 (* --- experiments plumbing ----------------------------------------------- *)
@@ -565,6 +705,7 @@ let () =
             `Quick test_experiments_cache_identity;
         ] );
       ("key-oracle", key_oracle_tests);
+      ("problem-key", problem_key_tests);
       ("key-bytes", key_telemetry_tests);
       ( "spec",
         [
