@@ -151,7 +151,7 @@ let full_problem_fixture =
      in
      problem_of (Ibench.Generator.generate config))
 
-(* a 2-atom join over the HR-style source, evaluated plain vs indexed *)
+(* a 2-atom join over the HR-style source, evaluated through [Cq.answers] *)
 let cq_query =
   let v x = Logic.Term.Var x in
   [
@@ -163,11 +163,6 @@ let cq_fixture =
   lazy
     (let s = Lazy.force me_scenario in
      (s.Ibench.Scenario.instance_i, cq_query))
-
-let cq_indexed_fixture =
-  lazy
-    (let inst, q = Lazy.force cq_fixture in
-     (Logic.Cq.Index.build inst, q))
 
 let egd_fixture =
   lazy
@@ -303,10 +298,6 @@ let tests =
         (stage (fun () ->
              let inst, q = Lazy.force cq_fixture in
              Logic.Cq.answers inst q));
-      Test.make ~name:"substrate-cq-indexed"
-        (stage (fun () ->
-             let index, q = Lazy.force cq_indexed_fixture in
-             Logic.Cq.answers_indexed index q));
       Test.make ~name:"substrate-psl-grounding"
         (stage (fun () ->
              Core.Cmd.build_model (Lazy.force noisy_problem)));
@@ -635,7 +626,6 @@ let derive_ratios rows pool cache =
   ratio "flip-naive-over-incremental" "flip-naive-big" "flip-incremental-big"
   @ ratio "local-search-naive-over-incremental" "solver-local-search-naive-big"
       "solver-local-search-incr-big"
-  @ ratio "cq-plain-over-indexed" "substrate-cq-plain" "substrate-cq-indexed"
   @ ratio "cache-build-cold-over-warm" "cache-problem-build-cold"
       "cache-problem-build-warm"
   @ [

@@ -10,9 +10,7 @@ type t = {
 
 let make ?(label = "egd") ~body left right =
   if body = [] then invalid_arg "Egd.make: empty body";
-  let vars =
-    List.fold_left (fun acc a -> String_set.union acc (Atom.vars a)) String_set.empty body
-  in
+  let vars = Atom.vars_of_list body in
   if not (String_set.mem left vars && String_set.mem right vars) then
     invalid_arg "Egd.make: equated variables must occur in the body";
   { label; body; left; right }

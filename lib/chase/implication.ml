@@ -1,37 +1,15 @@
 open Relational
 open Logic
 
-module Smap = Map.Make (String)
-
-(* Freeze variables into labeled nulls with negative labels. The frozen
-   namespace is collision-proof twice over: a tgd can only name ordinary
-   constants ([Term.Cst c] matches [Value.Const c] and nothing else), and the
-   chase invents its nulls from 0 upward, so negative labels never clash with
-   a null produced while chasing the frozen body. (The previous encoding
-   froze [v] into the ordinary constant ["__frz_" ^ v]; a tgd or instance
-   mentioning a real constant with that prefix made the test silently
-   unsound.) *)
-let freeze_map vars =
-  String_set.elements vars
-  |> List.mapi (fun i v -> (v, Value.Null (-i - 1)))
-  |> List.to_seq |> Smap.of_seq
-
-let freeze_atoms fm atoms =
-  List.map
-    (fun (a : Atom.t) ->
-      let values =
-        Array.map
-          (function Term.Var v -> Smap.find v fm | Term.Cst c -> Value.Const c)
-          a.Atom.args
-      in
-      { Tuple.rel = a.Atom.rel; values })
-    atoms
-
 let implied_through ~hops weak =
   (* Rename apart so freezing cannot capture variables across the tgds. *)
   let weak = Tgd.rename_apart ~suffix:"_w" weak in
-  let fm = freeze_map (Tgd.body_vars weak) in
-  let source = Instance.of_tuples (freeze_atoms fm weak.Tgd.body) in
+  (* The frozen head must map into the chase result with frontier variables
+     pinned to their frozen values (labeled nulls with negative labels; see
+     [Containment.freeze]). *)
+  let source, pinned =
+    Containment.freeze ~pinned:(Tgd.frontier_vars weak) weak.Tgd.body
+  in
   (* One null source threads through every hop, so the labels invented while
      chasing hop k can never collide with those carried over from hop k-1. *)
   let nulls = Null_source.create () in
@@ -39,14 +17,6 @@ let implied_through ~hops weak =
     List.fold_left
       (fun inst hop -> Engine.universal_solution ~nulls inst hop)
       source hops
-  in
-  (* The frozen head must map into the chase result with frontier variables
-     pinned to their frozen values. *)
-  let frontier = Tgd.frontier_vars weak in
-  let pinned =
-    String_set.fold
-      (fun v acc -> Subst.bind_exn v (Smap.find v fm) acc)
-      frontier Subst.empty
   in
   Cq.extensions chased pinned weak.Tgd.head <> []
 
@@ -56,26 +26,19 @@ let implies strong weak = implied_by ~by:[ strong ] weak
 
 let equivalent a b = implies a b && implies b a
 
-let remove_at i l = List.filteri (fun j _ -> j <> i) l
-
 let minimize_tgd (tgd : Tgd.t) =
   let head_vars = Tgd.head_vars tgd in
-  let vars_of atoms =
-    List.fold_left
-      (fun acc a -> String_set.union acc (Atom.vars a))
-      String_set.empty atoms
-  in
   (* Positional removal: dropping index [i] removes exactly one occurrence,
      so a body sharing one physical atom twice shrinks one step at a time. *)
   let rec shrink (current : Tgd.t) =
     let try_without i =
-      let body = remove_at i current.Tgd.body in
+      let body = List.filteri (fun j _ -> j <> i) current.Tgd.body in
       if body = [] then None
       else
         let frontier_kept =
           String_set.subset
-            (String_set.inter head_vars (vars_of current.Tgd.body))
-            (vars_of body)
+            (String_set.inter head_vars (Tgd.body_vars current))
+            (Atom.vars_of_list body)
         in
         if not frontier_kept then None
         else

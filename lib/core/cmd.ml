@@ -33,7 +33,7 @@ let build_model ?(squared = false) (p : Problem.t) =
   (* Linear soft losses become squared hinges in the squared flavour; their
      expressions are non-negative over the box, so the hinge is exact. *)
   let soft weight expr =
-    if squared then Psl.Hlmrf.Hinge { weight; expr; squared = true }
+    if squared then Psl.Hlmrf.Hinge { weight; expr }
     else Psl.Hlmrf.Linear { weight; expr }
   in
   let m = Problem.num_candidates p in

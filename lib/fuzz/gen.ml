@@ -41,12 +41,7 @@ let candidate_gen rng v ~full_only ~label =
         let name, arity = pick rng v.src_rels in
         Atom.make name (List.init arity (fun _ -> body_term rng v)))
   in
-  let body_vars =
-    List.fold_left
-      (fun acc a -> String_set.union acc (Atom.vars a))
-      String_set.empty body
-    |> String_set.elements |> Array.of_list
-  in
+  let body_vars = Atom.vars_of_list body |> String_set.elements |> Array.of_list in
   let head_term rng =
     let r = Random.State.float rng 1.0 in
     if Array.length body_vars > 0 && r < 0.6 then Term.Var (pick rng body_vars)

@@ -16,9 +16,11 @@
     - [setcover] — the Theorem 1 closed form
       [F(M) = (m+1)(|U| - |∪ R_i|) + 2|M|] equals the Eq. 9 evaluator on
       the reduced problem for every probed selection;
-    - [cq-index] — {!Logic.Cq.answers_indexed} (and the indexed extension
-      evaluator) agree with the unindexed evaluator on the case's tgd bodies
-      and heads;
+    - [cq-index] — on the case's tgd bodies (over the source) and heads
+      (over J), every {!Logic.Cq.answers} answer maps each atom into the
+      instance, {!Logic.Cq.extensions} of a one-variable substitution are
+      exactly the answers agreeing with it, and permuting the query's
+      atoms leaves the answer set unchanged;
     - [chase-determinism] — the chase is invariant under permutation of the
       source tuples, with and without a prebuilt index, passes
       {!Chase.check_result}, and the objective is invariant under

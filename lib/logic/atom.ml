@@ -15,6 +15,9 @@ let vars a =
       match t with Term.Var v -> String_set.add v acc | Term.Cst _ -> acc)
     String_set.empty a.args
 
+let vars_of_list atoms =
+  List.fold_left (fun acc a -> String_set.union acc (vars a)) String_set.empty atoms
+
 let vars_in_order a =
   let seen = Hashtbl.create 8 in
   Array.fold_left

@@ -12,6 +12,9 @@ val arity : t -> int
 val vars : t -> String_set.t
 (** Variable names occurring in the atom, in a set. *)
 
+val vars_of_list : t list -> String_set.t
+(** Variable names occurring in any of the atoms. *)
+
 val vars_in_order : t -> string list
 (** Variable names in first-occurrence order, without duplicates. *)
 

@@ -1,10 +1,5 @@
 open Relational
 
-module Smap = Map.Make (String)
-
-let vars_of atoms =
-  List.fold_left (fun acc a -> String_set.union acc (Atom.vars a)) String_set.empty atoms
-
 (* Freeze variables into labeled nulls with negative labels. Nulls live in a
    namespace no query can name — [Term.Cst c] only ever matches
    [Value.Const c] — so the canonical instance cannot conflate a frozen
@@ -13,36 +8,23 @@ let vars_of atoms =
    real constant with that prefix made the test silently unsound.) Negative
    labels additionally keep frozen values disjoint from chase-invented nulls,
    which are labeled from 0 upward. *)
-let freeze_map vars =
-  String_set.elements vars
-  |> List.mapi (fun i v -> (v, Value.Null (-i - 1)))
-  |> List.to_seq |> Smap.of_seq
-
-let freeze fm atoms =
-  List.map
-    (fun (a : Atom.t) ->
-      let values =
-        Array.map
-          (function Term.Var v -> Smap.find v fm | Term.Cst c -> Value.Const c)
-          a.Atom.args
-      in
-      { Tuple.rel = a.Atom.rel; values })
-    atoms
+let freeze ?(pinned = String_set.empty) atoms =
+  let frozen =
+    String_set.elements (String_set.union (Atom.vars_of_list atoms) pinned)
+    |> List.mapi (fun i v -> (v, Value.Null (-i - 1)))
+  in
+  let subst_of bindings =
+    List.fold_left (fun s (v, x) -> Subst.bind_exn v x s) Subst.empty bindings
+  in
+  ( Instance.of_tuples (List.map (Subst.apply_atom_exn (subst_of frozen)) atoms),
+    subst_of (List.filter (fun (v, _) -> String_set.mem v pinned) frozen) )
 
 let contained_in ?(distinguished = String_set.empty) q q' =
-  let fm = freeze_map (String_set.union (vars_of q) distinguished) in
-  let canonical = Instance.of_tuples (freeze fm q) in
-  let pinned =
-    String_set.fold
-      (fun v acc -> Subst.bind_exn v (Smap.find v fm) acc)
-      distinguished Subst.empty
-  in
+  let canonical, pinned = freeze ~pinned:distinguished q in
   Cq.extensions canonical pinned q' <> []
 
 let equivalent ?distinguished q q' =
   contained_in ?distinguished q q' && contained_in ?distinguished q' q
-
-let remove_at i l = List.filteri (fun j _ -> j <> i) l
 
 let minimize ?(distinguished = String_set.empty) atoms =
   (* Positional removal: dropping the atom at index [i] removes exactly one
@@ -51,8 +33,8 @@ let minimize ?(distinguished = String_set.empty) atoms =
   let removable kept rest =
     rest <> []
     && String_set.subset
-         (String_set.inter distinguished (vars_of kept))
-         (vars_of rest)
+         (String_set.inter distinguished (Atom.vars_of_list kept))
+         (Atom.vars_of_list rest)
     && equivalent ~distinguished rest kept
   in
   let rec shrink kept =
@@ -60,7 +42,7 @@ let minimize ?(distinguished = String_set.empty) atoms =
     let rec try_at i =
       if i >= n then kept
       else
-        let rest = remove_at i kept in
+        let rest = List.filteri (fun j _ -> j <> i) kept in
         if removable kept rest then shrink rest else try_at (i + 1)
     in
     try_at 0

@@ -9,6 +9,14 @@
     mention and from every chase-invented null — so the test is sound for
     arbitrary data, including constants that look like frozen variables. *)
 
+val freeze :
+  ?pinned : String_set.t -> Atom.t list -> Relational.Instance.t * Subst.t
+(** [freeze ~pinned atoms] is the canonical instance of [atoms], every
+    variable of [atoms] and [pinned] frozen into its own labeled null with
+    a negative label, and the substitution mapping each variable of
+    [pinned] (default none) to its frozen value. Tgd implication
+    ([Chase.Implication]) freezes a body the same way. *)
+
 val contained_in :
   ?distinguished : String_set.t -> Atom.t list -> Atom.t list -> bool
 (** [contained_in ~distinguished q q'] is [true] iff [q ⊆ q'] as queries

@@ -30,43 +30,6 @@ let order_atoms atoms =
   in
   pick String_set.empty atoms []
 
-(* Match one atom against one tuple under a substitution. *)
-let match_atom s (a : Atom.t) (tu : Tuple.t) =
-  let n = Array.length a.args in
-  if n <> Array.length tu.Tuple.values then None
-  else
-    let rec loop i s =
-      if i >= n then Some s
-      else
-        match a.args.(i), tu.Tuple.values.(i) with
-        | Term.Cst c, v ->
-          if Value.equal (Value.Const c) v then loop (i + 1) s else None
-        | Term.Var x, v -> (
-          match Subst.bind x v s with
-          | None -> None
-          | Some s -> loop (i + 1) s)
-    in
-    loop 0 s
-
-let extensions_ordered inst s atoms =
-  let rec eval s atoms acc =
-    match atoms with
-    | [] -> s :: acc
-    | a :: tl ->
-      Tuple.Set.fold
-        (fun tu acc ->
-          match match_atom s a tu with
-          | None -> acc
-          | Some s' -> eval s' tl acc)
-        (Instance.tuples_of inst a.Atom.rel)
-        acc
-  in
-  List.rev (eval s atoms [])
-
-let extensions inst s atoms = extensions_ordered inst s (order_atoms atoms)
-
-let answers inst atoms = extensions inst Subst.empty atoms
-
 module Index = Relational.Index
 
 (* A compiled conjunctive query: the atoms in [order_atoms] order, each
@@ -74,8 +37,7 @@ module Index = Relational.Index
    it. [Bind] writes a variable's first occurrence into its slot, [Check]
    compares a later occurrence (in the same atom or a later one) with its
    slot. An atom's probe is its first position holding a constant or a
-   variable bound by an earlier atom (or before the query), the position
-   the substitution-based evaluator probed by. *)
+   variable bound by an earlier atom (or before the query). *)
 module Plan = struct
   type position =
     | Const of Value.t
@@ -172,14 +134,12 @@ module Plan = struct
     go 0
 end
 
-let extensions_indexed index s atoms =
+(* The variables of [atoms] that [s] binds are the plan's pre-bound slots;
+   an answer is [s] extended with the slots the plan binds. The index lists
+   a relation only when the plan first probes it. *)
+let extensions inst s atoms =
   let bound =
-    List.filter
-      (fun x -> Subst.mem x s)
-      (String_set.elements
-         (List.fold_left
-            (fun acc a -> String_set.union acc (Atom.vars a))
-            String_set.empty atoms))
+    List.filter (fun x -> Subst.mem x s) (String_set.elements (Atom.vars_of_list atoms))
   in
   let plan = Plan.compile ~bound atoms in
   let vars = Plan.vars plan in
@@ -189,7 +149,7 @@ let extensions_indexed index s atoms =
       vars
   in
   let first = List.length bound and answers = ref [] in
-  Plan.iter plan index env (fun env ->
+  Plan.iter plan (Index.build inst) env (fun env ->
       let answer = ref s in
       for k = first to Array.length vars - 1 do
         answer := Subst.bind_exn vars.(k) env.(k) !answer
@@ -197,16 +157,15 @@ let extensions_indexed index s atoms =
       answers := !answer :: !answers);
   List.rev !answers
 
-let answers_indexed index atoms = extensions_indexed index Subst.empty atoms
+let answers inst atoms = extensions inst Subst.empty atoms
 
 let holds inst atoms =
-  let ordered = order_atoms atoms in
-  let rec eval s = function
-    | [] -> true
-    | a :: tl ->
-      Tuple.Set.exists
-        (fun tu ->
-          match match_atom s a tu with None -> false | Some s' -> eval s' tl)
-        (Instance.tuples_of inst a.Atom.rel)
-  in
-  eval Subst.empty ordered
+  let plan = Plan.compile atoms in
+  let exception Found in
+  match
+    Plan.iter plan (Index.build inst)
+      (Array.make (Array.length (Plan.vars plan)) (Value.Const ""))
+      (fun _ -> raise_notrace Found)
+  with
+  | () -> false
+  | exception Found -> true

@@ -52,14 +52,6 @@ let compare a b = Smap.compare Value.compare a b
 
 let equal a b = compare a b = 0
 
-let compatible a b =
-  Smap.for_all
-    (fun v x -> match Smap.find_opt v b with None -> true | Some y -> Value.equal x y)
-    a
-
-let merge a b =
-  if compatible a b then Some (Smap.union (fun _ x _ -> Some x) a b) else None
-
 let pp ppf s =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

@@ -33,10 +33,4 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val compatible : t -> t -> bool
-(** [true] iff the two substitutions agree on shared variables. *)
-
-val merge : t -> t -> t option
-(** Union of two substitutions; [None] if they conflict. *)
-
 val pp : Format.formatter -> t -> unit

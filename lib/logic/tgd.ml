@@ -11,12 +11,9 @@ let make ?(label = "tgd") ~body ~head () =
 
 let relabel label t = { t with label }
 
-let vars_of_atoms atoms =
-  List.fold_left (fun acc a -> String_set.union acc (Atom.vars a)) String_set.empty atoms
+let body_vars t = Atom.vars_of_list t.body
 
-let body_vars t = vars_of_atoms t.body
-
-let head_vars t = vars_of_atoms t.head
+let head_vars t = Atom.vars_of_list t.head
 
 let frontier_vars t = String_set.inter (body_vars t) (head_vars t)
 

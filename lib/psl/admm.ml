@@ -15,7 +15,7 @@ type outcome = {
 }
 
 (* The prox operation a factor performs on its slice of local copies. *)
-type kind = Linear | Hinge | Squared | Leq | Eq
+type kind = Linear | Squared | Leq
 
 (* The model as flat arrays. Factor [f] owns local copies [off.(f)] to
    [off.(f + 1) - 1]; copy [j] stands for variable [var.(j)] with
@@ -23,7 +23,7 @@ type kind = Linear | Hinge | Squared | Leq | Eq
    in insertion order, and a factor's copies keep its expression's order. *)
 type layout = {
   kind : kind array;
-  weight : float array;  (* unused by [Leq] and [Eq] *)
+  weight : float array;  (* unused by [Leq] *)
   constant : float array;
   norm2 : float array;  (* ‖coeffs‖² *)
   off : int array;  (* one more entry than factors *)
@@ -38,13 +38,10 @@ let layout_of_model model =
   let factors =
     List.filter_map
       (function
-        | Hlmrf.Hinge { weight; expr; squared } ->
-          factor (if squared then Squared else Hinge) weight expr
+        | Hlmrf.Hinge { weight; expr } -> factor Squared weight expr
         | Hlmrf.Linear { weight; expr } -> factor Linear weight expr)
       (Hlmrf.potentials model)
-    @ List.filter_map
-        (function Hlmrf.Leq e -> factor Leq 1. e | Hlmrf.Eq e -> factor Eq 1. e)
-        (Hlmrf.constraints model)
+    @ List.filter_map (fun (Hlmrf.Leq e) -> factor Leq 1. e) (Hlmrf.constraints model)
   in
   let exprs = List.map (fun (_, _, e) -> e) factors in
   let copies = Array.of_list (List.concat_map (fun e -> e.Linexpr.coeffs) exprs) in
@@ -114,12 +111,6 @@ let solve ?(options = default_options) model =
     for f = 0 to nf - 1 do
       match kind.(f) with
       | Linear -> axpy f (-.weight.(f) /. rho)
-      | Hinge ->
-        if dot f v <= 0. then keep f
-        else begin
-          axpy f (-.weight.(f) /. rho);
-          if dot f x < 0. then project f
-        end
       | Squared ->
         let margin = dot f v in
         if margin <= 0. then keep f
@@ -127,7 +118,6 @@ let solve ?(options = default_options) model =
           let w = weight.(f) in
           axpy f (-.(2. *. w *. margin) /. (rho +. (2. *. w *. norm2.(f))))
       | Leq -> if dot f v <= 0. then keep f else project f
-      | Eq -> project f
     done;
     (* consensus step *)
     Array.fill sums 0 n 0.;

@@ -1,10 +1,8 @@
 type potential =
-  | Hinge of { weight : float; expr : Linexpr.t; squared : bool }
+  | Hinge of { weight : float; expr : Linexpr.t }
   | Linear of { weight : float; expr : Linexpr.t }
 
-type constr =
-  | Leq of Linexpr.t
-  | Eq of Linexpr.t
+type constr = Leq of Linexpr.t
 
 type t = {
   num_vars : int;
@@ -33,7 +31,7 @@ let check_expr t expr =
 
 let add_potential t p =
   (match p with
-  | Hinge { weight; expr; _ } ->
+  | Hinge { weight; expr } ->
     check_finite "weight" weight;
     if weight < 0. then invalid_arg "Hlmrf.add_potential: negative hinge weight";
     check_expr t expr
@@ -42,8 +40,8 @@ let add_potential t p =
     check_expr t expr);
   t.potentials <- p :: t.potentials
 
-let add_constraint t c =
-  (match c with Leq e | Eq e -> check_expr t e);
+let add_constraint t (Leq e as c) =
+  check_expr t e;
   t.constraints <- c :: t.constraints
 
 let potentials t = List.rev t.potentials
@@ -58,9 +56,9 @@ let energy t x =
   List.fold_left
     (fun acc p ->
       match p with
-      | Hinge { weight; expr; squared } ->
+      | Hinge { weight; expr } ->
         let v = Float.max 0. (Linexpr.eval expr x) in
-        acc +. (weight *. if squared then v *. v else v)
+        acc +. (weight *. (v *. v))
       | Linear { weight; expr } -> acc +. (weight *. Linexpr.eval expr x))
     0. t.potentials
 
@@ -70,8 +68,5 @@ let feasible ?(tol = 1e-6) t x =
   in
   box_ok
   && List.for_all
-       (fun c ->
-         match c with
-         | Leq e -> Linexpr.eval e x <= tol
-         | Eq e -> Float.abs (Linexpr.eval e x) <= tol)
+       (fun (Leq e) -> Linexpr.eval e x <= tol)
        t.constraints

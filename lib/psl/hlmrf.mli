@@ -3,22 +3,21 @@
     An HL-MRF over variables [x ∈ [0,1]^n] is the energy function
 
     {v
-      f(x) = Σ_k w_k · max(0, a_kᵀx + b_k)^{p_k}     (p_k ∈ {1,2})
-           + Σ_k w_k · (a_kᵀx + b_k)                  (linear potentials)
+      f(x) = Σ_k w_k · max(0, a_kᵀx + b_k)²     (squared hinges)
+           + Σ_k w_k · (a_kᵀx + b_k)           (linear potentials)
     v}
 
-    subject to hard linear constraints [aᵀx + b ≤ 0] or [aᵀx + b = 0]. MAP
-    inference minimises [f] over the feasible box — a convex problem, solved
-    by {!Admm}. *)
+    subject to hard linear constraints [aᵀx + b ≤ 0]. MAP inference
+    minimises [f] over the feasible box — a convex problem, solved by
+    {!Admm}. These are the shapes CMD's ground model ([Core.Cmd]) uses; an
+    equality is two opposed inequalities. *)
 
 type potential =
-  | Hinge of { weight : float; expr : Linexpr.t; squared : bool }
-      (** [w·max(0, aᵀx+b)] or [w·max(0, aᵀx+b)²]; [w ≥ 0] *)
+  | Hinge of { weight : float; expr : Linexpr.t }
+      (** [w·max(0, aᵀx+b)²]; [w ≥ 0] *)
   | Linear of { weight : float; expr : Linexpr.t }  (** [w·(aᵀx+b)] *)
 
-type constr =
-  | Leq of Linexpr.t  (** [aᵀx + b ≤ 0] *)
-  | Eq of Linexpr.t  (** [aᵀx + b = 0] *)
+type constr = Leq of Linexpr.t  (** [aᵀx + b ≤ 0] *)
 
 type t
 

@@ -9,9 +9,8 @@ open Psl
 (* The prox operation a factor performs on its local copy. *)
 type step =
   | Prox_linear of { weight : float }
-  | Prox_hinge of { weight : float; squared : bool }
+  | Prox_hinge of { weight : float }
   | Prox_leq
-  | Prox_eq
 
 type factor = {
   step : step;
@@ -44,16 +43,15 @@ let factor_of_expr step expr =
 
 let factors_of_model model =
   let of_potential = function
-    | Hlmrf.Hinge { weight; expr; squared } ->
+    | Hlmrf.Hinge { weight; expr } ->
       if expr.Linexpr.coeffs = [] || weight = 0. then None
-      else Some (factor_of_expr (Prox_hinge { weight; squared }) expr)
+      else Some (factor_of_expr (Prox_hinge { weight }) expr)
     | Hlmrf.Linear { weight; expr } ->
       if expr.Linexpr.coeffs = [] || weight = 0. then None
       else Some (factor_of_expr (Prox_linear { weight }) expr)
   in
-  let of_constraint = function
-    | Hlmrf.Leq e -> if e.Linexpr.coeffs = [] then None else Some (factor_of_expr Prox_leq e)
-    | Hlmrf.Eq e -> if e.Linexpr.coeffs = [] then None else Some (factor_of_expr Prox_eq e)
+  let of_constraint (Hlmrf.Leq e) =
+    if e.Linexpr.coeffs = [] then None else Some (factor_of_expr Prox_leq e)
   in
   List.filter_map of_potential (Hlmrf.potentials model)
   @ List.filter_map of_constraint (Hlmrf.constraints model)
@@ -75,20 +73,13 @@ let project_hyperplane f v =
 let local_solve ~rho f v =
   match f.step with
   | Prox_linear { weight } -> axpy f v (-.weight /. rho)
-  | Prox_hinge { weight; squared = false } ->
-    if dot f v <= 0. then Array.blit v 0 f.x 0 (Array.length v)
-    else begin
-      axpy f v (-.weight /. rho);
-      if dot f f.x < 0. then project_hyperplane f v
-    end
-  | Prox_hinge { weight; squared = true } ->
+  | Prox_hinge { weight } ->
     let margin = dot f v in
     if margin <= 0. then Array.blit v 0 f.x 0 (Array.length v)
     else axpy f v (-.(2. *. weight *. margin) /. (rho +. (2. *. weight *. f.norm2)))
   | Prox_leq ->
     if dot f v <= 0. then Array.blit v 0 f.x 0 (Array.length v)
     else project_hyperplane f v
-  | Prox_eq -> project_hyperplane f v
 
 let clip01 v = Float.max 0. (Float.min 1. v)
 

@@ -1,10 +1,11 @@
 (* The map-based indexed evaluator and chase that the compiled plan
-   replaced, kept as the oracle of the chase differential in test_chase.
-   Every partial answer is a [Subst] map; an atom probes the index at its
-   first position the map binds (a constant, or a variable bound before
-   the atom), or lists the whole relation; a trigger's substitution is the
-   answer extended with one fresh null per existential variable, drawn in
-   ascending variable order, and its tuples are the head atoms under it. *)
+   replaced, kept as the oracle of the chase and [Cq.extensions]
+   differentials in test_chase. Every partial answer is a [Subst] map; an
+   atom probes the index at its first position the map binds (a constant,
+   or a variable bound before the atom), or lists the whole relation; a
+   trigger's substitution is the answer extended with one fresh null per
+   existential variable, drawn in ascending variable order, and its tuples
+   are the head atoms under it. *)
 open Relational
 open Logic
 
@@ -37,7 +38,7 @@ let candidates index s (a : Atom.t) =
   | Some (pos, v) -> Relational.Index.find index a.Atom.rel pos v
   | None -> Relational.Index.tuples_of index a.Atom.rel
 
-let extensions_indexed index s atoms =
+let extensions index s atoms =
   let rec eval s atoms acc =
     match atoms with
     | [] -> s :: acc
@@ -79,5 +80,5 @@ let fire index tgds =
                tuples = List.map (Subst.apply_atom_exn subst) tgd.Tgd.head;
                nulls = invented;
              })
-           (extensions_indexed index Subst.empty tgd.Tgd.body))
+           (extensions index Subst.empty tgd.Tgd.body))
        tgds)

@@ -3,10 +3,7 @@ open Psl
 let clip01 v = Float.max 0. (Float.min 1. v)
 
 let penalised_energy ~penalty model x =
-  let violation acc = function
-    | Hlmrf.Leq e -> acc +. (Float.max 0. (Linexpr.eval e x) ** 2.)
-    | Hlmrf.Eq e -> acc +. (Linexpr.eval e x ** 2.)
-  in
+  let violation acc (Hlmrf.Leq e) = acc +. (Float.max 0. (Linexpr.eval e x) ** 2.) in
   Hlmrf.energy model x
   +. (penalty *. List.fold_left violation 0. (Hlmrf.constraints model))
 
@@ -18,21 +15,15 @@ let subgradient ~penalty model x g =
   List.iter
     (fun p ->
       match p with
-      | Hlmrf.Hinge { weight; expr; squared } ->
+      | Hlmrf.Hinge { weight; expr } ->
         let v = Linexpr.eval expr x in
-        if v > 0. then
-          add_subgradient g (if squared then 2. *. weight *. v else weight) expr
+        if v > 0. then add_subgradient g (2. *. weight *. v) expr
       | Hlmrf.Linear { weight; expr } -> add_subgradient g weight expr)
     (Hlmrf.potentials model);
   List.iter
-    (fun c ->
-      match c with
-      | Hlmrf.Leq e ->
-        let v = Linexpr.eval e x in
-        if v > 0. then add_subgradient g (2. *. penalty *. v) e
-      | Hlmrf.Eq e ->
-        let v = Linexpr.eval e x in
-        add_subgradient g (2. *. penalty *. v) e)
+    (fun (Hlmrf.Leq e) ->
+      let v = Linexpr.eval e x in
+      if v > 0. then add_subgradient g (2. *. penalty *. v) e)
     (Hlmrf.constraints model)
 
 let solve ?(iterations = 5000) ?(step = 0.5) ?(penalty = 100.) model =

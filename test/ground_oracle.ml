@@ -9,7 +9,7 @@ open Util
 
 let build_model ?(squared = false) (p : Core.Problem.t) =
   let soft weight expr =
-    if squared then Psl.Hlmrf.Hinge { weight; expr; squared = true }
+    if squared then Psl.Hlmrf.Hinge { weight; expr }
     else Psl.Hlmrf.Linear { weight; expr }
   in
   let m = Core.Problem.num_candidates p in
@@ -51,14 +51,12 @@ let extend model ~m x =
   let full = Array.make (Psl.Hlmrf.num_vars model) 0. in
   Array.blit x 0 full 0 m;
   List.iter
-    (function
-      | Psl.Hlmrf.Leq e ->
-        let y, sum =
-          List.fold_left
-            (fun (y, sum) (v, a) -> if v >= m then (v, sum) else (y, sum -. (a *. x.(v))))
-            (-1, 0.) e.Psl.Linexpr.coeffs
-        in
-        full.(y) <- Float.min 1. sum
-      | Psl.Hlmrf.Eq _ -> invalid_arg "Ground_oracle.extend: Eq")
+    (fun (Psl.Hlmrf.Leq e) ->
+      let y, sum =
+        List.fold_left
+          (fun (y, sum) (v, a) -> if v >= m then (v, sum) else (y, sum -. (a *. x.(v))))
+          (-1, 0.) e.Psl.Linexpr.coeffs
+      in
+      full.(y) <- Float.min 1. sum)
     (Psl.Hlmrf.constraints model);
   full

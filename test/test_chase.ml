@@ -347,17 +347,17 @@ let chase_oracle_tests =
                     tr.Chase.Trigger.tuples
                && Value.Set.equal o.Chase_oracle.nulls tr.Chase.Trigger.nulls)
              expected actual);
-    Test.make ~name:"extensions_indexed equals the map-based one, in order"
+    Test.make ~name:"extensions equals the map-based one, in order"
       ~count:500 ~print:oracle_print oracle_case_gen
       (fun (src, tgds, (x, v)) ->
-        let index = Cq.Index.build src in
+        let index = Relational.Index.build src in
         List.for_all
           (fun (tgd : Tgd.t) ->
             List.for_all
               (fun s ->
                 List.equal Subst.equal
-                  (Chase_oracle.extensions_indexed index s tgd.Tgd.body)
-                  (Cq.extensions_indexed index s tgd.Tgd.body))
+                  (Chase_oracle.extensions index s tgd.Tgd.body)
+                  (Cq.extensions src s tgd.Tgd.body))
               [ Subst.empty; Subst.singleton x v; Subst.singleton "Q" v ])
           tgds);
   ]

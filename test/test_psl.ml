@@ -16,16 +16,15 @@ let linexpr_tests =
         Alcotest.check (close ()) "25" 25. (Linexpr.norm2 e));
   ]
 
-(* hinge w·max(0, Σ coeffs + b) *)
-let hinge ?(squared = false) w coeffs b =
-  Hlmrf.Hinge { weight = w; expr = Linexpr.make coeffs b; squared }
+(* squared hinge w·max(0, Σ coeffs + b)² *)
+let hinge w coeffs b = Hlmrf.Hinge { weight = w; expr = Linexpr.make coeffs b }
 
 let linear w coeffs b = Hlmrf.Linear { weight = w; expr = Linexpr.make coeffs b }
 
 let admm_tests =
   [
     Alcotest.test_case "interval of zero energy" `Quick (fun () ->
-        (* max(0, 0.3−x) + max(0, x−0.7): any x in [0.3, 0.7] is optimal *)
+        (* max(0, 0.3−x)² + max(0, x−0.7)²: any x in [0.3, 0.7] is optimal *)
         let m = Hlmrf.create ~num_vars:1 in
         Hlmrf.add_potential m (hinge 1. [ (0, -1.) ] 0.3);
         Hlmrf.add_potential m (hinge 1. [ (0, 1.) ] (-0.7));
@@ -36,7 +35,8 @@ let admm_tests =
           "inside interval" true
           (r.Admm.solution.(0) >= 0.29 && r.Admm.solution.(0) <= 0.71));
     Alcotest.test_case "competing linear pulls" `Quick (fun () ->
-        (* 2x + max(0, 1−x): optimum x = 0 with energy 1 *)
+        (* 2x + max(0, 1−x)²: the slope 2 − 2(1−x) = 2x is non-negative on
+           the box, so the optimum is x = 0 with energy 1 *)
         let m = Hlmrf.create ~num_vars:1 in
         Hlmrf.add_potential m (linear 2. [ (0, 1.) ] 0.);
         Hlmrf.add_potential m (hinge 1. [ (0, -1.) ] 1.);
@@ -45,9 +45,11 @@ let admm_tests =
         Alcotest.check (close ()) "energy 1" 1. r.Admm.energy);
     Alcotest.test_case "equality constraint pins the variable" `Quick
       (fun () ->
+        (* minimize x subject to x = 0.6, stated as x ≤ 0.6 and x ≥ 0.6 *)
         let m = Hlmrf.create ~num_vars:1 in
         Hlmrf.add_potential m (linear 1. [ (0, 1.) ] 0.);
-        Hlmrf.add_constraint m (Hlmrf.Eq (Linexpr.make [ (0, 1.) ] (-0.6)));
+        Hlmrf.add_constraint m (Hlmrf.Leq (Linexpr.make [ (0, 1.) ] (-0.6)));
+        Hlmrf.add_constraint m (Hlmrf.Leq (Linexpr.make [ (0, -1.) ] 0.6));
         let r = solve m in
         Alcotest.check (close ()) "x=0.6" 0.6 r.Admm.solution.(0));
     Alcotest.test_case "inequality constraint caps the maximizer" `Quick
@@ -62,21 +64,23 @@ let admm_tests =
         (* max(0, x−0)² pulls to 0, max(0, 0.8−x)² pulls to 0.8: minimise
            x² + (0.8−x)² → x = 0.4, energy 0.32 *)
         let m = Hlmrf.create ~num_vars:1 in
-        Hlmrf.add_potential m (hinge ~squared:true 1. [ (0, 1.) ] 0.);
-        Hlmrf.add_potential m (hinge ~squared:true 1. [ (0, -1.) ] 0.8);
+        Hlmrf.add_potential m (hinge 1. [ (0, 1.) ] 0.);
+        Hlmrf.add_potential m (hinge 1. [ (0, -1.) ] 0.8);
         let r = solve m in
         Alcotest.check (close ~tol:1e-2 ()) "x=0.4" 0.4 r.Admm.solution.(0);
         Alcotest.check (close ~tol:1e-2 ()) "energy" 0.32 r.Admm.energy);
     Alcotest.test_case "two-variable chain" `Quick (fun () ->
-        (* strong pulls x→0.8, y→0.2 plus weak hinge max(0, x−y) *)
+        (* strong pulls x→0.8, y→0.2 plus weak hinge max(0, x−y)²: with
+           x = 0.8 − a and y = 0.2 + b the energy 10a² + 10b² + (0.6−a−b)²
+           is least at a = b = 0.05, so x = 0.75, y = 0.25, energy 0.3 *)
         let m = Hlmrf.create ~num_vars:2 in
         Hlmrf.add_potential m (hinge 10. [ (0, -1.) ] 0.8);
         Hlmrf.add_potential m (hinge 10. [ (1, 1.) ] (-0.2));
         Hlmrf.add_potential m (hinge 1. [ (0, 1.); (1, -1.) ] 0.);
         let r = solve m in
-        Alcotest.check (close ~tol:5e-3 ()) "x" 0.8 r.Admm.solution.(0);
-        Alcotest.check (close ~tol:5e-3 ()) "y" 0.2 r.Admm.solution.(1);
-        Alcotest.check (close ~tol:1e-2 ()) "energy" 0.6 r.Admm.energy);
+        Alcotest.check (close ~tol:5e-3 ()) "x" 0.75 r.Admm.solution.(0);
+        Alcotest.check (close ~tol:5e-3 ()) "y" 0.25 r.Admm.solution.(1);
+        Alcotest.check (close ~tol:1e-2 ()) "energy" 0.3 r.Admm.energy);
     Alcotest.test_case "box clipping" `Quick (fun () ->
         (* minimize −3x: pushed to the box boundary x = 1 *)
         let m = Hlmrf.create ~num_vars:1 in
@@ -102,11 +106,10 @@ let random_model_gen =
     let* cs = list_size (return k) coeff in
     let* b = float_range (-1.) 1. in
     let* w = float_range 0.1 2. in
-    let* squared = bool in
     let expr = Linexpr.make (List.combine idx cs) b in
     if expr.Linexpr.coeffs = [] then
       return (hinge w [ (0, 1.) ] b)
-    else return (Hlmrf.Hinge { weight = w; expr; squared })
+    else return (Hlmrf.Hinge { weight = w; expr })
   in
   let* pots = list_size (int_range 1 6) potential_gen in
   let m = Hlmrf.create ~num_vars:n in
@@ -171,11 +174,9 @@ let oracle_model_gen =
     let pot p m = Hlmrf.add_potential m p and con c m = Hlmrf.add_constraint m c in
     oneofl
       [
-        pot (Hlmrf.Hinge { weight = w; expr = e; squared = false });
-        pot (Hlmrf.Hinge { weight = w; expr = e; squared = true });
+        pot (Hlmrf.Hinge { weight = w; expr = e });
         pot (Hlmrf.Linear { weight = sign *. w; expr = e });
         con (Hlmrf.Leq e);
-        con (Hlmrf.Eq e);
         pot (linear Float.nan [ (0, 1.) ] 0.);
         pot (hinge 1. [ (0, 1.) ] Float.infinity);
         con (Hlmrf.Leq (Linexpr.make [ (0, Float.neg_infinity) ] 0.));
@@ -289,7 +290,7 @@ let non_finite_tests =
                    Hlmrf.add_constraint m (Hlmrf.Leq (Linexpr.make [ (0, x) ] 0.))));
             Alcotest.(check bool) (name "constraint constant") true
               (raises_invalid (fun () ->
-                   Hlmrf.add_constraint m (Hlmrf.Eq (Linexpr.make [ (0, 1.) ] x))));
+                   Hlmrf.add_constraint m (Hlmrf.Leq (Linexpr.make [ (0, 1.) ] x))));
             Alcotest.(check int) "nothing was added" 0
               (Hlmrf.num_potentials m + Hlmrf.num_constraints m))
           non_finite);
