@@ -9,12 +9,17 @@
     [core] runs iterated proper-endomorphism elimination: while some
     non-ground tuple [t0] admits a homomorphism of its null-connected
     component into the instance minus [t0], replace the component by its
-    image. The search is deterministic (tuples tried in ascending order; a
-    component's tuples matched in connectivity order, each sharing a null
-    with one matched before it), so the returned sub-instance is a pure
-    function of its input — the
-    [core-solution] fuzz family pins sub-instance containment,
-    homomorphic equivalence in both directions, and idempotence. *)
+    image. A component's homomorphisms are the answers of a boolean
+    conjunctive query (its tuples as atoms, each null a variable named
+    after its label) compiled into a {!Logic.Cq.Plan}, whose join order
+    is {!Logic.Cq.order_atoms}, and run over a {!Relational.Index} of the
+    target. The search is deterministic (the first [t0] in
+    {!Relational.Instance.tuples} order whose component has an answer,
+    retracted onto the plan's first answer), so the returned sub-instance
+    is a pure function of its input; it is unique up to isomorphism, as
+    every core of an instance is. The [core-solution] fuzz family pins
+    sub-instance containment, homomorphic equivalence in both directions,
+    and idempotence. *)
 
 val core : Relational.Instance.t -> Relational.Instance.t
 (** The core, as a sub-instance of the input. *)

@@ -34,6 +34,11 @@ type cell =
   | Fixed of Value.t
   | Slot of int
 
+(* The slot of variable [x] among a plan's [vars]. *)
+let slot_of vars x =
+  let rec find k = if String.equal vars.(k) x then k else find (k + 1) in
+  find 0
+
 (* Instantiate one tgd over its body homomorphisms into the indexed source,
    inventing fresh nulls per firing. The body is compiled once; a trigger's
    values are the body slots followed by the existentials' nulls, and each
@@ -45,17 +50,14 @@ let fire_tgd ~nulls ~tgd_index (tgd : Tgd.t) index =
     Array.of_list (String_set.elements (Tgd.existential_vars tgd))
   in
   let vars = Array.append body existentials in
-  let slot x =
-    let rec find k = if String.equal vars.(k) x then k else find (k + 1) in
-    find 0
-  in
   let head =
     List.map
       (fun (a : Atom.t) ->
         ( a.Atom.rel,
           Array.map
             (function
-              | Term.Cst c -> Fixed (Value.Const c) | Term.Var x -> Slot (slot x))
+              | Term.Cst c -> Fixed (Value.Const c)
+              | Term.Var x -> Slot (slot_of vars x))
             a.Atom.args ))
       tgd.Tgd.head
   in
@@ -165,17 +167,38 @@ let check_result ~source { solution; triggers } =
     in
     check_triggers Value.Set.empty triggers
 
-let satisfies ~source ~target (tgd : Tgd.t) =
-  let frontier = Tgd.frontier_vars tgd in
-  Cq.answers source tgd.Tgd.body
-  |> List.for_all (fun subst ->
-         let restricted =
-           List.fold_left
-             (fun acc (v, x) ->
-               if String_set.mem v frontier then Subst.bind_exn v x acc else acc)
-             Subst.empty (Subst.bindings subst)
-         in
-         Cq.extensions target restricted tgd.Tgd.head <> [])
+(* The body is compiled once, and the head once with the frontier as
+   pre-bound slots, which each body answer fills before the head runs over
+   the target; the first body answer with no head answer decides. *)
+let satisfies_indexed ~source ~target (tgd : Tgd.t) =
+  let body = Cq.Plan.compile tgd.Tgd.body in
+  let frontier = String_set.elements (Tgd.frontier_vars tgd) in
+  let head = Cq.Plan.compile ~bound:frontier tgd.Tgd.head in
+  let body_vars = Cq.Plan.vars body in
+  let from_body = List.map (slot_of body_vars) frontier in
+  let head_env =
+    Array.make (Array.length (Cq.Plan.vars head)) (Value.Const "")
+  in
+  let exception Extends in
+  let exception Violated in
+  match
+    Cq.Plan.iter body source
+      (Array.make (Array.length body_vars) (Value.Const ""))
+      (fun env ->
+        List.iteri (fun k s -> head_env.(k) <- env.(s)) from_body;
+        match
+          Cq.Plan.iter head target head_env (fun _ -> raise_notrace Extends)
+        with
+        | () -> raise_notrace Violated
+        | exception Extends -> ())
+  with
+  | () -> true
+  | exception Violated -> false
+
+let satisfies ~source ~target tgd =
+  satisfies_indexed ~source:(Cq.Index.build source)
+    ~target:(Cq.Index.build target) tgd
 
 let satisfies_all ~source ~target tgds =
-  List.for_all (satisfies ~source ~target) tgds
+  let source = Cq.Index.build source and target = Cq.Index.build target in
+  List.for_all (satisfies_indexed ~source ~target) tgds

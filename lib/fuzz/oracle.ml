@@ -444,11 +444,6 @@ let check_cache_identity ctx =
 
 (* --- core-solution: the core is a minimal homomorphic retract ----------- *)
 
-let tuple_is_ground (t : Tuple.t) =
-  Array.for_all
-    (function Value.Const _ -> true | Value.Null _ -> false)
-    t.Tuple.values
-
 let check_core_solution ctx =
   match ctx.case.Case.payload with
   | Case.Setcover _ | Case.Multihop _ -> Skip
@@ -465,7 +460,7 @@ let check_core_solution ctx =
       else if
         not
           (List.for_all
-             (fun t -> (not (tuple_is_ground t)) || Instance.mem t c)
+             (fun t -> (not (Tuple.is_ground t)) || Instance.mem t c)
              (Instance.tuples jc))
       then Fail "core dropped a ground tuple"
       else if not (Chase.Core_solution.hom_exists ~from:jc ~into:c) then
@@ -536,7 +531,7 @@ let check_portfolio ctx =
 let take n l = List.filteri (fun i _ -> i < n) l
 
 let ground_tuples inst =
-  List.filter tuple_is_ground (Instance.tuples inst) |> List.sort compare
+  List.filter Tuple.is_ground (Instance.tuples inst) |> List.sort compare
 
 (* On single-mapping cases the oracle holds the checkers to their semantic
    contracts on the case's own data — a syntactically-confused [implies] or

@@ -1,18 +1,14 @@
-(** Fixed-width mutable bitsets, used by the Eq. 4 fast path to represent
-    sets of target tuples. *)
+(** Fixed-width mutable bitsets. [Core.Full], the Eq. 4 fast path, is the
+    only user: a candidate's covered target tuples are one bitset, and the
+    objective and the exact search count unions of them. *)
 
 type t
 
 val create : int -> t
 (** All bits clear. The width is fixed at creation. *)
 
-val length : t -> int
-
 val set : t -> int -> unit
-
-val clear : t -> int -> unit
-
-val get : t -> int -> bool
+(** Raises [Invalid_argument] outside [0 .. width - 1]. *)
 
 val copy : t -> t
 
@@ -22,18 +18,8 @@ val union_into : t -> t -> unit
 val count : t -> int
 (** Number of set bits. *)
 
-val cardinal : t -> int
-(** Alias of {!count}. *)
-
-val iter_set : (int -> unit) -> t -> unit
-(** Applies the function to every set bit, ascending. *)
-
 val union_count : t -> t -> int
 (** [count (dst ∪ src)] without materialising the union. *)
-
-val is_empty : t -> bool
-
-val equal : t -> t -> bool
 
 val of_list : int -> int list -> t
 (** [of_list width bits]. *)

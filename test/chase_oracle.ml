@@ -5,7 +5,9 @@
    or a variable bound before the atom), or lists the whole relation; a
    trigger's substitution is the answer extended with one fresh null per
    existential variable, drawn in ascending variable order, and its tuples
-   are the head atoms under it. *)
+   are the head atoms under it. [satisfies] is the per-answer definition
+   of tgd satisfaction [Chase.satisfies] replaced: one extension search
+   over the target per body answer over the source. *)
 open Relational
 open Logic
 
@@ -82,3 +84,16 @@ let fire index tgds =
              })
            (extensions index Subst.empty tgd.Tgd.body))
        tgds)
+
+let satisfies ~source ~target (tgd : Tgd.t) =
+  let frontier = Tgd.frontier_vars tgd in
+  let target = Relational.Index.build target in
+  extensions (Relational.Index.build source) Subst.empty tgd.Tgd.body
+  |> List.for_all (fun subst ->
+         let restricted =
+           List.fold_left
+             (fun acc (v, x) ->
+               if String_set.mem v frontier then Subst.bind_exn v x acc else acc)
+             Subst.empty (Subst.bindings subst)
+         in
+         extensions target restricted tgd.Tgd.head <> [])

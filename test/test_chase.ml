@@ -363,6 +363,55 @@ let chase_oracle_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* [Chase.satisfies] (one compiled body, one compiled head with the
+   frontier pre-bound, one index per instance) against the per-answer
+   definition in test/chase_oracle.ml. Targets are the chase of the
+   source, the chase missing one tuple, and random t2/t3 tuples beside
+   either, so violations occur (about one check in sixteen). *)
+let satisfies_case_gen =
+  QCheck2.Gen.(
+    let* src, tgds, _ = oracle_case_gen in
+    let* noise =
+      list_size (int_range 0 6)
+        (oneof
+           [
+             Fixtures.nullable_tuple_gen ~rel:"t2" ~arity:2;
+             Fixtures.nullable_tuple_gen ~rel:"t3" ~arity:3;
+           ])
+    in
+    let* drop = int_range 0 7 in
+    return (src, tgds, noise, drop))
+
+let satisfies_print (src, tgds, noise, drop) =
+  let list pp = Format.pp_print_list ~pp_sep:Format.pp_print_space pp in
+  Format.asprintf "source: %a@.tgds: %a@.noise: %a@.drop: %d" Instance.pp src
+    (list Tgd.pp) tgds (list Relational.Tuple.pp) noise drop
+
+let satisfies_oracle_tests =
+  let open QCheck2 in
+  [
+    Test.make ~name:"satisfies equals per-answer check" ~count:500
+      ~print:satisfies_print satisfies_case_gen (fun (src, tgds, noise, drop) ->
+        let solution = Chase.universal_solution src tgds in
+        let dropped =
+          match List.nth_opt (Instance.tuples solution) drop with
+          | Some t -> Instance.remove t solution
+          | None -> solution
+        in
+        let noise = Instance.of_tuples noise in
+        List.for_all
+          (fun target ->
+            List.for_all
+              (fun tgd ->
+                Chase.satisfies ~source:src ~target tgd
+                = Chase_oracle.satisfies ~source:src ~target tgd)
+              tgds
+            && Chase.satisfies_all ~source:src ~target tgds
+               = List.for_all (Chase_oracle.satisfies ~source:src ~target) tgds)
+          [ solution; dropped; noise; Instance.union dropped noise ]);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 (* implication and certain-answer tests *)
 
 let implication_tests =
@@ -672,7 +721,7 @@ let () =
       ("basic", basic_tests);
       ("edge-cases", edge_case_tests);
       ("properties", property_tests);
-      ("oracle", chase_oracle_tests);
+      ("oracle", chase_oracle_tests @ satisfies_oracle_tests);
       ("implication", implication_tests);
       ("certain", certain_tests);
       ("minimize-tgd", minimize_tgd_tests);

@@ -1,44 +1,19 @@
 (* Core universal solutions and what they lean on:
 
-   1. Bitset: [iter_set], which the retraction search in
-      [Chase.Core_solution] reads its survivors with, and [cardinal],
-      against a naive int-set model;
-   2. the chase aliases [Columnar.of_instance] / [Chase.run_columnar] equal
+   1. the chase aliases [Columnar.of_instance] / [Chase.run_columnar] equal
       [Chase.run] trigger for trigger;
-   3. Core_solution: worked examples, ground fixpoints, sub-instance
+   2. Core_solution: worked examples, ground fixpoints, sub-instance
       containment, two-way homomorphic equivalence, idempotence, and a
-      wall-clock bound on a chase rich in shared nulls. *)
+      wall-clock bound on a chase rich in shared nulls;
+   3. the homomorphism search, a [Cq.Plan] over an index, against brute
+      force on tiny instances: [hom_exists] equals an enumeration of every
+      null assignment, and [core]'s output is a sub-instance the input maps
+      into with no proper endomorphism by that enumeration. *)
 
 open Relational
 open Logic
-open Util
 
 let inst = Alcotest.testable Instance.pp Instance.equal
-
-(* --- Bitset vs a naive int-set model -------------------------------------- *)
-
-module Int_set = Set.Make (Int)
-
-let bitset_qcheck =
-  let open QCheck2 in
-  let set_gen =
-    Gen.(
-      let* width = int_range 1 130 in
-      let* bits = list_size (int_range 0 60) (int_range 0 (width - 1)) in
-      return (width, bits))
-  in
-  [
-    Test.make ~name:"cardinal matches the model" ~count:300 set_gen
-      (fun (width, a) ->
-        Bitset.cardinal (Bitset.of_list width a)
-        = Int_set.cardinal (Int_set.of_list a));
-    Test.make ~name:"iter_set visits the model ascending" ~count:300 set_gen
-      (fun (width, a) ->
-        let seen = ref [] in
-        Bitset.iter_set (fun i -> seen := i :: !seen) (Bitset.of_list width a);
-        List.rev !seen = Int_set.elements (Int_set.of_list a));
-  ]
-  |> List.map QCheck_alcotest.to_alcotest
 
 (* --- the chase aliases the pipeline benchmark calls --------------------- *)
 
@@ -237,10 +212,76 @@ let core_qcheck =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* --- the search against brute force --------------------------------- *)
+
+(* Tiny instances over at most three nulls and five values, so that every
+   assignment of the nulls can be enumerated. *)
+let tiny_gen =
+  QCheck2.Gen.(
+    let value =
+      oneofl
+        [ Value.Null 1; Value.Null 2; Value.Null 3; Value.Const "c0"; Value.Const "c1" ]
+    in
+    let tuple rel arity = map (Tuple.make rel) (list_size (return arity) value) in
+    let* twos = list_size (int_range 0 5) (tuple "r2" 2) in
+    let* threes = list_size (int_range 0 3) (tuple "r3" 3) in
+    return (Instance.of_tuples (twos @ threes)))
+
+(* The image of [from] under every assignment of its nulls to the values
+   of [into]: a homomorphism maps a null outside those values onto no
+   tuple of [into], so no other assignment can be one. *)
+let images ~from ~into =
+  let values =
+    Value.Set.elements
+      (Value.Set.union (Instance.constants into) (Instance.null_labels into))
+  in
+  List.fold_left
+    (fun asgs n ->
+      List.concat_map (fun asg -> List.map (fun v -> (n, v) :: asg) values) asgs)
+    [ [] ]
+    (Value.Set.elements (Instance.null_labels from))
+  |> List.map (fun asg ->
+         Instance.map_values
+           (fun v -> Option.value ~default:v (List.assoc_opt v asg))
+           from)
+
+let brute_hom ~from ~into =
+  List.exists (fun img -> Instance.subset img into) (images ~from ~into)
+
+let brute_proper_endomorphism i =
+  List.exists
+    (fun img -> Instance.subset img i && not (Instance.equal img i))
+    (images ~from:i ~into:i)
+
+let brute_force_qcheck =
+  let open QCheck2 in
+  let print (i, j) = Format.asprintf "i: %a@.j: %a" Instance.pp i Instance.pp j in
+  [
+    Test.make ~name:"hom_exists equals enumeration" ~count:300
+      ~print (Gen.pair tiny_gen tiny_gen) (fun (i, j) ->
+        let agrees ~from ~into =
+          Chase.Core_solution.hom_exists ~from ~into = brute_hom ~from ~into
+        in
+        agrees ~from:j ~into:i
+        && List.for_all
+             (fun into -> agrees ~from:i ~into)
+             (j :: List.map (fun t -> Instance.remove t i) (Instance.tuples i)));
+    Test.make ~name:"core has no proper endomorphism" ~count:300
+      ~print (Gen.pair tiny_gen tiny_gen) (fun (i, j) ->
+        List.for_all
+          (fun i ->
+            let c = Chase.Core_solution.core i in
+            Instance.subset c i
+            && brute_hom ~from:i ~into:c
+            && not (brute_proper_endomorphism c))
+          [ i; Instance.union i j ]);
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let () =
   Alcotest.run "core-solution"
     [
-      ("bitset", bitset_qcheck);
       ("chase-columnar", chase_columnar_tests);
       ("core", core_tests @ shared_null_tests @ core_qcheck);
+      ("brute-force", brute_force_qcheck);
     ]
