@@ -1,8 +1,8 @@
 (* The benchmark harness.
 
-   Part 1 regenerates every table and figure of the reproduction (E1..E14) by
-   running the experiment registry — these are the rows/series the paper
-   reports (skippable with --skip-experiments). Part 2 runs one Bechamel
+   Part 1 regenerates every table and figure of the reproduction (E1..E15;
+   E13 retired) by running the experiment registry — these are the
+   rows/series the paper reports (skippable with --skip-experiments). Part 2 runs one Bechamel
    micro-benchmark per experiment, measuring the computational kernel that
    dominates it, plus the substrate kernels (conjunctive queries, chase,
    grounding, ADMM), followed by the sequential-vs-pool, cache cold/warm and
@@ -142,15 +142,6 @@ let full_selection p = Array.make (Core.Problem.num_candidates p) true
 (* spawn-once 4-worker pool shared by the parallel solver kernels *)
 let pool4 = lazy (Parallel.Pool.create ~jobs:4 ())
 
-let full_problem_fixture =
-  lazy
-    (let config =
-       Experiments.Common.noise_config
-         ~primitives:Ibench.Primitive.[ (CP, 4); (DL, 4) ]
-         ~seed:6 ~pi_corresp:25 ~pi_errors:10 ~pi_unexplained:10 ()
-     in
-     problem_of (Ibench.Generator.generate config))
-
 (* a 2-atom join over the HR-style source, evaluated through [Cq.answers] *)
 let cq_query =
   let v x = Logic.Term.Var x in
@@ -220,11 +211,6 @@ let tests =
              Core.Cmd.solve
                ~options:{ Core.Cmd.default_options with Core.Cmd.squared = true }
                (Lazy.force noisy_problem)));
-      Test.make ~name:"e13-full-fastpath-greedy"
-        (stage (fun () ->
-             match Core.Full.of_problem (Lazy.force full_problem_fixture) with
-             | Ok full -> ignore (Core.Full.greedy full)
-             | Error msg -> failwith msg));
       Test.make ~name:"e14-weight-scoring"
         (stage (fun () ->
              let p = Lazy.force small_problem in
@@ -662,7 +648,7 @@ let () =
   parse_args (List.tl (Array.to_list Sys.argv));
   if not !skip_experiments then begin
     Format.printf "=====================================================@.";
-    Format.printf " Reproduction: every table and figure (E1..E14)@.";
+    Format.printf " Reproduction: every table and figure (E1..E15; E13 retired)@.";
     Format.printf "=====================================================@.@.";
     Experiments.Common.Ctx.with_ctx ~jobs:1 (fun ctx ->
         Experiments.Registry.run_all ctx Format.std_formatter)

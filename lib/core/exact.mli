@@ -1,17 +1,28 @@
 (** Exact mapping selection by branch and bound.
 
     Mapping selection is NP-hard (Theorem 1 of the appendix), so this solver
-    is exponential in the worst case; it is intended for small candidate sets
-    (ground truth for experiments, correctness oracle for tests). The search
-    enumerates include/exclude decisions in candidate order, pruning with the
-    bound [cost(selected) + w1·Σ_t (1 − maxcover(t))] where [maxcover] is the
-    best coverage achievable by the candidates not yet excluded, summed over
-    the support groups; the greedy
-    solution provides the initial incumbent. *)
+    is exponential in the worst case. It searches each independent
+    component on its own: two candidates are linked when they cover a common
+    support group, so [F] splits into a constant plus one term per
+    component, and the components are found by union-find over each
+    candidate's [group_covers]. Within a component the search enumerates
+    include/exclude decisions in candidate order, every other candidate held
+    out, pruning with the bound [cost(selected) + w1·Σ_t (1 − maxcover(t))]
+    where [maxcover] is the best coverage achievable by the candidates not
+    yet excluded, summed over the support groups; greedy's part of the
+    component provides the initial incumbent. *)
 
 val solve : ?max_candidates : int -> Problem.t -> bool array
-(** Raises {!Solver_error.Error} when the problem has more than
+(** Raises {!Solver_error.Error} when a component has more than
     [max_candidates] (default 25) candidates — a guard against accidental
     exponential blow-ups, typed so the portfolio and the daemons can skip or
-    report it. The returned selection attains the minimum of
-    {!Objective.value}. *)
+    report it. The problem itself may have any number of candidates.
+
+    The returned selection attains the minimum of {!Objective.value}, and it
+    is the one a single branch and bound over all candidates from the greedy
+    incumbent returns: {!Greedy.solve}'s selection when that is optimal, and
+    otherwise the first optimum in include-first candidate order. Per
+    component that is greedy's part when it is optimal in every component,
+    and otherwise the union of each component's first optimum. A component's
+    search reaches its first optimum even when greedy's part ties it: a leaf
+    equal to greedy's value is taken until the first leaf is taken. *)

@@ -6,7 +6,7 @@
     is flagged exact (branch and bound proves by construction). Once a
     prover finishes, roster entries with a larger index skip before starting
     (cooperative cancellation); entries that raise {!Solver_error.Error}
-    (e.g. exact on an oversized problem) drop out deterministically.
+    (e.g. exact on an oversized component) drop out deterministically.
 
     The raced result is deterministic in [(problem, seed)] for any pool
     size: the winner is the least-index prover, or — when no entry proves —

@@ -16,7 +16,7 @@
     unexplained tuples) form no group; they add the constant
     [w1 · uncoverable] to every selection's objective. [tuples] and
     [covers] stay for what is tuple-level: {!digest}, the metrics and the
-    all-full fast path {!Full}.
+    fuzz oracles.
 
     {b Content and key.} {!digest} hashes the whole problem; {!key} is the
     same value, computed once per problem and, for a build through a

@@ -58,9 +58,9 @@ module Portfolio_s = struct
   let name = "portfolio"
 
   (* Racing order = preference order on ties: the paper's solver first, then
-     exact (an automatic prover when the problem is small enough — it drops
-     out via [Solver_error] past its candidate limit), then the cheap
-     heuristics. *)
+     exact (an automatic prover when every component of the problem is small
+     enough — it drops out via [Solver_error] when one exceeds its candidate
+     limit), then the cheap heuristics. *)
   let roster =
     let entry r_exact (module M : S) =
       {

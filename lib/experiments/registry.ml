@@ -23,8 +23,6 @@ let all =
     ("E10", "ablation: CMD rounding strategy", (fun ctx -> E10_rounding.run ctx));
     ("E11", "ablation: coverage semantics", (fun ctx -> E11_semantics.run ctx));
     ("E12", "weighted objective sensitivity", (fun ctx -> E12_weights.run ctx));
-    ("E13", "Eq. 4 fast path on full tgds",
-     (fun ctx -> E13_full_fastpath.run ctx));
     ("E14", "weight calibration on labelled scenarios",
      (fun ctx -> E14_weight_tuning.run ctx));
     ("E15", "multi-hop: composed vs hop-by-hop selection",

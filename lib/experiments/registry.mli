@@ -3,7 +3,8 @@
     and the worker pool. *)
 
 val all : (string * string * (Common.Ctx.t -> Table.t)) list
-(** [(id, one-line description, runner)] for E1..E15, in order. *)
+(** [(id, one-line description, runner)] for E1..E15 in order, without
+    E13 (the retired Eq. 4 fast path). *)
 
 val find : string -> (Common.Ctx.t -> Table.t) option
 (** Case-insensitive lookup by id. *)

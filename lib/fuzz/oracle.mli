@@ -4,9 +4,10 @@
 
     The ten families:
 
-    - [eq4-eq9] — on full-tgd scenarios the Eq. 4 bitset fast path
-      ({!Core.Full}) and the general Eq. 9 evaluator agree on every probed
-      selection, and their exact solvers find equal optima;
+    - [eq4-eq9] — on full-tgd scenarios Eq. 4 (0/1 coverage:
+      [w1·|J \ covered(M)| + Σ cost]) and the general Eq. 9 evaluator agree
+      on every probed selection, and up to 8 candidates {!Core.Exact}
+      finds the minimum over all selections;
     - [incremental] — {!Core.Incremental} matches the naive
       {!Core.Objective} after every flip of a random flip sequence, every
       probed [flip_delta] is exact, and the internal state passes

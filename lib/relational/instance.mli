@@ -22,7 +22,9 @@ val tuples_of : t -> string -> Tuple.Set.t
 (** All tuples of the given relation ([Tuple.Set.empty] if none). *)
 
 val tuples : t -> Tuple.t list
-(** All tuples, ordered by relation name then tuple order. *)
+(** All tuples: relations in ascending name order, each relation's tuples
+    in descending tuple order. Row numbers, digests and the chase read this
+    order. *)
 
 val relations : t -> string list
 (** Names of relations with at least one tuple, ascending. *)

@@ -184,9 +184,38 @@ let selection_problem_gen =
   let cands = if cands = [] then [ theta1 ] else cands in
   return (Core.Problem.make ~source:src ~j cands)
 
-(* Problems drawn by their supports, built through [Core.Problem.of_stats]
-   from synthetic statistics: one to six candidates (each one copy of
-   theta1, with a drawn size and error count), one to four support patterns
+(* A problem built through [Core.Problem.of_stats] from synthetic
+   statistics over the [n] tuples [t(u000)], [t(u001)], ... of J: per
+   candidate (each one copy of theta1), its coverage entries as (row,
+   degree) pairs, its error count and its size. *)
+let synthetic_problem ~w1 ~n cands =
+  let j =
+    Instance.of_tuples
+      (List.init n (fun i -> Tuple.of_consts "t" [ Printf.sprintf "u%03d" i ]))
+  in
+  let tuples = Array.of_list (Instance.tuples j) in
+  let stats =
+    List.mapi
+      (fun index (rows, (errors, size)) ->
+        {
+          Cover.index;
+          tgd = theta1;
+          covers =
+            List.fold_left
+              (fun acc (ti, d) -> Tuple.Map.add tuples.(ti) d acc)
+              Tuple.Map.empty rows;
+          rows = Array.of_list rows;
+          error_tuples = List.init errors (fun _ -> Tuple.of_consts "e" [ "x" ]);
+          produced = errors + List.length rows;
+          size;
+        })
+      cands
+  in
+  let weights = { Core.Problem.default_weights with Core.Problem.w_unexplained = w1 } in
+  Core.Problem.of_stats ~weights ~j (Array.of_list stats)
+
+(* Problems drawn by their supports: one to six candidates (each with a
+   drawn size and error count), one to four support patterns
    (each candidate at degree 1/3, 1/2, 2/3 or 1, or absent; a pattern may
    be empty, so its tuples are uncoverable), each shared by one to twelve
    tuples of J, the tuples in random order and each candidate's coverage
@@ -205,12 +234,6 @@ let support_problem_gen =
   in
   let patterns = Array.of_list (List.map fst patterns) in
   let tuple_pattern = Array.of_list tuple_pattern in
-  let j =
-    Instance.of_tuples
-      (List.init (Array.length tuple_pattern) (fun i ->
-           Tuple.of_consts "t" [ Printf.sprintf "u%03d" i ]))
-  in
-  let tuples = Array.of_list (Instance.tuples j) in
   let entries c =
     Array.to_list tuple_pattern
     |> List.mapi (fun ti k -> Option.map (fun d -> (ti, d)) (List.nth patterns.(k) c))
@@ -219,25 +242,8 @@ let support_problem_gen =
   let* rows = flatten_l (List.init m (fun c -> shuffle_l (entries c))) in
   let* costs = list_repeat m (pair (int_range 0 2) (int_range 0 4)) in
   let* w1 = int_range 1 3 in
-  let stats =
-    List.mapi
-      (fun index (rows, (errors, size)) ->
-        {
-          Cover.index;
-          tgd = theta1;
-          covers =
-            List.fold_left
-              (fun acc (ti, d) -> Tuple.Map.add tuples.(ti) d acc)
-              Tuple.Map.empty rows;
-          rows = Array.of_list rows;
-          error_tuples = List.init errors (fun _ -> Tuple.of_consts "e" [ "x" ]);
-          produced = errors + List.length rows;
-          size;
-        })
-      (List.combine rows costs)
-  in
-  let weights = { Core.Problem.default_weights with Core.Problem.w_unexplained = w1 } in
-  return (Core.Problem.of_stats ~weights ~j (Array.of_list stats))
+  return
+    (synthetic_problem ~w1 ~n:(Array.length tuple_pattern) (List.combine rows costs))
 
 (* --- golden solver outputs (pre-incremental-rewrite) ------------------- *)
 

@@ -506,8 +506,9 @@ let semantics_tests =
           [ []; [ 0 ]; [ 1 ]; [ 0; 1 ] ]);
   ]
 
-(* --- the Eq. 4 fast path ------------------------------------------------ *)
+(* --- full tgds: one component per candidate ------------------------------ *)
 
+(* Three full candidates over [full_j], no two covering a common tuple *)
 let full_candidates =
   let v = Fixtures.v in
   let open Logic in
@@ -538,99 +539,16 @@ let full_j =
 let full_problem () =
   Problem.make ~source:Fixtures.instance_i ~j:full_j full_candidates
 
-let full_tests =
+(* [Exact.max_candidates] bounds the largest component, not the problem *)
+let component_cap_tests =
   [
-    Alcotest.test_case "of_problem accepts full candidates" `Quick (fun () ->
-        Alcotest.(check bool)
-          "ok" true
-          (Result.is_ok (Full.of_problem (full_problem ()))));
-    Alcotest.test_case "of_problem rejects existentials" `Quick (fun () ->
-        let p =
-          Problem.make ~source:Fixtures.instance_i ~j:full_j [ Fixtures.theta1 ]
-        in
-        match Full.of_problem p with
-        | Error msg ->
-          Alcotest.(check bool)
-            "mentions label" true
-            (String.length msg > 0)
-        | Ok _ -> Alcotest.fail "expected rejection");
-    Alcotest.test_case "value agrees with the general objective" `Quick
-      (fun () ->
+    Alcotest.test_case "more candidates than the cap, every component under it"
+      `Quick (fun () ->
         let p = full_problem () in
-        match Full.of_problem p with
-        | Error e -> Alcotest.fail e
-        | Ok full ->
-          for mask = 0 to 7 do
-            let s = Array.init 3 (fun i -> mask land (1 lsl i) <> 0) in
-            Alcotest.check frac
-              (Printf.sprintf "mask %d" mask)
-              (Objective.value p s) (Full.value full s)
-          done);
-    Alcotest.test_case "fast exact agrees with general exact" `Quick (fun () ->
-        let p = full_problem () in
-        match Full.of_problem p with
-        | Error e -> Alcotest.fail e
-        | Ok full ->
-          Alcotest.check frac "same optimum"
-            (Objective.value p (Exact.solve p))
-            (Full.value full (Full.exact full)));
-    Alcotest.test_case "fast greedy solution is sound" `Quick (fun () ->
-        let p = full_problem () in
-        match Full.of_problem p with
-        | Error e -> Alcotest.fail e
-        | Ok full ->
-          let sel = Full.greedy full in
-          Alcotest.(check bool)
-            "never above empty" true
-            Frac.(Full.value full sel <= Objective.empty_value p));
+        Alcotest.(check int) "three candidates" 3 (Problem.num_candidates p);
+        Alcotest.check frac "solved under a cap of one" (brute_force p)
+          (Objective.value p (Exact.solve ~max_candidates:1 p)));
   ]
-
-let full_property_tests =
-  let open QCheck2 in
-  (* random full problems over the proj vocabulary *)
-  let gen =
-    let mk rel vs = Relational.Tuple.of_consts rel vs in
-    Gen.(
-      let* src =
-        list_size (int_range 1 5)
-          (map
-             (fun (a, b, c) ->
-               mk "proj"
-                 [ Printf.sprintf "p%d" a; Printf.sprintf "e%d" b; Printf.sprintf "o%d" c ])
-             (triple (int_range 0 2) (int_range 0 2) (int_range 0 2)))
-      in
-      let* tgt =
-        list_size (int_range 0 6)
-          (map
-             (fun (a, b) ->
-               mk "org" [ Printf.sprintf "p%d" a; Printf.sprintf "o%d" b ])
-             (pair (int_range 0 2) (int_range 0 2)))
-      in
-      return
-        (Problem.make
-           ~source:(Instance.of_tuples src)
-           ~j:(Instance.of_tuples tgt)
-           full_candidates))
-  in
-  [
-    Test.make ~name:"fast exact = general exact on random full problems"
-      ~count:60 gen (fun p ->
-        match Full.of_problem p with
-        | Error _ -> false
-        | Ok full ->
-          Frac.equal
-            (Objective.value p (Exact.solve p))
-            (Full.value full (Full.exact full)));
-    Test.make ~name:"fast greedy = general greedy objective" ~count:60 gen
-      (fun p ->
-        match Full.of_problem p with
-        | Error _ -> false
-        | Ok full ->
-          Frac.equal
-            (Objective.value p (Greedy.solve p))
-            (Full.value full (Full.greedy full)));
-  ]
-  |> List.map QCheck_alcotest.to_alcotest
 
 let invariant_property_tests =
   let open QCheck2 in
@@ -812,8 +730,7 @@ let () =
       ("anneal", anneal_tests);
       ("anneal-properties", anneal_property_tests);
       ("semantics", semantics_tests);
-      ("full-fastpath", full_tests);
-      ("full-fastpath-properties", full_property_tests);
+      ("exact-per-component-caps", component_cap_tests);
       ("invariants", invariant_property_tests);
       ("tune", tune_tests);
       ("edge-cases", edge_case_tests);

@@ -7,18 +7,14 @@ let ctx = Experiments.Common.Ctx.create ~jobs:1 ()
 
 let registry_tests =
   [
-    Alcotest.test_case "all fifteen experiments are registered" `Quick
+    Alcotest.test_case "all experiments but E13 are registered" `Quick
       (fun () ->
-        Alcotest.(check int)
-          "fifteen" 15
-          (List.length Experiments.Registry.all);
-        List.iteri
-          (fun i (id, _, _) ->
-            Alcotest.(check string)
-              "sequential ids"
-              (Printf.sprintf "E%d" (i + 1))
-              id)
-          Experiments.Registry.all);
+        Alcotest.(check (list string))
+          "ids in order"
+          (List.filter_map
+             (fun i -> if i = 13 then None else Some (Printf.sprintf "E%d" i))
+             (List.init 15 succ))
+          (List.map (fun (id, _, _) -> id) Experiments.Registry.all));
     Alcotest.test_case "find is case-insensitive" `Quick (fun () ->
         Alcotest.(check bool) "e1" true (Experiments.Registry.find "e1" <> None);
         Alcotest.(check bool) "E12" true (Experiments.Registry.find "E12" <> None);

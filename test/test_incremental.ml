@@ -321,6 +321,89 @@ let expected_groups p =
     (tuple_supports p);
   List.rev_map (fun (s, k) -> (s, !k)) !groups
 
+(* Problems that split into independent components: disjoint unions of two
+   to four blocks over their own tuples, each of one to seven candidates
+   drawn from fewer kinds (a kind is a support pattern over the block's
+   tuples and a cost of 0 or 1 errors and size), so duplicate candidates
+   and equal costs are common. The candidates of all blocks are shuffled
+   together, so the components interleave in candidate order. *)
+let block_gen =
+  let open QCheck2.Gen in
+  let* k = int_range 1 7 in
+  let* kinds = int_range 1 k in
+  let degree = oneofl [ Frac.make 1 2; Frac.one ] in
+  let* patterns =
+    list_size (int_range 1 3) (pair (list_repeat kinds (opt degree)) (int_range 1 4))
+  in
+  let* costs = list_repeat kinds (pair (int_range 0 1) (int_range 0 1)) in
+  let* members = list_repeat k (int_range 0 (kinds - 1)) in
+  let tuple_pattern =
+    List.concat (List.map (fun (pattern, n) -> List.init n (fun _ -> pattern)) patterns)
+  in
+  let candidate kind =
+    let rows =
+      List.concat
+        (List.mapi
+           (fun ti pattern ->
+             match List.nth pattern kind with Some d -> [ (ti, d) ] | None -> [])
+           tuple_pattern)
+    in
+    (rows, List.nth costs kind)
+  in
+  return (List.length tuple_pattern, List.map candidate members)
+
+let component_problem_gen =
+  let open QCheck2.Gen in
+  let* blocks = list_size (int_range 2 4) block_gen in
+  let* w1 = int_range 1 3 in
+  let n, offset_blocks =
+    List.fold_left_map
+      (fun offset (n, cands) ->
+        ( offset + n,
+          List.map
+            (fun (rows, cost) -> (List.map (fun (ti, d) -> (ti + offset, d)) rows, cost))
+            cands ))
+      0 blocks
+  in
+  let* cands = shuffle_l (List.concat offset_blocks) in
+  return (Fixtures.synthetic_problem ~w1 ~n cands)
+
+(* The size of the largest set of candidates linked by shared tuples, by
+   propagating the least label over every linked pair until it settles *)
+let largest_component (p : Problem.t) =
+  let m = Problem.num_candidates p in
+  let tuples c = List.map fst (Array.to_list p.Problem.covers.(c)) in
+  let linked a b = List.exists (fun t -> List.mem t (tuples b)) (tuples a) in
+  let label = Array.init m Fun.id in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for a = 0 to m - 1 do
+      for b = 0 to m - 1 do
+        if label.(b) < label.(a) && linked a b then begin
+          label.(a) <- label.(b);
+          changed := true
+        end
+      done
+    done
+  done;
+  let size = Array.make m 0 in
+  Array.iter (fun l -> size.(l) <- size.(l) + 1) label;
+  Array.fold_left max 0 size
+
+let print_components p =
+  Printf.sprintf "m=%d largest component=%d tuples=%d\n%s" (Problem.num_candidates p)
+    (largest_component p) (Problem.num_tuples p)
+    (String.concat "\n"
+       (List.init (Problem.num_candidates p) (fun c ->
+            Printf.sprintf "  %d: cost %s covers [%s]" c
+              (Frac.to_string p.Problem.cand_cost.(c))
+              (String.concat "; "
+                 (Array.to_list
+                    (Array.map
+                       (fun (ti, d) -> Printf.sprintf "%d@%s" ti (Frac.to_string d))
+                       p.Problem.covers.(c)))))))
+
 let lifted_tests =
   let open QCheck2 in
   [
@@ -397,6 +480,9 @@ let lifted_tests =
         Greedy.solve p = Tuple_oracle.greedy p
         && Local_search.improve p start = Tuple_oracle.improve p start
         && Exact.solve p = Tuple_oracle.exact p);
+    Test.make ~name:"exact per component selects as the global search" ~count:500
+      ~print:print_components component_problem_gen (fun p ->
+        Exact.solve ~max_candidates:(largest_component p) p = Tuple_oracle.exact p);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 

@@ -107,6 +107,14 @@ let instance_tests =
         Alcotest.(check int) "consts" 1 (Value.Set.cardinal (Instance.constants i));
         Alcotest.(check int) "nulls" 2 (Value.Set.cardinal (Instance.null_labels i));
         Alcotest.(check bool) "not ground" false (Instance.is_ground i));
+    (* every digest, row number and chase reads this order *)
+    Alcotest.test_case "tuples: relations ascending, each one's tuples descending"
+      `Quick (fun () ->
+        let t rel c = Tuple.of_consts rel [ c ] in
+        let i = Instance.of_tuples [ t "a" "1"; t "a" "2"; t "b" "1"; t "b" "2" ] in
+        Alcotest.(check (list string))
+          "order" [ "a(2)"; "a(1)"; "b(2)"; "b(1)" ]
+          (List.map Tuple.to_string (Instance.tuples i)));
   ]
 
 let qcheck_tests =
@@ -247,86 +255,6 @@ let frac_qcheck_tests =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
-let bitset_tests =
-  let open Util in
-  [
-    Alcotest.test_case "set / count / to_list" `Quick (fun () ->
-        let b = Bitset.create 100 in
-        Bitset.set b 0;
-        Bitset.set b 63;
-        Bitset.set b 64;
-        Bitset.set b 99;
-        Bitset.set b 63;
-        Alcotest.(check (list int)) "bits" [ 0; 63; 64; 99 ] (Bitset.to_list b);
-        Alcotest.(check int) "count" 4 (Bitset.count b));
-    Alcotest.test_case "bounds checked" `Quick (fun () ->
-        let b = Bitset.create 10 in
-        Alcotest.(check bool)
-          "negative" true
-          (match Bitset.set b (-1) with exception Invalid_argument _ -> true | _ -> false);
-        Alcotest.(check bool)
-          "too large" true
-          (match Bitset.set b 10 with exception Invalid_argument _ -> true | _ -> false));
-    Alcotest.test_case "union_into and union_count" `Quick (fun () ->
-        let a = Bitset.of_list 70 [ 1; 2; 69 ] in
-        let b = Bitset.of_list 70 [ 2; 3 ] in
-        Alcotest.(check int) "union count" 4 (Bitset.union_count a b);
-        Alcotest.(check int) "a untouched" 3 (Bitset.count a);
-        Bitset.union_into a b;
-        Alcotest.(check int) "after union" 4 (Bitset.count a);
-        Alcotest.(check (list int)) "bits" [ 1; 2; 3; 69 ] (Bitset.to_list a));
-    Alcotest.test_case "width mismatch rejected" `Quick (fun () ->
-        let a = Bitset.create 5 and b = Bitset.create 6 in
-        Alcotest.(check bool)
-          "raises" true
-          (match Bitset.union_into a b with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "copy is independent" `Quick (fun () ->
-        let a = Bitset.of_list 8 [ 1 ] in
-        let b = Bitset.copy a in
-        Bitset.set b 2;
-        Alcotest.(check (list int)) "a" [ 1 ] (Bitset.to_list a);
-        Alcotest.(check (list int)) "b" [ 1; 2 ] (Bitset.to_list b));
-    Alcotest.test_case "roundtrip of_list/to_list" `Quick (fun () ->
-        let bits = [ 0; 5; 31; 32; 63; 64; 65 ] in
-        Alcotest.(check (list int)) "bits" bits (Bitset.to_list (Bitset.of_list 80 bits)));
-  ]
-
-(* Bitset against a naive int-set model: [count] and [to_list] of a set
-   built by [of_list], and [union_count] and [union_into] of two. *)
-module Int_set = Set.Make (Int)
-
-let bitset_qcheck =
-  let open QCheck2 in
-  let open Util in
-  let set_gen width =
-    Gen.(list_size (int_range 0 60) (int_range 0 (width - 1)))
-  in
-  let pair_gen =
-    Gen.(
-      let* width = int_range 1 130 in
-      let* a = set_gen width in
-      let* b = set_gen width in
-      return (width, a, b))
-  in
-  [
-    Test.make ~name:"count matches the model" ~count:300 pair_gen
-      (fun (width, a, _) ->
-        Bitset.count (Bitset.of_list width a) = Int_set.cardinal (Int_set.of_list a));
-    Test.make ~name:"to_list lists the model" ~count:300 pair_gen
-      (fun (width, a, _) ->
-        Bitset.to_list (Bitset.of_list width a) = Int_set.elements (Int_set.of_list a));
-    Test.make ~name:"union matches the model"
-      ~count:300 pair_gen (fun (width, a, b) ->
-        let model = Int_set.union (Int_set.of_list a) (Int_set.of_list b) in
-        let x = Bitset.of_list width a and y = Bitset.of_list width b in
-        let counted = Bitset.union_count x y in
-        Bitset.union_into x y;
-        counted = Int_set.cardinal model && Bitset.to_list x = Int_set.elements model);
-  ]
-  |> List.map QCheck_alcotest.to_alcotest
-
 (* Relational.Index: posting lists against a naive scan of the relation.
    The descending order is the contract the indexed CQ evaluator, and with
    it the chase's null numbering, depends on. *)
@@ -403,7 +331,6 @@ let () =
       ("instance-properties", qcheck_tests);
       ("frac", frac_tests);
       ("frac-properties", frac_qcheck_tests);
-      ("bitset", bitset_tests @ bitset_qcheck);
       ("index", index_qcheck);
       ("stats", stats_tests);
     ]

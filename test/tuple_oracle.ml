@@ -2,7 +2,10 @@
    was lifted onto support groups: every evaluation walks the target tuples
    through [Core.Problem.covers]. Kept only as the oracle of the [lifted]
    properties in [test_incremental], which check the lifted evaluators and
-   solvers against these, value for value and selection for selection. *)
+   solvers against these, value for value and selection for selection.
+   [exact] is also the reference global search: one branch and bound over
+   all candidates, uncapped, which [Exact.solve]'s per-component search
+   must match bit for bit. *)
 
 open Util
 open Core
@@ -206,9 +209,9 @@ let improve p start =
   done;
   Array.copy st.sel
 
-(* [Exact.solve] without its candidate cap: branch and bound in candidate
-   order from the greedy incumbent, bounded by the per-tuple best coverage
-   of the candidates not excluded *)
+(* The global search: branch and bound over all candidates at once, in
+   candidate order from the greedy incumbent, bounded by the per-tuple best
+   coverage of the candidates not excluded, with no cap *)
 let exact p =
   let m = Problem.num_candidates p in
   let best_sel = ref (greedy p) in
