@@ -185,7 +185,7 @@ val stats_key :
 (** The {!tgd_stats} key of a candidate: the digest of
     [(semantics, core, tgd, data_key)], with [data_key] from {!example_keys}.
     The [core] flag (default [false]) says whether the statistics run the
-    core stage ({!Cover.stats_of_result}): cored statistics differ from
+    core stage ({!Cover.Session.stats}): cored statistics differ from
     uncored ones on the same example, so the flag is part of the key —
     uncored keys keep their historical bytes, and the two can never
     collide. *)

@@ -78,19 +78,11 @@ let conditional_round (p : Problem.t) fractional =
     List.init m Fun.id
     |> List.sort (fun a b -> Float.compare fractional.(b) fractional.(a))
   in
-  let sel = Array.make m false in
-  let best = Array.make (Problem.num_groups p) Frac.zero in
+  let st = Incremental.create p (Array.make m false) in
   List.iter
-    (fun c ->
-      let gain = Greedy.marginal_gain p ~best c in
-      if Frac.(Frac.zero < gain) then begin
-        sel.(c) <- true;
-        Array.iter
-          (fun (g, d) -> if Frac.(best.(g) < d) then best.(g) <- d)
-          p.Problem.group_covers.(c)
-      end)
+    (fun c -> if Frac.(Incremental.flip_delta st c < Frac.zero) then Incremental.flip st c)
     order;
-  sel
+  Incremental.selection st
 
 let threshold_round (p : Problem.t) tau fractional =
   Array.init (Problem.num_candidates p) (fun c -> fractional.(c) >= tau)

@@ -1,16 +1,15 @@
 (** Exact mapping selection by branch and bound.
 
     Mapping selection is NP-hard (Theorem 1 of the appendix), so this solver
-    is exponential in the worst case. It searches each independent
-    component on its own: two candidates are linked when they cover a common
-    support group, so [F] splits into a constant plus one term per
-    component, and the components are found by union-find over each
-    candidate's [group_covers]. Within a component the search enumerates
-    include/exclude decisions in candidate order, every other candidate held
-    out, pruning with the bound [cost(selected) + w1·Σ_t (1 − maxcover(t))]
-    where [maxcover] is the best coverage achievable by the candidates not
-    yet excluded, summed over the support groups; greedy's part of the
-    component provides the initial incumbent. *)
+    is exponential in the worst case. It searches each of
+    {!Problem.components} on its own, as the sub-problem
+    {!Problem.restrict} builds: [F] is a constant plus one term per
+    component. A sub-problem's search enumerates include/exclude decisions
+    in candidate order, pruning with the bound
+    [cost(selected) + w1·Σ_t (1 − maxcover(t))] where [maxcover] is the
+    best coverage achievable by the candidates not yet excluded, summed
+    over the support groups; greedy's part of the component provides the
+    initial incumbent. *)
 
 val solve : ?max_candidates : int -> Problem.t -> bool array
 (** Raises {!Solver_error.Error} when a component has more than

@@ -1,19 +1,5 @@
 open Util
 
-let marginal_gain (p : Problem.t) ~best c =
-  let coverage_gain =
-    Array.fold_left
-      (fun acc (g, d) ->
-        if Frac.(best.(g) < d) then
-          Frac.add acc
-            (Frac.mul (Frac.of_int p.Problem.group_size.(g)) (Frac.sub d best.(g)))
-        else acc)
-      Frac.zero p.Problem.group_covers.(c)
-  in
-  Frac.sub
-    (Frac.mul (Frac.of_int p.Problem.weights.Problem.w_unexplained) coverage_gain)
-    p.Problem.cand_cost.(c)
-
 (* Forward pass on a shared incremental state: the marginal gain of adding a
    candidate is the negated flip delta, so each sweep is one pass over the
    unselected candidates' cover lists. *)

@@ -53,9 +53,8 @@ let breakdown (p : Problem.t) sel =
 let value p sel = (breakdown p sel).total
 
 let lower_bound (p : Problem.t) =
-  (* The root bound of the branch-and-bound search: selecting is free and
-     every group enjoys its best achievable coverage over all candidates.
-     No selection can score below this. *)
+  (* selecting is free and every group gets its best coverage: no selection
+     scores below this *)
   unexplained p (group_coverage p (Array.make (Problem.num_candidates p) true))
 
 let empty_value p = unexplained p (Array.make (Problem.num_groups p) Frac.zero)

@@ -120,10 +120,8 @@ let lift ~n_tuples covers =
   in
   (group_size, group_covers, !uncoverable)
 
-let of_stats ?(weights = default_weights) ~j stats =
-  check_weights weights;
-  let tuples = Array.of_list (Instance.tuples j) in
-  (* the fold numbered each covered tuple by its row in [tuples] *)
+(* [stats]' [rows] number the tuples by their place in [tuples] *)
+let build weights tuples stats =
   let covers = Array.map (fun s -> s.Cover.rows) stats in
   let group_size, group_covers, uncoverable =
     lift ~n_tuples:(Array.length tuples) covers
@@ -140,6 +138,61 @@ let of_stats ?(weights = default_weights) ~j stats =
     weights;
     memo = Atomic.make None;
   }
+
+(* the fold numbered each covered tuple by its row in [Instance.tuples j] *)
+let of_stats ?(weights = default_weights) ~j stats =
+  check_weights weights;
+  build weights (Array.of_list (Instance.tuples j)) stats
+
+(* union-find over [group_covers], the root of a set its least candidate *)
+let components t =
+  let m = Array.length t.candidates in
+  let parent = Array.init m Fun.id in
+  let rec find c =
+    if parent.(c) = c then c
+    else begin
+      let root = find parent.(c) in
+      parent.(c) <- root;
+      root
+    end
+  in
+  (* first.(g) = the first candidate seen covering group g *)
+  let first = Array.make (Array.length t.group_size) (-1) in
+  Array.iteri
+    (fun c covers ->
+      Array.iter
+        (fun (g, _) ->
+          if first.(g) < 0 then first.(g) <- c
+          else
+            let a = find first.(g) and b = find c in
+            if a <> b then parent.(max a b) <- min a b)
+        covers)
+    t.group_covers;
+  let members = Array.make m [] in
+  for c = m - 1 downto 0 do
+    members.(find c) <- c :: members.(find c)
+  done;
+  Array.to_list members
+  |> List.filter_map (function [] -> None | cs -> Some (Array.of_list cs))
+  |> Array.of_list
+
+let restrict t cands =
+  (* each covered parent row's row here, in the parent's order; hashed, so
+     a component's build does not scale with the parent's [tuples] *)
+  let row = Hashtbl.create 16 in
+  Array.iter (fun c -> Array.iter (fun (i, _) -> Hashtbl.replace row i 0) t.covers.(c)) cands;
+  let kept = Array.of_seq (Hashtbl.to_seq_keys row) in
+  Array.sort Int.compare kept;
+  Array.iteri (fun k i -> Hashtbl.replace row i k) kept;
+  let renumber (i, d) = (Hashtbl.find row i, d) in
+  let stats =
+    Array.mapi
+      (fun index c ->
+        let s = t.stats.(c) in
+        { s with Cover.index; rows = Array.map renumber s.Cover.rows })
+      cands
+  in
+  build t.weights (Array.map (Array.get t.tuples) kept) stats
 
 let with_weights t weights =
   check_weights weights;

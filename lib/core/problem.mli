@@ -72,7 +72,7 @@ val make :
     selects the coverage semantics (default the paper's corroborated Eq. 9;
     the others are ablation variants). [core] (default [false]) shrinks each
     candidate's chased target to its core universal solution before the
-    coverage fold ({!Cover.stats_of_result}) — fewer produced tuples and
+    coverage fold ({!Cover.Session.stats}) — fewer produced tuples and
     errors, hence a different (not bit-identical) problem, cached under
     core-flagged keys. With [cache], each candidate's chase and coverage
     statistics are memoized content-addressed (bit-identical to the uncached
@@ -114,6 +114,21 @@ val with_weights : t -> weights -> t
     {!key} is computed afresh. Raises
     [Invalid_argument] on non-positive weights and [Util.Frac.Overflow] as
     {!of_stats} does. *)
+
+val components : t -> int array array
+(** The candidates linked by covering a common support group, each
+    component's candidates ascending, the components in the order of their
+    least candidate; computed on every call. A group's coverers lie in one
+    component and costs are per candidate, so
+    [F(M) = w1·uncoverable + Σ_c F_c(M ∩ c)], [F_c] the objective of
+    [restrict p c]. *)
+
+val restrict : t -> int array -> t
+(** [restrict p cs]: the sub-problem of the candidates [cs] (ascending),
+    its candidate [k] being [cs.(k)]. Its [tuples] are those the candidates
+    cover, in [p]'s order, grouped as {!of_stats} groups them, so
+    [uncoverable = 0]; its statistics are re-indexed and its weights are
+    [p]'s. *)
 
 val num_candidates : t -> int
 

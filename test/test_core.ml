@@ -553,20 +553,6 @@ let component_cap_tests =
 let invariant_property_tests =
   let open QCheck2 in
   [
-    Test.make ~name:"marginal gain predicts the objective delta" ~count:60
-      (Gen.pair problem_gen (Gen.int_range 0 1000)) (fun (p, pick) ->
-        let m = Problem.num_candidates p in
-        let sel = Array.init m (fun i -> (pick lsr i) land 1 = 1) in
-        let c = pick mod m in
-        if sel.(c) then true
-        else begin
-          let best = Objective.group_coverage p sel in
-          let gain = Greedy.marginal_gain p ~best c in
-          let before = Objective.value p sel in
-          sel.(c) <- true;
-          let after = Objective.value p sel in
-          Frac.equal (Frac.sub before after) gain
-        end);
     Test.make ~name:"cmd is deterministic" ~count:20 problem_gen (fun p ->
         let r1 = Cmd.solve p and r2 = Cmd.solve p in
         r1.Cmd.selection = r2.Cmd.selection

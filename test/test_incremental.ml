@@ -368,9 +368,10 @@ let component_problem_gen =
   let* cands = shuffle_l (List.concat offset_blocks) in
   return (Fixtures.synthetic_problem ~w1 ~n cands)
 
-(* The size of the largest set of candidates linked by shared tuples, by
-   propagating the least label over every linked pair until it settles *)
-let largest_component (p : Problem.t) =
+(* Each candidate's label in the partition into sets linked by shared
+   tuples: the least candidate of its set, by propagating the least label
+   over every linked pair until it settles *)
+let component_labels (p : Problem.t) =
   let m = Problem.num_candidates p in
   let tuples c = List.map fst (Array.to_list p.Problem.covers.(c)) in
   let linked a b = List.exists (fun t -> List.mem t (tuples b)) (tuples a) in
@@ -387,7 +388,11 @@ let largest_component (p : Problem.t) =
       done
     done
   done;
-  let size = Array.make m 0 in
+  label
+
+let largest_component p =
+  let label = component_labels p in
+  let size = Array.make (Array.length label) 0 in
   Array.iter (fun l -> size.(l) <- size.(l) + 1) label;
   Array.fold_left max 0 size
 
@@ -403,6 +408,15 @@ let print_components p =
                     (Array.map
                        (fun (ti, d) -> Printf.sprintf "%d@%s" ti (Frac.to_string d))
                        p.Problem.covers.(c)))))))
+
+(* Both families above, with a random mask over up to 30 candidates *)
+let decomposition_gen =
+  QCheck2.Gen.(
+    pair
+      (oneof [ component_problem_gen; map (fun (p, _, _) -> p) lifted_gen ])
+      (int_bound ((1 lsl 30) - 1)))
+
+let print_decomposition (p, mask) = Printf.sprintf "mask=%d %s" mask (print_components p)
 
 let lifted_tests =
   let open QCheck2 in
@@ -436,7 +450,7 @@ let lifted_tests =
         && p.Problem.uncoverable = uncoverable
         && Array.fold_left ( + ) p.Problem.uncoverable p.Problem.group_size
            = Problem.num_tuples p);
-    Test.make ~name:"values, breakdowns and gains equal the per-tuple ones" ~count:500
+    Test.make ~name:"values, breakdowns and bounds equal the per-tuple ones" ~count:500
       ~print:print_lifted lifted_gen (fun (p, mask, flips) ->
         let m = Problem.num_candidates p in
         List.for_all
@@ -444,15 +458,7 @@ let lifted_tests =
             let sel = initial_selection p (mask lxor f) in
             breakdown_equal (Tuple_oracle.breakdown p sel) (Objective.breakdown p sel)
             && breakdown_equal (Tuple_oracle.breakdown p sel)
-                 (Incremental.breakdown (Incremental.create p sel))
-            (* CMD's rounding adds candidates by this gain *)
-            && List.for_all
-                 (fun c ->
-                   Frac.equal
-                     (Tuple_oracle.marginal_gain p
-                        ~best:(Tuple_oracle.best_coverage p sel) c)
-                     (Greedy.marginal_gain p ~best:(Objective.group_coverage p sel) c))
-                 (List.init m Fun.id))
+                 (Incremental.breakdown (Incremental.create p sel)))
           (0 :: flips)
         && Frac.equal (Tuple_oracle.lower_bound p) (Objective.lower_bound p)
         && Frac.equal (Tuple_oracle.value p (Array.make m false)) (Objective.empty_value p));
@@ -483,6 +489,52 @@ let lifted_tests =
     Test.make ~name:"exact per component selects as the global search" ~count:500
       ~print:print_components component_problem_gen (fun p ->
         Exact.solve ~max_candidates:(largest_component p) p = Tuple_oracle.exact p);
+    Test.make ~name:"components are the sets linked by shared tuples" ~count:500
+      ~print:print_decomposition decomposition_gen (fun (p, _) ->
+        let label = component_labels p in
+        let cands = List.init (Problem.num_candidates p) Fun.id in
+        let expected =
+          List.filter_map
+            (fun l ->
+              if label.(l) = l then Some (List.filter (fun c -> label.(c) = l) cands)
+              else None)
+            cands
+        in
+        Array.to_list (Array.map Array.to_list (Problem.components p)) = expected);
+    Test.make ~name:"F splits over the component sub-problems" ~count:500
+      ~print:print_decomposition decomposition_gen (fun (p, mask) ->
+        let sel = initial_selection p mask in
+        let split =
+          Array.fold_left
+            (fun acc cs ->
+              let sub = Problem.restrict p cs in
+              Frac.add acc
+                (Frac.sub
+                   (Objective.value sub (Array.map (Array.get sel) cs))
+                   (Objective.empty_value sub)))
+            (Tuple_oracle.value p (Array.make (Problem.num_candidates p) false))
+            (Problem.components p)
+        in
+        Frac.equal (Tuple_oracle.value p sel) split);
+    Test.make ~name:"a component sub-problem covers every tuple" ~count:500
+      ~print:print_decomposition decomposition_gen (fun (p, _) ->
+        Array.for_all
+          (fun cs ->
+            let sub = Problem.restrict p cs in
+            sub.Problem.uncoverable = 0
+            && Array.fold_left ( + ) 0 sub.Problem.group_size = Problem.num_tuples sub
+            && Array.for_all2
+                 (fun c cost -> Frac.equal p.Problem.cand_cost.(c) cost)
+                 cs sub.Problem.cand_cost)
+          (Problem.components p));
+    Test.make ~name:"restricting to every candidate keeps the digest" ~count:500
+      ~print:print_decomposition decomposition_gen (fun (p, _) ->
+        let everyone (q : Problem.t) = Array.init (Problem.num_candidates q) Fun.id in
+        let keeps q = Problem.digest (Problem.restrict q (everyone q)) = Problem.digest q in
+        (* a one-component problem of no uncoverable tuple: [p], when it is
+           one, and each component's sub-problem *)
+        (Array.length (Problem.components p) <> 1 || p.Problem.uncoverable > 0 || keeps p)
+        && Array.for_all (fun cs -> keeps (Problem.restrict p cs)) (Problem.components p));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
