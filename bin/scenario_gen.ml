@@ -82,7 +82,7 @@ let run primitives seed cache trace rows pi_corresp pi_errors pi_unexplained
       (fun (st : Cover.tgd_stats) ->
         Format.eprintf "  %-10s covers=%d errors=%d produced=%d size=%d@."
           st.Cover.tgd.Logic.Tgd.label
-          (List.length (Cover.covered_targets st))
+          (Array.length st.Cover.rows)
           (Cover.error_count st) st.Cover.produced st.Cover.size)
       p.Core.Problem.stats
   end;

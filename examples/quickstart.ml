@@ -88,10 +88,9 @@ let () =
     (fun s ->
       Format.printf "%s explains:@." s.Cover.tgd.Tgd.label;
       List.iter
-        (fun t ->
-          Format.printf "  %a to degree %a@." Tuple.pp t Util.Frac.pp
-            (Cover.covers s t))
-        (Cover.covered_targets s);
+        (fun (t, d) ->
+          Format.printf "  %a to degree %a@." Tuple.pp t Util.Frac.pp d)
+        (Cover.degrees ~j:instance_j s);
       Format.printf "  errors: %d@." (Cover.error_count s))
     stats;
 

@@ -202,8 +202,8 @@ let with_weights t weights =
    ["problem"; weights; each J tuple; each candidate's statistics], each
    part rendered in place and framed when closed. Every J tuple is rendered
    once, as its own part; a cover entry copies its tuple's bytes from there
-   through [t.covers], whose per-candidate order is the covers map's (every
-   covered tuple is a tuple of J, so nothing in the map is missed). *)
+   through [t.covers], whose per-candidate order is [rows]' (tuple order;
+   every covered tuple is a tuple of J, so no degree is missed). *)
 let digest t =
   Telemetry.with_span "cache.key" (fun () ->
       let module K = Cache.Key in

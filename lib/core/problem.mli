@@ -38,7 +38,7 @@ type t = private {
   tuples : Relational.Tuple.t array;  (** the target tuples of [J] *)
   covers : (int * Util.Frac.t) array array;
       (** per candidate: (tuple index, coverage degree), positive degrees
-          only *)
+          only, in its statistics' [rows]' order *)
   group_size : int array;
       (** per support group: its multiplicity [k], the number of tuples
           sharing the support; groups are numbered in the order of their
@@ -84,9 +84,10 @@ val make :
 
 val digest : t -> string
 (** A content digest of the full problem (weights, target tuples, per
-    candidate: tgd, cost, coverage degrees, error tuples), hashed afresh on
-    every call. It is the reference {!key} must equal, and what the
-    bit-identity checks compare between cached and uncached builds. *)
+    candidate: tgd, cost, coverage degrees in [rows]' order, error
+    tuples), hashed afresh on every call. It is the reference {!key} must
+    equal, and what the bit-identity checks compare between cached and
+    uncached builds. *)
 
 val key : t -> string
 (** [digest t], computed at most once per problem (a build through a cache

@@ -17,12 +17,19 @@ type tgd_stats = {
   size : int;
 }
 
-let covers stats t =
-  match Tuple.Map.find_opt t stats.covers with None -> Frac.zero | Some d -> d
-
 let error_count stats = List.length stats.error_tuples
 
-let covered_targets stats = Tuple.Map.bindings stats.covers |> List.map fst
+(* [rows] numbers each tuple by its place in [Instance.tuples j] *)
+let degrees ~j stats =
+  let tuples = Array.of_list (Instance.tuples j) in
+  Array.fold_right (fun (i, d) acc -> (tuples.(i), d) :: acc) stats.rows []
+
+let covers ~j stats t =
+  match List.find_opt (fun (t', _) -> Tuple.equal t t') (degrees ~j stats) with
+  | Some (_, d) -> d
+  | None -> Frac.zero
+
+let covered_targets ~j stats = List.map fst (degrees ~j stats)
 
 (* --- tuple pattern matching ------------------------------------------- *)
 
@@ -52,9 +59,10 @@ let maps_into pattern inst =
    ascending order. A probe therefore visits its matches in the order a
    scan of the whole relation would. A position's lists are built on its
    first probe: probes keep to the positions where candidates put
-   constants or join on a null. [best] is scratch space for the candidate being folded: the
-   largest number of positions any of its chase tuples accounts for in
-   each row (0 for none yet). *)
+   constants or join on a null. [best] and [raised] are scratch space for
+   the candidate being folded: the largest number of positions any of its
+   chase tuples accounts for in each row (0 for none yet), and how many
+   rows that is above 0. *)
 type rel_index = {
   rows : Tuple.t array;
   offset : int;
@@ -63,18 +71,20 @@ type rel_index = {
   all_rows : int list;
   postings : int list Value.Tbl.t option array;
   best : int array;
+  mutable raised : int;
 }
 
 (* J indexed for one analysis, shared by all of its candidates. Each
    relation is indexed on its first probe, so relations no candidate
    reaches cost nothing. The tables are mutated as they fill and as
    candidates are folded: an index belongs to one domain. [touched] lists
-   the rows whose [best] the current candidate raised from 0. *)
+   the relations in which the current candidate raised some row's [best]
+   from 0. *)
 type j_index = {
   j : Instance.t;
   offsets : (string, int) Hashtbl.t Lazy.t;  (** per relation: its [offset] *)
   rels : (string, rel_index) Hashtbl.t;
-  mutable touched : (rel_index * int) list;
+  mutable touched : rel_index list;
 }
 
 let relations_indexed = Telemetry.Counter.make "cover.relations_indexed"
@@ -118,6 +128,7 @@ let rel_index jx rel =
         all_rows = List.init (Array.length rows) Fun.id;
         postings = Array.make width None;
         best = Array.make (Array.length rows) 0;
+        raised = 0;
       }
     in
     Hashtbl.add jx.rels rel ri;
@@ -142,33 +153,39 @@ let postings ri pos =
 (* Records that a chase tuple accounts for [count] positions of row [r]. *)
 let raise_best jx ri r count =
   if count > ri.best.(r) then begin
-    if ri.best.(r) = 0 then jx.touched <- (ri, r) :: jx.touched;
+    if ri.best.(r) = 0 then begin
+      if ri.raised = 0 then jx.touched <- ri :: jx.touched;
+      ri.raised <- ri.raised + 1
+    end;
     ri.best.(r) <- count
   end
 
 (* The current candidate's coverage degrees, read off and cleared: each
-   touched row's best count over its arity, as the covers map and as row
-   numbers into [Instance.tuples j] in the map's order. Within a relation
-   the map's order is the rows' ascending order, and across relations it
-   is the offsets' order, so [offset + r] sorts the touched rows into it. *)
+   touched row's best count over its arity, numbered by its row in
+   [Instance.tuples j]. They come in tuple order: the touched relations in
+   the offsets' order (their names' order), each one's [best] read in
+   ascending row order up to its last touched row. *)
 let take_covers jx =
-  let touched = Array.of_list jx.touched in
-  Array.sort
-    (fun (ri, r) (ri', r') -> Int.compare (ri.offset + r) (ri'.offset + r'))
-    touched;
-  let covers = ref Tuple.Map.empty in
-  let rows =
-    Array.map
-      (fun (ri, r) ->
-        let t = ri.rows.(r) in
-        let d = Frac.make ri.best.(r) (Tuple.arity t) in
-        ri.best.(r) <- 0;
-        covers := Tuple.Map.add t d !covers;
-        (ri.offset + Array.length ri.rows - 1 - r, d))
-      touched
-  in
+  let rels = List.sort (fun a b -> Int.compare a.offset b.offset) jx.touched in
+  let total = List.fold_left (fun n ri -> n + ri.raised) 0 rels in
+  let rows = Array.make total (0, Frac.zero) and k = ref 0 in
+  List.iter
+    (fun ri ->
+      let last = Array.length ri.rows - 1 and r = ref 0 in
+      while ri.raised > 0 do
+        let count = ri.best.(!r) in
+        if count > 0 then begin
+          rows.(!k) <-
+            (ri.offset + last - !r, Frac.make count (Tuple.arity ri.rows.(!r)));
+          incr k;
+          ri.best.(!r) <- 0;
+          ri.raised <- ri.raised - 1
+        end;
+        incr r
+      done)
+    rels;
   jx.touched <- [];
-  (!covers, rows)
+  rows
 
 (* --- per-trigger-group analysis --------------------------------------- *)
 
@@ -513,19 +530,38 @@ let fold_triggers ~semantics ~jx ~index tgd triggers =
           Some g ))
       ([], 0, None) triggers
   in
-  let covers, rows = take_covers jx in
   {
     index;
     tgd;
-    covers;
-    rows;
+    covers = Tuple.Map.empty;
+    rows = take_covers jx;
     error_tuples = List.rev errors;
     produced;
     size = Tgd.size tgd;
   }
 
+(* A fold against a fresh index of [j], with [covers] filled: the two
+   folds outside a session, the traced benchmark's path. Nothing a
+   selection runs reads [covers]. Each covered row's tuple is read from
+   the relation the fold indexed for it, so this lists no tuple of [j]. *)
+let fold_with_covers ~semantics ~j ~index tgd triggers =
+  let jx = index_j j in
+  let stats = fold_triggers ~semantics ~jx ~index tgd triggers in
+  let rels = Hashtbl.fold (fun _ ri acc -> ri :: acc) jx.rels [] in
+  let tuple i =
+    let holds ri = i >= ri.offset && i < ri.offset + Array.length ri.rows in
+    let ri = List.find holds rels in
+    ri.rows.(ri.offset + Array.length ri.rows - 1 - i)
+  in
+  let covers =
+    Array.fold_left
+      (fun acc (i, d) -> Tuple.Map.add (tuple i) d acc)
+      Tuple.Map.empty stats.rows
+  in
+  { stats with covers }
+
 let stats_of_triggers ?(semantics = Corroborated) ~j ~index tgd triggers =
-  fold_triggers ~semantics ~jx:(index_j j) ~index tgd triggers
+  fold_with_covers ~semantics ~j ~index tgd triggers
 
 (* Keep only the trigger tuples that survive into the core of the chased
    target [solution]; a trigger whose whole group was retracted away
@@ -550,7 +586,7 @@ let stats_of_result ?(semantics = Corroborated) ?(core = false) ~j ~index tgd
     if core then core_triggers result.Chase.solution result.Chase.triggers
     else result.Chase.triggers
   in
-  fold_triggers ~semantics ~jx:(index_j j) ~index tgd triggers
+  fold_with_covers ~semantics ~j ~index tgd triggers
 
 module Session = struct
   type t = {
@@ -583,15 +619,3 @@ let analyze ?semantics ?core ~source ~j tgds =
        (fun index tgd ->
          Session.stats ?semantics ?core s ~index tgd (Session.chase s tgd))
        tgds)
-
-let explains stats t =
-  List.fold_left (fun acc s -> Frac.max acc (covers s t)) Frac.zero stats
-
-let uncovered_targets stats j =
-  Instance.fold
-    (fun t acc ->
-      let covered =
-        Array.exists (fun s -> not (Frac.is_zero (covers s t))) stats
-      in
-      if covered then acc else Tuple.Set.add t acc)
-    j Tuple.Set.empty

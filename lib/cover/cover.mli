@@ -19,7 +19,8 @@
       [creates]).
 
     [explains(M, t)] for a mapping [M] is the maximum of [covers(θ, t)] over
-    [θ ∈ M]. *)
+    [θ ∈ M]; a problem build takes it per support group
+    ([Core.Problem]). *)
 
 (** How null positions of a matched chase tuple count towards coverage.
     [Corroborated] is the paper's Eq. 9 semantics and the default; the other
@@ -37,28 +38,39 @@ type tgd_stats = {
   index : int;  (** position of the tgd in the candidate list *)
   tgd : Logic.Tgd.t;
   covers : Util.Frac.t Relational.Tuple.Map.t;
-      (** per target tuple: best coverage degree; tuples with degree 0 are
-          absent *)
+      (** The degrees of [rows] as a map, kept for the traced path of the
+          pipeline benchmark only: {!stats_of_triggers} and
+          {!stats_of_result} fill it ([Tuple.Map.of_list (degrees ~j s)]),
+          while {!Session.stats} and {!analyze}, the fold every selection
+          runs, leave it empty. Read {!degrees} instead. *)
   rows : (int * Util.Frac.t) array;
-      (** [covers] again, in the map's order, with each tuple given as its
+      (** The coverage degrees: per target tuple with a positive degree, its
           row number in [Relational.Instance.tuples j] (relations in
-          ascending name order, each relation's tuples descending): the
-          fold knows each covered tuple's relation and row, so a problem
-          build reads the numbers here instead of looking every tuple up *)
+          ascending name order, each relation's tuples descending) and its
+          best degree, in tuple order ([Relational.Tuple.compare]). A
+          problem build reads the numbers here, and {!degrees} turns them
+          back into tuples. *)
   error_tuples : Relational.Tuple.t list;
       (** trigger tuples with error 1, with multiplicity across triggers *)
   produced : int;  (** total trigger tuples produced (with multiplicity) *)
   size : int;  (** [Tgd.size] of the tgd, cached *)
 }
 
-val covers : tgd_stats -> Relational.Tuple.t -> Util.Frac.t
-(** Coverage degree of one target tuple (0 if absent). *)
+val degrees :
+  j : Relational.Instance.t -> tgd_stats -> (Relational.Tuple.t * Util.Frac.t) list
+(** [degrees ~j s]: [s.rows] with each row number replaced by its tuple of
+    [j], the instance [s] was folded against — every tuple with a positive
+    degree, in tuple order. Lists [Instance.tuples j] per call. *)
+
+val covers : j : Relational.Instance.t -> tgd_stats -> Relational.Tuple.t -> Util.Frac.t
+(** Coverage degree of one target tuple (0 if absent), from {!degrees}. *)
 
 val error_count : tgd_stats -> int
 (** Number of error tuples, i.e. [Σ_{t'} error(θ, t')]. *)
 
-val covered_targets : tgd_stats -> Relational.Tuple.t list
-(** Target tuples with a strictly positive coverage degree. *)
+val covered_targets : j : Relational.Instance.t -> tgd_stats -> Relational.Tuple.t list
+(** Target tuples with a strictly positive coverage degree, from
+    {!degrees}. *)
 
 val stats_of_triggers :
   ?semantics : semantics ->
@@ -73,7 +85,8 @@ val stats_of_triggers :
     in time and space linear in its size, and then matches are found by
     posting-list probes (see {!Session}). Analysing several candidates
     against one [j] through {!analyze} or {!Session} builds that index only
-    once. *)
+    once. Fills [covers] with the degrees of {!degrees}, which
+    {!Session.stats} does not. *)
 
 val stats_of_result :
   ?semantics : semantics ->
@@ -89,7 +102,8 @@ val stats_of_result :
     dropped before coverage and errors are computed, so [produced] counts
     the cored [K_M]. The default ([false]) is {!stats_of_triggers} on the
     result's triggers, bit-identical to the historical pipeline. Like
-    {!stats_of_triggers} it indexes [j] for this call only. *)
+    {!stats_of_triggers} it indexes [j] for this call only and fills
+    [covers]. *)
 
 val analyze :
   ?semantics : semantics ->
@@ -105,7 +119,8 @@ val analyze :
     applies the {!stats_of_result} core stage per candidate. [J] is indexed
     once for all candidates, so beyond the chase the cost per candidate is
     the posting-list probes its trigger groups make, not [|J|] per chase
-    tuple. Recorded as the [cover.analyze] span. *)
+    tuple. Each result's [covers] is empty, as from {!Session.stats}.
+    Recorded as the [cover.analyze] span. *)
 
 (** One analysis of many candidates against one data example [(I, J)]: the
     chase fixture over [I] and the index over [J], each built on first use
@@ -173,13 +188,10 @@ module Session : sig
     Chase.Trigger.t list ->
     tgd_stats
   (** {!stats_of_result} against the session's shared index over [J], from
-      the candidate's triggers. Only [~core:true] builds the chased
-      instance ({!Chase.solution_of}), which the core stage shrinks. *)
+      the candidate's triggers, but with [covers] empty: its degrees are
+      [rows] only. Only [~core:true] builds the chased instance
+      ({!Chase.solution_of}), which the core stage shrinks. *)
 end
-
-val explains : tgd_stats list -> Relational.Tuple.t -> Util.Frac.t
-(** [explains stats t] is the maximum coverage degree of [t] over the given
-    tgds — the Eq. 9 [explains(M, t)] for the mapping they form. *)
 
 val matches : pattern : Relational.Tuple.t -> Relational.Tuple.t -> bool
 (** [matches ~pattern t] is [true] iff [t] is an image of [pattern] under
@@ -189,10 +201,3 @@ val matches : pattern : Relational.Tuple.t -> Relational.Tuple.t -> bool
 
 val maps_into : Relational.Tuple.t -> Relational.Instance.t -> bool
 (** [maps_into pattern inst]: some tuple of [inst] matches [pattern]. *)
-
-val uncovered_targets :
-  tgd_stats array -> Relational.Instance.t -> Relational.Tuple.Set.t
-(** Target tuples of [J] that no candidate covers to any positive degree —
-    the "certainly unexplained" tuples that a problem counts as its
-    constant (each contributes [w1] to the objective regardless of the
-    selection). *)

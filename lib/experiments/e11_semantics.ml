@@ -10,8 +10,11 @@ let appendix_degrees semantics =
       [ E1_appendix_example.theta1; E1_appendix_example.theta3 ]
   in
   let ml_task = Relational.Tuple.of_consts "task" [ "ML"; "Alice"; "111" ] in
-  ( Util.Frac.to_string (Cover.covers stats.(0) ml_task),
-    Util.Frac.to_string (Cover.covers stats.(1) ml_task) )
+  let degree k =
+    Util.Frac.to_string
+      (Cover.covers ~j:E1_appendix_example.instance_j stats.(k) ml_task)
+  in
+  (degree 0, degree 1)
 
 let run ?(seeds = E2_parameters.seeds) ctx =
   let rows =

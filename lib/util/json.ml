@@ -167,7 +167,14 @@ let parse_exn s =
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
+    let plain c = c <> '"' && c <> '\\' && Char.code c >= 0x20 in
     let rec loop () =
+      (* a run of bytes that need no decoding is copied in one piece *)
+      let start = !pos in
+      while !pos < n && plain s.[!pos] do
+        advance ()
+      done;
+      if !pos > start then Buffer.add_substring buf s start (!pos - start);
       match peek () with
       | None -> fail "unterminated string"
       | Some '"' -> advance ()
@@ -192,11 +199,7 @@ let parse_exn s =
             else add_utf8 buf c
           | c -> fail (Printf.sprintf "bad escape \\%c" c)));
         loop ()
-      | Some c when Char.code c < 0x20 -> fail "raw control character in string"
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        loop ()
+      | Some _ -> fail "raw control character in string"
     in
     loop ();
     Buffer.contents buf

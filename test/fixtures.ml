@@ -193,17 +193,13 @@ let synthetic_problem ~w1 ~n cands =
     Instance.of_tuples
       (List.init n (fun i -> Tuple.of_consts "t" [ Printf.sprintf "u%03d" i ]))
   in
-  let tuples = Array.of_list (Instance.tuples j) in
   let stats =
     List.mapi
       (fun index (rows, (errors, size)) ->
         {
           Cover.index;
           tgd = theta1;
-          covers =
-            List.fold_left
-              (fun acc (ti, d) -> Tuple.Map.add tuples.(ti) d acc)
-              Tuple.Map.empty rows;
+          covers = Tuple.Map.empty;
           rows = Array.of_list rows;
           error_tuples = List.init errors (fun _ -> Tuple.of_consts "e" [ "x" ]);
           produced = errors + List.length rows;

@@ -246,18 +246,18 @@ module Reference = struct
     (source_key, digest [ "data"; source_key; instance j ])
 
   let problem_parts (t : Problem.t) =
-    let stat_part (s : Cover.tgd_stats) =
+    let stat_part c (s : Cover.tgd_stats) =
       let buf = Buffer.create 128 in
       Buffer.add_string buf (tgd s.Cover.tgd);
       Buffer.add_string buf "|cost ";
       Buffer.add_string buf (frac t.Problem.cand_cost.(s.Cover.index));
-      Tuple.Map.iter
-        (fun tu d ->
+      Array.iter
+        (fun (i, d) ->
           Buffer.add_string buf "|cover ";
-          Buffer.add_string buf (tuple tu);
+          Buffer.add_string buf (tuple t.Problem.tuples.(i));
           Buffer.add_char buf ' ';
           Buffer.add_string buf (frac d))
-        s.Cover.covers;
+        t.Problem.covers.(c);
       List.iter
         (fun tu ->
           Buffer.add_string buf "|error ";
@@ -274,7 +274,7 @@ module Reference = struct
         w.Problem.w_size;
     ]
     @ List.map tuple (Array.to_list t.Problem.tuples)
-    @ List.map stat_part (Array.to_list t.Problem.stats)
+    @ List.mapi stat_part (Array.to_list t.Problem.stats)
 
   let problem_digest t = digest (problem_parts t)
 end

@@ -11,17 +11,36 @@ let ml_task = Tuple.of_consts "task" [ "ML"; "Alice"; "111" ]
 
 let sap_org = Tuple.of_consts "org" [ "111"; "SAP" ]
 
+(* The degrees of the appendix's J. *)
+let covers = Cover.covers ~j:Fixtures.instance_j
+
+(* [explains(M, t)] and the tuples of [j] no candidate covers, read off
+   [Cover.degrees]. *)
+let explains ~j stats t =
+  List.fold_left (fun acc s -> Frac.max acc (Cover.covers ~j s t)) Frac.zero stats
+
+let uncovered_targets ~j stats =
+  let covered =
+    Array.fold_left
+      (fun acc s ->
+        List.fold_left (fun acc (t, _) -> Tuple.Set.add t acc) acc (Cover.degrees ~j s))
+      Tuple.Set.empty stats
+  in
+  Instance.fold
+    (fun t acc -> if Tuple.Set.mem t covered then acc else Tuple.Set.add t acc)
+    j Tuple.Set.empty
+
 let appendix_tests =
   [
     Alcotest.test_case "theta1: covers 2/3 for the ML task, 0 otherwise" `Quick
       (fun () ->
         let stats = (analyze_appendix ()).(0) in
-        Alcotest.check frac "ML task" (Frac.make 2 3) (Cover.covers stats ml_task);
+        Alcotest.check frac "ML task" (Frac.make 2 3) (covers stats ml_task);
         Alcotest.check frac "org not covered" Frac.zero
-          (Cover.covers stats sap_org);
+          (covers stats sap_org);
         Alcotest.(check int)
           "only one covered target" 1
-          (List.length (Cover.covered_targets stats)));
+          (List.length (Cover.covered_targets ~j:Fixtures.instance_j stats)));
     Alcotest.test_case "theta1: one error tuple (the BigData task)" `Quick
       (fun () ->
         let stats = (analyze_appendix ()).(0) in
@@ -33,8 +52,8 @@ let appendix_tests =
       "theta3: corroborated null lifts coverage to 3/3 and 2/2" `Quick
       (fun () ->
         let stats = (analyze_appendix ()).(1) in
-        Alcotest.check frac "ML task fully" Frac.one (Cover.covers stats ml_task);
-        Alcotest.check frac "SAP org fully" Frac.one (Cover.covers stats sap_org));
+        Alcotest.check frac "ML task fully" Frac.one (covers stats ml_task);
+        Alcotest.check frac "SAP org fully" Frac.one (covers stats sap_org));
     Alcotest.test_case "theta3: two error tuples (BigData task and IBM org)"
       `Quick (fun () ->
         let stats = (analyze_appendix ()).(1) in
@@ -44,13 +63,13 @@ let appendix_tests =
       (fun () ->
         let stats = analyze_appendix () in
         Alcotest.check frac "max" Frac.one
-          (Cover.explains (Array.to_list stats) ml_task);
+          (explains ~j:Fixtures.instance_j (Array.to_list stats) ml_task);
         Alcotest.check frac "single theta1" (Frac.make 2 3)
-          (Cover.explains [ stats.(0) ] ml_task));
+          (explains ~j:Fixtures.instance_j [ stats.(0) ] ml_task));
     Alcotest.test_case "uncovered targets are the Social/MSR tuples" `Quick
       (fun () ->
         let stats = analyze_appendix () in
-        let uncovered = Cover.uncovered_targets stats Fixtures.instance_j in
+        let uncovered = uncovered_targets ~j:Fixtures.instance_j stats in
         Alcotest.(check int) "two" 2 (Tuple.Set.cardinal uncovered);
         Alcotest.(check bool)
           "social task" true
@@ -65,9 +84,9 @@ let appendix_tests =
         let proj_task k = Tuple.of_consts "task" [ Printf.sprintf "Proj%d" k; "Alice"; "111" ] in
         for k = 0 to 4 do
           Alcotest.check frac "theta1 2/3" (Frac.make 2 3)
-            (Cover.covers stats.(0) (proj_task k));
+            (Cover.covers ~j:j' stats.(0) (proj_task k));
           Alcotest.check frac "theta3 fully" Frac.one
-            (Cover.covers stats.(1) (proj_task k))
+            (Cover.covers ~j:j' stats.(1) (proj_task k))
         done;
         (* no new errors for either candidate *)
         Alcotest.(check int) "theta1 errors" 1 (Cover.error_count stats.(0));
@@ -132,7 +151,7 @@ let partial_group_tests =
         in
         (* org(T, Nowhere) never lands in J, so the ML task is only covered
            2/3 and both org tuples are errors. *)
-        Alcotest.check frac "2/3" (Frac.make 2 3) (Cover.covers stats.(0) ml_task);
+        Alcotest.check frac "2/3" (Frac.make 2 3) (covers stats.(0) ml_task);
         Alcotest.(check int) "errors" 3 (Cover.error_count stats.(0)));
     Alcotest.test_case "ground head tuple in J covers fully" `Quick (fun () ->
         let theta =
@@ -148,7 +167,7 @@ let partial_group_tests =
         let stats =
           Cover.analyze ~source:Fixtures.instance_i ~j:Fixtures.instance_j [ theta ]
         in
-        Alcotest.check frac "full" Frac.one (Cover.covers stats.(0) sap_org);
+        Alcotest.check frac "full" Frac.one (covers stats.(0) sap_org);
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats.(0)));
   ]
 
@@ -193,9 +212,9 @@ let property_tests =
         let stats = Cover.analyze ~source:src ~j [ Fixtures.theta1; Fixtures.theta3 ] in
         Array.for_all
           (fun s ->
-            Relational.Tuple.Map.for_all
-              (fun _ d -> Frac.(Stdlib.not (is_zero d)) && Frac.(d <= one))
-              s.Cover.covers)
+            Array.for_all
+              (fun (_, d) -> Frac.(Stdlib.not (is_zero d)) && Frac.(d <= one))
+              s.Cover.rows)
           stats);
     Test.make ~name:"errors never exceed produced tuples" ~count:100
       (Gen.pair source_gen target_gen) (fun (src, j) ->
@@ -205,7 +224,7 @@ let property_tests =
       (Gen.pair source_gen target_gen) (fun (src, j) ->
         let stats = Cover.analyze ~source:src ~j [ Fixtures.theta1; Fixtures.theta3 ] in
         Array.for_all
-          (fun s -> List.for_all (fun t -> Instance.mem t j) (Cover.covered_targets s))
+          (fun s -> List.for_all (fun t -> Instance.mem t j) (Cover.covered_targets ~j s))
           stats);
     Test.make ~name:"semantics are pointwise ordered" ~count:60
       (Gen.pair source_gen target_gen) (fun (src, j) ->
@@ -221,8 +240,9 @@ let property_tests =
             acc
             && Array.for_all
                  (fun k ->
-                   Frac.(Cover.covers strict.(k) t <= Cover.covers corr.(k) t)
-                   && Frac.(Cover.covers corr.(k) t <= Cover.covers generous.(k) t))
+                   Frac.(Cover.covers ~j strict.(k) t <= Cover.covers ~j corr.(k) t)
+                   && Frac.(
+                        Cover.covers ~j corr.(k) t <= Cover.covers ~j generous.(k) t))
                  [| 0; 1 |])
           j true);
     Test.make ~name:"error counts are semantics-independent" ~count:60
@@ -242,13 +262,13 @@ let property_tests =
         Instance.fold
           (fun t acc ->
             acc
-            && Frac.(Cover.covers stats1.(0) t <= Cover.covers stats.(0) t))
+            && Frac.(Cover.covers ~j:j1 stats1.(0) t <= Cover.covers ~j stats.(0) t))
           j1 true);
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
 (* Regression pin for the interned homomorphism search: the E1 problem's
-   digest covers every stat field (covers map, error tuples, produced,
+   digest covers every stat field (coverage rows, error tuples, produced,
    size, cost) of both candidates, so any drift in [stats_of_triggers] —
    like the interned-J hoist reordering a fold — fails here byte-for-byte. *)
 let regression_tests =
@@ -445,9 +465,13 @@ module Scan = struct
          tgds)
 end
 
-let same_stats (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
+(* Two folds of the same candidates against [j], compared degree by
+   degree as tuples of [j] and as row numbers. *)
+let same_stats ~j (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
   a.Cover.index = b.Cover.index
-  && Tuple.Map.equal Frac.equal a.Cover.covers b.Cover.covers
+  && List.equal
+       (fun (t, d) (t', d') -> Tuple.equal t t' && Frac.equal d d')
+       (Cover.degrees ~j a) (Cover.degrees ~j b)
   && Array.length a.Cover.rows = Array.length b.Cover.rows
   && Array.for_all2
        (fun (r, d) (r', d') -> r = r' && Frac.equal d d')
@@ -456,8 +480,8 @@ let same_stats (a : Cover.tgd_stats) (b : Cover.tgd_stats) =
   && a.Cover.produced = b.Cover.produced
   && a.Cover.size = b.Cover.size
 
-let same_analysis a b =
-  Array.length a = Array.length b && Array.for_all2 same_stats a b
+let same_analysis ~j a b =
+  Array.length a = Array.length b && Array.for_all2 (same_stats ~j) a b
 
 (* Random data examples for the differential: a source [proj] of arity 3
    whose values are constants or labelled nulls, so that frontier values
@@ -552,7 +576,7 @@ let differential_tests =
     QCheck2.Test.make ~name:"indexed analyze equals the linear scan" ~count:300
       ~print:print_differential differential_gen
       (fun (source, j, tgds, semantics, core) ->
-        same_analysis
+        same_analysis ~j
           (Cover.analyze ~semantics ~core ~source ~j tgds)
           (Scan.analyze ~semantics ~core ~source ~j tgds))
     |> QCheck_alcotest.to_alcotest;
@@ -698,7 +722,7 @@ let fold_tests =
         in
         Alcotest.(check (list int))
           "configurations, rows probed" [ 10; 11 ] counts;
-        let degree rel vs = Cover.covers stats (Tuple.of_consts rel vs) in
+        let degree rel vs = Cover.covers ~j stats (Tuple.of_consts rel vs) in
         let t1 x = degree "t1" [ x; "a"; "b" ] in
         Alcotest.check frac "t1 through x0" Frac.one (t1 "x0");
         Alcotest.check frac "t1 through x1" Frac.one (t1 "x1");
@@ -708,7 +732,7 @@ let fold_tests =
         Alcotest.check frac "m joined to t1" (Frac.make 1 2) (m "x1" "y1");
         Alcotest.(check int)
           "no other m row covered" 5
-          (List.length (Cover.covered_targets stats));
+          (List.length (Cover.covered_targets ~j stats));
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
     Alcotest.test_case "one layout serves a candidate's 30 groups" `Quick
       (fun () ->
@@ -746,7 +770,7 @@ let fold_tests =
           "groups, layouts, configurations, rows probed" [ 30; 1; 300; 330 ]
           counts;
         Alcotest.(check int) "5 covered rows" 5
-          (List.length (Cover.covered_targets stats));
+          (List.length (Cover.covered_targets ~j stats));
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
   ]
 
@@ -831,13 +855,13 @@ let session_tests =
         let cold = Core.Problem.make ~cache ~source ~j tgds in
         let warm = Core.Problem.make ~cache ~source ~j tgds in
         Alcotest.(check bool) "non-trivial" true (Array.length analyzed > 3);
-        Alcotest.(check bool) "per call" true (same_analysis analyzed per_call);
+        Alcotest.(check bool) "per call" true (same_analysis ~j analyzed per_call);
         Alcotest.(check bool)
           "cached, cold" true
-          (same_analysis analyzed cold.Core.Problem.stats);
+          (same_analysis ~j analyzed cold.Core.Problem.stats);
         Alcotest.(check bool)
           "cached, warm" true
-          (same_analysis analyzed warm.Core.Problem.stats));
+          (same_analysis ~j analyzed warm.Core.Problem.stats));
     Alcotest.test_case "a warm cached make chases nothing and indexes nothing"
       `Quick (fun () ->
         let source, j, tgds = example () in
@@ -899,12 +923,12 @@ let session_tests =
           (Array.to_list (Array.map (fun s -> s.Cover.produced) analyzed));
         Alcotest.(check bool)
           "per candidate" true
-          (same_analysis analyzed (per_candidate ~source ~j tgds)));
+          (same_analysis ~j analyzed (per_candidate ~source ~j tgds)));
     QCheck2.Test.make ~name:"mixed-arity analyze equals per-candidate chases"
       ~count:200 mixed_arity_gen (fun (source, j, tgds) ->
-        same_analysis (Cover.analyze ~source ~j tgds)
+        same_analysis ~j (Cover.analyze ~source ~j tgds)
           (per_candidate ~source ~j tgds)
-        && same_analysis
+        && same_analysis ~j
              (Cover.analyze ~core:true ~source ~j tgds)
              (Array.of_list
                 (List.mapi
@@ -912,6 +936,37 @@ let session_tests =
                      Cover.stats_of_result ~core:true ~j ~index tgd
                        (Chase.run source [ tgd ]))
                    tgds)))
+    |> QCheck_alcotest.to_alcotest;
+  ]
+
+(* [covers] is the traced benchmark path's: the per-call folds fill it
+   from [rows], and the fold every selection runs leaves it empty. *)
+let covers_field_tests =
+  [
+    QCheck2.Test.make ~name:"stats_of_result's covers are its degrees"
+      ~count:200 ~print:print_differential differential_gen
+      (fun (source, j, tgds, semantics, core) ->
+        List.for_all
+          (fun tgd ->
+            let s =
+              Cover.stats_of_result ~semantics ~core ~j ~index:0 tgd
+                (Chase.run source [ tgd ])
+            in
+            Tuple.Map.equal Frac.equal s.Cover.covers
+              (Tuple.Map.of_list (Cover.degrees ~j s)))
+          tgds)
+    |> QCheck_alcotest.to_alcotest;
+    QCheck2.Test.make ~name:"analyze and cached make leave covers empty"
+      ~count:100 ~print:print_differential differential_gen
+      (fun (source, j, tgds, semantics, core) ->
+        let empty = Array.for_all (fun s -> Tuple.Map.is_empty s.Cover.covers) in
+        let cache = Cache.create () in
+        let make () = Core.Problem.make ~semantics ~core ~cache ~source ~j tgds in
+        let cold = make () in
+        let warm = make () in
+        empty (Cover.analyze ~semantics ~core ~source ~j tgds)
+        && empty cold.Core.Problem.stats
+        && empty warm.Core.Problem.stats)
     |> QCheck_alcotest.to_alcotest;
   ]
 
@@ -926,4 +981,5 @@ let () =
       ("differential", differential_tests);
       ("fold", fold_tests);
       ("session", session_tests);
+      ("covers-field", covers_field_tests);
     ]

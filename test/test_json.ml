@@ -64,6 +64,42 @@ let test_pp_error_mentions_position () =
     Alcotest.(check bool) "pp_error names line and column" true
       (contains ~affix:"line 1" rendered && contains ~affix:"column 1" rendered)
 
+(* --- strings ------------------------------------------------------------ *)
+
+(* A string decodes by runs of plain bytes between escapes; each input's
+   value, or its error message and offset, is pinned. *)
+let test_string_decoding () =
+  let cases =
+    [
+      ({|"plain"|}, Ok "plain");
+      ({|""|}, Ok "");
+      ({|"a\"b\\c\/d"|}, Ok {|a"b\c/d|});
+      ({|"\n\r\t\b\fx"|}, Ok "\n\r\t\b\012x");
+      ({|"caf\u00e9 \u20ac"|}, Ok "caf\xc3\xa9 \xe2\x82\xac");
+      ("\"tab\there\"", Error ("raw control character in string", 4));
+      ({|"abc|}, Error ("unterminated string", 4));
+      ({|"ab\|}, Error ("unterminated escape", 4));
+      ({|"a\qb"|}, Error ("bad escape \\q", 4));
+      ({|"ab\u12"|}, Error ("truncated \\u escape", 5));
+      ({|"\ud800"|}, Error ("surrogate \\u escape", 7));
+    ]
+  in
+  List.iter
+    (fun (input, expected) ->
+      let got =
+        match Json.parse input with
+        | Ok (Json.Str s) -> Ok s
+        | Ok _ -> Alcotest.failf "%S: not a string" input
+        | Error e -> Error (e.Json.message, e.Json.offset)
+      in
+      Alcotest.(check (result string (pair string int))) input expected got)
+    cases
+
+let prop_string_roundtrip =
+  QCheck.Test.make ~name:"any string survives to_string and parse" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 60))
+    (fun s -> Json.parse (Json.to_string (Json.Str s)) = Ok (Json.Str s))
+
 (* --- NDJSON framing ------------------------------------------------------ *)
 
 let test_parse_line_accepts_trailing_newline () =
@@ -122,6 +158,12 @@ let () =
             test_position_values;
           Alcotest.test_case "pp_error mentions the position" `Quick
             test_pp_error_mentions_position;
+        ] );
+      ( "strings",
+        [
+          Alcotest.test_case "values, errors and offsets" `Quick
+            test_string_decoding;
+          QCheck_alcotest.to_alcotest prop_string_roundtrip;
         ] );
       ( "framing",
         [
