@@ -67,8 +67,6 @@ let flips_counter = Telemetry.Counter.make "incremental.flips"
 
 let probes_counter = Telemetry.Counter.make "incremental.probes"
 
-let self_checks_counter = Telemetry.Counter.make "incremental.self_checks"
-
 let flip st c =
   Telemetry.Counter.incr flips_counter;
   if st.sel.(c) then deselect st c else select st c
@@ -147,49 +145,6 @@ let breakdown st =
     size = st.size;
     total = Frac.add unexplained st.cand_cost;
   }
-
-let self_check st =
-  Telemetry.Counter.incr self_checks_counter;
-  let p = st.problem in
-  let naive = Objective.breakdown p st.sel in
-  let mine = breakdown st in
-  let best = Objective.group_coverage p st.sel in
-  if not (Frac.equal naive.Objective.total mine.Objective.total) then
-    Error
-      (Format.asprintf "total drifted: naive %a, incremental %a" Frac.pp
-         naive.Objective.total Frac.pp mine.Objective.total)
-  else if not (Frac.equal naive.Objective.unexplained mine.Objective.unexplained)
-  then Error "unexplained accumulator drifted"
-  else if naive.Objective.errors <> mine.Objective.errors then
-    Error "error accumulator drifted"
-  else if naive.Objective.size <> mine.Objective.size then
-    Error "size accumulator drifted"
-  else begin
-    (* per group: how many selected candidates cover it *)
-    let expected = Array.make (Array.length best) 0 in
-    Array.iteri
-      (fun c selected ->
-        if selected then
-          Array.iter (fun (g, _) -> expected.(g) <- expected.(g) + 1)
-            p.Problem.group_covers.(c))
-      st.sel;
-    let bad = ref None in
-    Array.iteri
-      (fun g b ->
-        if !bad = None then
-          if not (Frac.equal b st.best.(g)) then
-            bad := Some (Printf.sprintf "cached maximum of group %d drifted" g)
-          else
-            let count = Fmap.fold (fun _ n acc -> n + acc) st.degrees.(g) 0 in
-            if count <> expected.(g) then
-              bad :=
-                Some
-                  (Printf.sprintf
-                     "degree multiset of group %d has %d entries, expected %d" g
-                     count expected.(g)))
-      best;
-    match !bad with None -> Ok () | Some msg -> Error msg
-  end
 
 let is_selected st c = st.sel.(c)
 

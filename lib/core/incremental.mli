@@ -43,12 +43,6 @@ val breakdown : t -> Objective.breakdown
 (** The current selection's breakdown, O(1); exactly equal to
     [Objective.breakdown p (selection st)]. *)
 
-val self_check : t -> (unit, string) result
-(** Verifies the internal state (accumulators, cached per-group maxima,
-    degree-multiset cardinalities) against a from-scratch naive evaluation.
-    O(full evaluation) — a diagnostic hook for the fuzzing harness, not for
-    hot paths. *)
-
 val is_selected : t -> int -> bool
 
 val selection : t -> bool array

@@ -41,8 +41,7 @@ type t = {
 val problem : ?cache : Cache.t -> mapping -> Core.Problem.t
 (** [Problem.make] under the case's weights — the shared precomputation the
     mapping oracles evaluate against. [cache] memoizes the per-candidate
-    analysis (bit-identical on or off — the cache-identity oracle holds the
-    whole campaign to that). *)
+    analysis, bit-identical on or off. *)
 
 val of_document : Serialize.Document.t -> payload
 (** A scenario document as a {!Mapping} under the default weights. A

@@ -6,10 +6,10 @@
 
     {v
     # cmd-fuzz counterexample
-    oracle incremental
+    oracle eq4-eq9
     seed 4242
-    tag random-mapping
-    detail flip delta mismatch for candidate 1
+    tag full-mapping
+    detail Eq.4 gives 3, Eq.9 gives 2 on 01
     payload mapping
     weights 1 1 1
     ---

@@ -37,9 +37,8 @@ val run :
 (** Runs the campaign. [oracles] defaults to {!Oracle.all}; without a
     [pool] the cases run sequentially in the caller. [cache] memoizes the
     per-case problem construction across oracles and duplicate cases; the
-    summary is bit-identical with or without it (the cache-identity oracle
-    checks exactly that per case), and the cache's hit/miss totals are
-    jobs-invariant because lookups are single-flight. *)
+    summary is bit-identical with or without it, and the cache's hit/miss
+    totals are jobs-invariant because lookups are single-flight. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 (** Deterministic (no timing, no paths): two summaries compare equal iff

@@ -42,12 +42,6 @@ let probe_selections rng m =
     Array.make m false :: Array.make m true
     :: List.init 38 (fun _ -> Array.init m (fun _ -> Random.State.bool rng))
 
-let breakdown_equal (a : Objective.breakdown) (b : Objective.breakdown) =
-  Frac.equal a.Objective.unexplained b.Objective.unexplained
-  && a.Objective.errors = b.Objective.errors
-  && a.Objective.size = b.Objective.size
-  && Frac.equal a.Objective.total b.Objective.total
-
 let selection_to_string sel =
   String.concat ""
     (Array.to_list (Array.map (fun b -> if b then "1" else "0") sel))
@@ -56,8 +50,11 @@ let selection_to_string sel =
 
 (* Eq. 4, the objective Eq. 9 degenerates to when every candidate is full:
    [w1·|J \ covered(M)| + Σ_{θ∈M} cost(θ)], where a tuple is covered (at
-   degree 1) or not at all. *)
-let eq4_value (p : Problem.t) sel =
+   degree 1) or not at all. [tweak] is a hook for fault injection: the real
+   oracle adds nothing to a candidate's cost; the broken variant charges
+   candidates covering at least two tuples one more unit, simulating a
+   cost-accounting bug. *)
+let eq4_value ~tweak (p : Problem.t) sel =
   let covered = Array.make (Problem.num_tuples p) false in
   let cost = ref Frac.zero in
   Array.iteri
@@ -66,7 +63,7 @@ let eq4_value (p : Problem.t) sel =
         Array.iter
           (fun (ti, d) -> if Frac.equal d Frac.one then covered.(ti) <- true)
           p.Problem.covers.(c);
-        cost := Frac.add !cost p.Problem.cand_cost.(c)
+        cost := Frac.add !cost (Frac.add p.Problem.cand_cost.(c) (tweak p c))
       end)
     sel;
   let uncovered = Array.fold_left (fun n b -> if b then n else n + 1) 0 covered in
@@ -78,7 +75,7 @@ let brute_force_min p =
       Objective.value p (Array.init n (fun i -> (mask lsr i) land 1 = 1)))
   |> List.fold_left Frac.min (Objective.empty_value p)
 
-let check_eq4_eq9 ctx =
+let eq4_check ~tweak ctx =
   match ctx.case.Case.payload with
   | Case.Setcover _ | Case.Multihop _ -> Skip
   | Case.Mapping m when not (List.for_all Tgd.is_full m.Case.candidates) ->
@@ -90,7 +87,7 @@ let check_eq4_eq9 ctx =
     let mismatch =
       List.find_map
         (fun sel ->
-          let v4 = eq4_value p sel in
+          let v4 = eq4_value ~tweak p sel in
           let v9 = Objective.value p sel in
           if Frac.equal v4 v9 then None
           else
@@ -113,71 +110,7 @@ let check_eq4_eq9 ctx =
                Frac.pp v_brute Frac.pp v_exact)
       else Pass)
 
-(* --- incremental: delta engine vs the naive evaluator ------------------ *)
-
-(* [expected_tweak] is a hook for fault injection: the real oracle adds
-   nothing; the broken variant perturbs the expected delta of candidates
-   covering at least two tuples, simulating a delta-computation bug. *)
-let incremental_check ~expected_tweak ctx =
-  match ctx.case.Case.payload with
-  | Case.Setcover _ | Case.Multihop _ -> Skip
-  | Case.Mapping _ ->
-    let p = Option.get (Lazy.force ctx.problem) in
-    let m = Problem.num_candidates p in
-    let rng = rng_of ctx 2 in
-    let sel = Array.init m (fun _ -> Random.State.bool rng) in
-    let st = Incremental.create p sel in
-    let steps = (2 * m) + 6 in
-    let rec drive step =
-      if step >= steps then
-        match Incremental.self_check st with
-        | Ok () -> Pass
-        | Error msg -> failf "self_check after %d flips: %s" steps msg
-      else
-        let cur = Incremental.selection st in
-        let value_now = Objective.value p cur in
-        (* probe every candidate's delta against the naive evaluator *)
-        let bad_probe =
-          List.find_map
-            (fun c ->
-              cur.(c) <- not cur.(c);
-              let naive = Frac.sub (Objective.value p cur) value_now in
-              cur.(c) <- not cur.(c);
-              let expected = Frac.add naive (expected_tweak p c) in
-              let got = Incremental.flip_delta st c in
-              if Frac.equal expected got then None
-              else
-                Some
-                  (Format.asprintf
-                     "flip_delta of candidate %d at step %d: expected %a, \
-                      got %a"
-                     c step Frac.pp expected Frac.pp got))
-            (List.init m Fun.id)
-        in
-        match bad_probe with
-        | Some msg -> Fail msg
-        | None ->
-          if m = 0 then
-            if Frac.equal (Incremental.value st) value_now then Pass
-            else Fail "value drifted on the empty candidate set"
-          else begin
-            let c = Random.State.int rng m in
-            Incremental.flip st c;
-            let now = Incremental.selection st in
-            if
-              not
-                (breakdown_equal
-                   (Objective.breakdown p now)
-                   (Incremental.breakdown st))
-            then
-              failf "breakdown diverged after flipping candidate %d at step %d"
-                c step
-            else drive (step + 1)
-          end
-    in
-    drive 0
-
-let check_incremental = incremental_check ~expected_tweak:(fun _ _ -> Frac.zero)
+let check_eq4_eq9 = eq4_check ~tweak:(fun _ _ -> Frac.zero)
 
 (* --- solver-order: exact optimum bounds every registered solver -------- *)
 
@@ -274,73 +207,6 @@ let setcover_check ~slope ctx =
 
 let check_setcover = setcover_check ~slope:(fun m -> m + 1)
 
-(* --- cq-index: laws of the compiled CQ evaluator ----------------------- *)
-
-let check_cq_index ctx =
-  match ctx.case.Case.payload with
-  | Case.Setcover _ | Case.Multihop _ -> Skip
-  | Case.Mapping m ->
-    let rng = rng_of ctx 5 in
-    let check_inst inst queries =
-      let norm answers = List.sort_uniq Subst.compare answers in
-      List.find_map
-        (fun q ->
-          let answers = norm (Cq.answers inst q) in
-          if
-            not
-              (List.for_all
-                 (fun s ->
-                   List.for_all
-                     (fun a -> Instance.mem (Subst.apply_atom_exn s a) inst)
-                     q)
-                 answers)
-          then
-            Some
-              (Printf.sprintf
-                 "an answer of a %d-atom query maps an atom outside the \
-                  instance"
-                 (List.length q))
-          else
-            (* extend a partial substitution binding a random variable *)
-            let vars = String_set.elements (Atom.vars_of_list q) in
-            let extension_differs =
-              match vars, Value.Set.elements (Instance.constants inst) with
-              | [], _ | _, [] -> false
-              | vs, consts ->
-                let x = List.nth vs (Random.State.int rng (List.length vs)) in
-                let value =
-                  List.nth consts (Random.State.int rng (List.length consts))
-                in
-                let agreeing =
-                  List.filter
-                    (fun s ->
-                      Option.equal Value.equal (Subst.find_opt x s) (Some value))
-                    answers
-                in
-                not
-                  (List.equal Subst.equal agreeing
-                     (norm (Cq.extensions inst (Subst.singleton x value) q)))
-            in
-            if extension_differs then
-              Some
-                "extensions differ from the answers agreeing with the partial \
-                 substitution"
-            else
-              let permuted = Ibench.Generator.shuffle rng q in
-              if List.equal Subst.equal answers (norm (Cq.answers inst permuted))
-              then None
-              else Some "the answers change when the query's atoms are permuted")
-        queries
-    in
-    let bodies = List.map (fun (t : Tgd.t) -> t.Tgd.body) m.Case.candidates in
-    let heads = List.map (fun (t : Tgd.t) -> t.Tgd.head) m.Case.candidates in
-    (match check_inst m.Case.source bodies with
-    | Some msg -> failf "on the source instance: %s" msg
-    | None -> (
-      match check_inst m.Case.j heads with
-      | Some msg -> failf "on the target instance: %s" msg
-      | None -> Pass))
-
 (* --- chase-determinism: permutation invariance and internal checks ----- *)
 
 let triggers_equal (a : Chase.Trigger.t) (b : Chase.Trigger.t) =
@@ -411,59 +277,6 @@ let check_chase_determinism ctx =
             in
             (match mismatch with Some msg -> Fail msg | None -> Pass))
 
-(* --- cache-identity: cached evaluation is bit-identical to uncached ----- *)
-
-(* The differential oracle behind the cache's central contract: building a
-   problem through a cache — cold or warm — and solving through a cache must
-   be byte-for-byte what the uncached pipeline produces. Runs against a
-   private cache so the verdict is independent of any campaign-level
-   cache. *)
-let check_cache_identity ctx =
-  match ctx.case.Case.payload with
-  | Case.Setcover _ | Case.Multihop _ -> Skip
-  | Case.Mapping m -> (
-    let cache = Cache.create ~capacity:1024 () in
-    let p_plain = Option.get (Lazy.force ctx.problem) in
-    let p_cold = Case.problem ~cache m in
-    let after_cold = (Cache.stats cache).Cache.misses in
-    let p_warm = Case.problem ~cache m in
-    let after_warm = (Cache.stats cache).Cache.misses in
-    let key = Problem.digest p_plain in
-    if Problem.digest p_cold <> key then
-      Fail "cold cached problem differs from the uncached problem"
-    else if Problem.digest p_warm <> key then
-      Fail "warm cached problem differs from the uncached problem"
-    else if Problem.key p_warm <> key then
-      Fail "warm cached problem key differs from its digest"
-    else if after_warm <> after_cold then
-      failf "warm rebuild recomputed %d candidate analyses"
-        (after_warm - after_cold)
-    else
-      let solvers =
-        if Problem.num_candidates p_plain <= 6 then [ "greedy"; "local" ]
-        else [ "greedy" ]
-      in
-      let seed = ctx.case.Case.seed land 0xFFFFFF in
-      let mismatch =
-        List.find_map
-          (fun name ->
-            let impl = Option.get (Solver.find name) in
-            let plain = (Solver.solve impl ~seed p_plain).Solver.selection in
-            let cold =
-              (Solver.solve impl ~seed ~cache p_cold).Solver.selection
-            in
-            let warm =
-              (Solver.solve impl ~seed ~cache p_warm).Solver.selection
-            in
-            if plain <> cold then
-              Some (name ^ ": cold cached selection differs")
-            else if plain <> warm then
-              Some (name ^ ": warm cached selection differs")
-            else None)
-          solvers
-      in
-      match mismatch with Some msg -> Fail msg | None -> Pass)
-
 (* --- core-solution: the core is a minimal homomorphic retract ----------- *)
 
 let check_core_solution ctx =
@@ -512,41 +325,6 @@ let check_core_solution ctx =
         else
           failf "coring grew K_M: %d produced tuples uncored, %d cored" plain
             cored
-
-(* --- portfolio: the race is deterministic and never beaten ------------- *)
-
-(* `--solver portfolio` is only sound if a race is a pure function of
-   (problem, seed) and returns the best (or a provably optimal) roster
-   result, so no individually-run roster member may beat it. *)
-let check_portfolio ctx =
-  match ctx.case.Case.payload with
-  | Case.Setcover _ | Case.Multihop _ -> Skip
-  | Case.Mapping _ ->
-    let p = Option.get (Lazy.force ctx.problem) in
-    (* portfolio runs exact too; bound the problem like solver-order *)
-    if Problem.num_candidates p > 8 || Problem.num_tuples p > 40 then Skip
-    else
-      let impl = Option.get (Solver.find "portfolio") in
-      let seed = ctx.case.Case.seed land 0xFFFFFF in
-      let r1 = (Solver.solve impl ~seed p).Solver.selection in
-      let r2 = (Solver.solve impl ~seed p).Solver.selection in
-      if r1 <> r2 then
-        Fail "portfolio race is not deterministic in (problem, seed)"
-      else
-        let vp = Objective.value p r1 in
-        let beaten name sel =
-          if Frac.compare vp (Objective.value p sel) <= 0 then None
-          else
-            Some
-              (Printf.sprintf "portfolio (F = %s) beaten by %s"
-                 (Frac.to_string vp) name)
-        in
-        match beaten "cmd" (Cmd.solve p).Cmd.selection with
-        | Some msg -> Fail msg
-        | None -> (
-          match beaten "greedy" (Greedy.solve p) with
-          | Some msg -> Fail msg
-          | None -> Pass)
 
 (* --- algebra: the homomorphism checkers and the mapping algebra --------- *)
 
@@ -698,11 +476,6 @@ let all =
       check = check_eq4_eq9;
     };
     {
-      name = "incremental";
-      doc = "Core.Incremental matches the naive objective on flip sequences";
-      check = check_incremental;
-    };
-    {
       name = "solver-order";
       doc = "exact bounds every registered solver; local <= greedy <= F({})";
       check = check_solver_order;
@@ -713,29 +486,14 @@ let all =
       check = check_setcover;
     };
     {
-      name = "cq-index";
-      doc = "CQ answers are homomorphisms, extensions agree, atom order is free";
-      check = check_cq_index;
-    };
-    {
       name = "chase-determinism";
       doc = "chase invariant under permutation, indexing, and self-checks";
       check = check_chase_determinism;
     };
     {
-      name = "cache-identity";
-      doc = "cached problems and selections are bit-identical to uncached";
-      check = check_cache_identity;
-    };
-    {
       name = "core-solution";
       doc = "the core is a sub-instance, equivalent both ways, idempotent";
       check = check_core_solution;
-    };
-    {
-      name = "portfolio";
-      doc = "portfolio races deterministically and no roster member beats it";
-      check = check_portfolio;
     };
     {
       name = "algebra";
@@ -761,12 +519,12 @@ let is_failure ?cache o case =
 
 let faults =
   [
-    ( "flip-delta",
+    ( "multi-cover",
       {
-        name = "incremental";
-        doc = "BROKEN: perturbs the flip delta of multi-cover candidates";
+        name = "eq4-eq9";
+        doc = "BROKEN: charges Eq. 4 one more unit per multi-cover candidate";
         check =
-          incremental_check ~expected_tweak:(fun p c ->
+          eq4_check ~tweak:(fun p c ->
               if Array.length p.Problem.covers.(c) >= 2 then Frac.one
               else Frac.zero);
       } );

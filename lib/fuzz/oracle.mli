@@ -2,41 +2,25 @@
     appendix (and the engine's own contracts) pin down, as named checks over
     fuzz cases.
 
-    The ten families:
+    The six families:
 
     - [eq4-eq9] — on full-tgd scenarios Eq. 4 (0/1 coverage:
       [w1·|J \ covered(M)| + Σ cost]) and the general Eq. 9 evaluator agree
       on every probed selection, and up to 8 candidates {!Core.Exact}
       finds the minimum over all selections;
-    - [incremental] — {!Core.Incremental} matches the naive
-      {!Core.Objective} after every flip of a random flip sequence, every
-      probed [flip_delta] is exact, and the internal state passes
-      {!Core.Incremental.self_check};
     - [solver-order] — [F(exact) <= F(local-search) <= F(greedy) <= F({})]
       and [F(exact) <= F(anneal) <= F({})] on small problems;
     - [setcover] — the Theorem 1 closed form
       [F(M) = (m+1)(|U| - |∪ R_i|) + 2|M|] equals the Eq. 9 evaluator on
       the reduced problem for every probed selection;
-    - [cq-index] — on the case's tgd bodies (over the source) and heads
-      (over J), every {!Logic.Cq.answers} answer maps each atom into the
-      instance, {!Logic.Cq.extensions} of a one-variable substitution are
-      exactly the answers agreeing with it, and permuting the query's
-      atoms leaves the answer set unchanged;
     - [chase-determinism] — the chase is invariant under permutation of the
       source tuples, with and without a prebuilt index, passes
       {!Chase.check_result}, and the objective is invariant under
       permutation of the candidate list;
-    - [cache-identity] — building the problem through a private
-      {!Cache.t} (cold and warm) and solving through it yields problems
-      and selections byte-identical to the uncached pipeline, and a warm
-      rebuild recomputes nothing;
     - [core-solution] — the core of the chased target is a sub-instance
       retaining every ground tuple, homomorphically equivalent to it in
       both directions, idempotent, and coring never grows the produced
       [K_M];
-    - [portfolio] — a sequential {!Core.Portfolio} race is deterministic
-      in [(problem, seed)] and never beaten by an individually-run roster
-      member (CMD, greedy);
     - [algebra] — implication and containment verdicts hold on the case's
       own data, minimisation keeps a tgd's meaning, the composed chase is
       sound against the hop-by-hop one with identical ground facts (and
@@ -44,8 +28,8 @@
       {!Algebra.associative}.
 
     Checks are deterministic functions of the case: auxiliary randomness
-    (probed selections, flip sequences, permutations) is derived from the
-    case seed, so a failing case replays identically from the corpus. *)
+    (probed selections, permutations) is derived from the case seed, so a
+    failing case replays identically from the corpus. *)
 
 type ctx
 (** A case plus its lazily shared precomputation ({!Core.Problem.make}
@@ -63,7 +47,7 @@ type t = {
 }
 
 val all : t list
-(** The ten families, in the order above. *)
+(** The six families, in the order above. *)
 
 val names : string list
 
@@ -79,7 +63,8 @@ val is_failure : ?cache : Cache.t -> t -> Case.t -> bool
 
 val faults : (string * t) list
 (** Deliberately broken oracle variants, keyed by fault name, for exercising
-    the shrinking and corpus pipeline end to end: [flip-delta] perturbs the
-    expected flip delta of candidates covering at least two tuples;
-    [closed-form] drops the [+1] from the SET COVER closed form. Each is a
-    drop-in replacement for the real oracle of the same [t.name]. *)
+    the shrinking and corpus pipeline end to end: [multi-cover] charges
+    Eq. 4 one more unit per selected candidate covering at least two
+    tuples; [closed-form] drops the [+1] from the SET COVER closed form.
+    Each is a drop-in replacement for the real oracle of the same
+    [t.name]. *)

@@ -74,7 +74,22 @@ let test_composed_chase_agrees () =
   let tuples i = List.sort compare (Instance.tuples i) in
   Alcotest.(check bool)
     "identical instances" true
-    (tuples hopwise = tuples direct)
+    (tuples hopwise = tuples direct);
+  (* a hop-1 existential joined by two atoms of one hop-2 body: unfolding
+     must resolve both atoms against one hop-1 trigger, or u(X, X) is lost *)
+  let m12 =
+    [ tgd "m12" [ atom "s" [ "X" ] ] [ atom "t" [ "X"; "Y" ]; atom "r" [ "Y"; "X" ] ] ]
+  in
+  let m23 =
+    [ tgd "m23" [ atom "t" [ "X"; "Y" ]; atom "r" [ "Y"; "Z" ] ] [ atom "u" [ "X"; "Z" ] ] ]
+  in
+  let initial =
+    Instance.of_tuples [ Tuple.of_consts "s" [ "a" ]; Tuple.of_consts "s" [ "b" ] ]
+  in
+  Alcotest.(check bool)
+    "identical instances through a joined existential" true
+    (tuples (Algebra.chase_through initial [ m12; m23 ])
+    = tuples (Chase.universal_solution initial (Algebra.compose m12 m23)))
 
 (* --- containment --------------------------------------------------------- *)
 

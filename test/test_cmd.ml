@@ -61,6 +61,30 @@ let test_portfolio_all_refuse () =
     | exception Solver_error.Error { solver = "portfolio"; _ } -> true
     | _ -> false)
 
+let test_portfolio_proof_rule () =
+  (* the first finisher returns {θ1, θ3} (F = 12, above the lower bound), so
+     only exact proves and wins with the appendix optimum {} (F = 4) *)
+  let p = appendix_problem () in
+  let suboptimal =
+    {
+      Portfolio.r_name = "suboptimal";
+      r_solve = (fun ?pool:_ ?seed:_ _ -> [| true; true |]);
+      r_exact = false;
+    }
+  in
+  let exact =
+    {
+      Portfolio.r_name = "exact";
+      r_solve = (fun ?pool:_ ?seed:_ p -> Exact.solve p);
+      r_exact = true;
+    }
+  in
+  let r = Portfolio.race ~roster:[ suboptimal; exact ] p in
+  Alcotest.(check string) "winner" "exact" r.Portfolio.winner;
+  Alcotest.(check bool) "proved" true r.Portfolio.proved;
+  Alcotest.(check (array bool))
+    "exact's selection" (Exact.solve p) r.Portfolio.selection
+
 (* --- the solver context -------------------------------------------------- *)
 
 let test_ctx_shutdown_idempotent () =
@@ -183,6 +207,8 @@ let () =
         @ [
             Alcotest.test_case "an all-refusing roster raises" `Quick
               test_portfolio_all_refuse;
+            Alcotest.test_case "a suboptimal finisher proves nothing" `Quick
+              test_portfolio_proof_rule;
           ] );
       ( "ctx",
         [

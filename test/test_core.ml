@@ -435,6 +435,16 @@ let anneal_tests =
     Alcotest.test_case "anneal handles the empty problem" `Quick (fun () ->
         let p = Problem.make ~source:Fixtures.instance_i ~j:Fixtures.instance_j [] in
         Alcotest.(check int) "no candidates" 0 (Array.length (Anneal.solve p)));
+    Alcotest.test_case "a hot walk returns the best state visited" `Quick
+      (fun () ->
+        (* the walk starts at the appendix optimum {} and accepts almost
+           every flip, so it ends elsewhere; the answer is still {} *)
+        let options =
+          { Anneal.iterations = 25; initial_temperature = 1e6; cooling = 1.; seed = 0 }
+        in
+        Alcotest.(check (list int))
+          "{}" []
+          (Problem.indices_of_selection (Anneal.solve ~options (appendix_problem ()))));
     Alcotest.test_case "deterministic for a fixed seed" `Quick (fun () ->
         let p = extended_problem 3 in
         Alcotest.(check bool)

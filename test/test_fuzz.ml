@@ -5,8 +5,9 @@
       summary is bit-identical across pool sizes;
    2. every oracle family is clean on a modest budget of generated cases
       (the bounded CI campaign runs a larger one);
-   3. injected faults — a perturbed flip delta, a SET COVER closed form
-      with the wrong slope — are caught, shrink to tiny counterexamples
+   3. injected faults — an Eq. 4 evaluator that overcharges multi-cover
+      candidates, a SET COVER closed form with the wrong slope — are
+      caught, shrink to tiny counterexamples
       (<= 4 candidates, <= 6 tuples), survive a corpus round trip and
       pass their real oracles;
    4. the committed corpus/ directory replays clean, forever. *)
@@ -148,7 +149,7 @@ let test_fault name =
         | Error _ -> ())
       entries
 
-let test_fault_flip_delta () = test_fault "flip-delta"
+let test_fault_multi_cover () = test_fault "multi-cover"
 
 let test_fault_closed_form () = test_fault "closed-form"
 
@@ -158,12 +159,12 @@ let test_corpus_roundtrip () =
   for i = 0 to 80 do
     let case = Fuzz.Gen.case ~seed:(Parallel.Seed.derive 99 i) in
     let entry =
-      { Fuzz.Corpus.oracle = "incremental"; detail = "round trip"; case }
+      { Fuzz.Corpus.oracle = "solver-order"; detail = "round trip"; case }
     in
     match Fuzz.Corpus.of_string (Fuzz.Corpus.to_string entry) with
     | Error msg -> Alcotest.failf "case %d does not parse back: %s" i msg
     | Ok e ->
-      Alcotest.(check string) "oracle survives" "incremental" e.Fuzz.Corpus.oracle;
+      Alcotest.(check string) "oracle survives" "solver-order" e.Fuzz.Corpus.oracle;
       Alcotest.(check string) "detail survives" "round trip" e.Fuzz.Corpus.detail;
       Alcotest.check case_eq
         (Printf.sprintf "case %d round trips" i)
@@ -221,8 +222,8 @@ let () =
         ] );
       ( "fault-injection",
         [
-          Alcotest.test_case "flip-delta fault shrinks and round-trips" `Quick
-            test_fault_flip_delta;
+          Alcotest.test_case "multi-cover fault shrinks and round-trips" `Quick
+            test_fault_multi_cover;
           Alcotest.test_case "closed-form fault shrinks and round-trips" `Quick
             test_fault_closed_form;
         ] );

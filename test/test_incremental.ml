@@ -59,7 +59,13 @@ let appendix_tests =
             ([ 0 ], Frac.make 22 3);
             ([ 1 ], Frac.of_int 8);
             ([ 0; 1 ], Frac.of_int 12);
-          ]);
+          ];
+        let none =
+          Problem.make ~source:Fixtures.instance_i ~j:Fixtures.instance_j []
+        in
+        check_breakdown "no candidates"
+          (Objective.breakdown none [||])
+          (Incremental.breakdown (Incremental.create none [||])));
     Alcotest.test_case "E1 reached by flips, not create" `Quick (fun () ->
         (* drive one state through {} → {θ1} → {θ1,θ3} → {θ3} → {} and
            compare against the pinned table at every step *)

@@ -162,14 +162,16 @@ let record_types lines =
          with Scanf.Scan_failure _ | End_of_file -> "?")
        lines)
 
+(* Through a fresh evaluation cache, so key derivation and the cache's
+   single-flight accounting are among the traced layers. *)
 let traced_campaign ~jobs path =
   with_telemetry ~enabled:true (fun () ->
       let oc = open_out path in
       Telemetry.set_jsonl (Some oc);
       let summary =
         Parallel.Pool.with_pool ~jobs (fun pool ->
-            Fuzz.Driver.run ~pool ~oracles:Fuzz.Oracle.all ~seed:11 ~budget:15
-              ())
+            Fuzz.Driver.run ~pool ~cache:(Cache.create ())
+              ~oracles:Fuzz.Oracle.all ~seed:11 ~budget:15 ())
       in
       Telemetry.flush ();
       Telemetry.set_jsonl None;
