@@ -155,20 +155,6 @@ let cq_fixture =
     (let s = Lazy.force me_scenario in
      (s.Ibench.Scenario.instance_i, cq_query))
 
-let egd_fixture =
-  lazy
-    (let entry = Option.get (Scenarios.Zoo.find "hr") in
-     let doc = entry.Scenarios.Zoo.doc in
-     let exchanged =
-       Chase.universal_solution doc.Serialize.Document.instance_i
-         entry.Scenarios.Zoo.ground_truth
-     in
-     let unit_schema =
-       Relational.Schema.of_relations
-         [ Relational.Relation.make "unit" [ "uid"; "uname" ] ]
-     in
-     (exchanged, Chase.Egd.key ~rel:"unit" ~key:[ "uname" ] unit_schema))
-
 (* --- the test suite ----------------------------------------------------- *)
 
 let stage = Staged.stage
@@ -291,10 +277,6 @@ let tests =
         (stage (fun () ->
              let p = Lazy.force small_problem in
              Core.Local_search.improve p (full_selection p)));
-      Test.make ~name:"substrate-egd-chase"
-        (stage (fun () ->
-             let inst, egds = Lazy.force egd_fixture in
-             Chase.Egd.chase inst egds));
       Test.make ~name:"substrate-implication"
         (stage (fun () ->
              let s = Lazy.force me_scenario in

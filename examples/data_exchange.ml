@@ -1,10 +1,9 @@
-(* Data exchange beyond selection: the substrate features.
+(* Data exchange around selection.
 
-   Once a mapping is selected, it is used: this walkthrough exchanges data
-   with the selected mapping, enforces a target key with the egd chase,
-   answers queries under certain-answer semantics, and shows candidate
-   minimisation (logical implication) pruning a redundant candidate before
-   selection even starts.
+   Candidate minimisation (logical implication) prunes a redundant
+   candidate before selection starts; CMD selects a mapping from what is
+   left; and the selected mapping is then used to exchange the source data
+   into the target schema.
 
    Run with: dune exec examples/data_exchange.exe *)
 
@@ -44,47 +43,9 @@ let () =
   let mapping = List.filteri (fun i _ -> r.Core.Cmd.selection.(i)) minimized in
   List.iter (fun t -> Format.printf "selected: %a@." Tgd.pp t) mapping;
 
-  Format.printf "@.== 3. exchange and enforce a target key ==@.";
+  Format.printf "@.== 3. exchange ==@.";
   let exchanged = Chase.universal_solution doc.Serialize.Document.instance_i mapping in
   Format.printf "exchanged (%d tuples, %d distinct unit rows):@."
     (Instance.cardinal exchanged)
     (Tuple.Set.cardinal (Instance.tuples_of exchanged "unit"));
-  (* every employee trigger invented its own unit id; the key
-     unit(uname) -> uid merges them *)
-  let unit_schema =
-    Schema.of_relations [ Relation.make "unit" [ "uid"; "uname" ] ]
-  in
-  let key_egds =
-    (* uname functionally determines uid: one unit per name *)
-    Chase.Egd.key ~rel:"unit" ~key:[ "uname" ] unit_schema
-  in
-  (match Chase.Egd.chase exchanged key_egds with
-  | Error c -> Format.printf "key conflict: %a@." Chase.Egd.pp_conflict c
-  | Ok keyed ->
-    Format.printf "after the egd chase: %d distinct unit rows@.@."
-      (Tuple.Set.cardinal (Instance.tuples_of keyed "unit"));
-
-    Format.printf "== 4. certain answers over the keyed instance ==@.";
-    let q =
-      [
-        Atom.make "staff" [ v "S"; v "N"; v "P" ];
-        Atom.make "member_of" [ v "S"; v "U" ];
-        Atom.make "unit" [ v "U"; v "UN" ];
-      ]
-    in
-    let answers =
-      Chase.Certain.answer_tuples keyed q
-        ~head:(Atom.make "ans" [ v "N"; v "UN" ])
-    in
-    Format.printf "who works where (certain answers):@.";
-    List.iter (fun t -> Format.printf "  %a@." Tuple.pp t) answers;
-
-    (* a query whose output depends on an invented id has no certain
-       answers *)
-    let ids =
-      Chase.Certain.answer_tuples keyed
-        [ Atom.make "staff" [ v "S"; v "N"; v "P" ] ]
-        ~head:(Atom.make "ans" [ v "S" ])
-    in
-    Format.printf "certain staff ids (all invented, so none): %d@."
-      (List.length ids))
+  Format.printf "%a@." Instance.pp exchanged

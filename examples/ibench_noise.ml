@@ -46,5 +46,6 @@ let () =
       if selected then
         Format.printf "  in=%.3f %a%s@." cmd.Core.Cmd.fractional.(i) Logic.Tgd.pp
           problem.Core.Problem.candidates.(i)
-          (if Ibench.Scenario.is_ground_truth s i then "   [MG]" else ""))
+          (if List.mem i s.Ibench.Scenario.ground_truth_indices then "   [MG]"
+           else ""))
     cmd.Core.Cmd.selection

@@ -197,20 +197,7 @@ module Key = struct
     List.iter (add_string_part w) parts;
     digest_frame w
 
-  let render size add x =
-    let w = writer size in
-    add w x;
-    contents w
-
-  let value v = render 16 add_value v
-
-  let tuple t = render 64 add_tuple t
-
-  let instance inst = render 4096 add_instance inst
-
   let tgd t = enc (Logic.Tgd.to_string t)
-
-  let frac f = render 16 add_frac f
 
   let semantics = function
     | Cover.Corroborated -> "corroborated"

@@ -75,8 +75,8 @@ val default : unit -> (t option, string) result
     percent-encoded where needed), so distinct inputs never share a
     digest other than by hash collision.
 
-    The [add_*] functions append a rendering to a {!writer}; the string
-    functions are thin wrappers over them. Every key in the system is
+    The [add_*] functions append a rendering to a {!writer}; {!tgd} and
+    {!semantics} return theirs as strings. Every key in the system is
     derived through these functions, and {b every key byte is the old
     one}: they emit exactly what the string-concatenating renderers
     emitted, so pinned problem digests and the serving daemon's wire
@@ -146,18 +146,10 @@ module Key : sig
       is injective in the list (no concatenation ambiguity). Equal to
       {!digest_frame} over the parts framed with {!add_string_part}. *)
 
-  val value : Relational.Value.t -> string
-
-  val tuple : Relational.Tuple.t -> string
-
-  val instance : Relational.Instance.t -> string
-
   val tgd : Logic.Tgd.t -> string
   (** The exact rendering, label and variable names included — variable
       names determine the chase's null labels, so alpha-variants must not
       share a key. *)
-
-  val frac : Util.Frac.t -> string
 
   val semantics : Cover.semantics -> string
 end

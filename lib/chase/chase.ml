@@ -1,5 +1,3 @@
 include Engine
 module Core_solution = Core_solution
 module Implication = Implication
-module Certain = Certain
-module Egd = Egd

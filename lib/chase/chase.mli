@@ -125,9 +125,3 @@ module Core_solution : module type of Core_solution
 
 (** Logical implication between st tgds (see {!Implication}). *)
 module Implication : module type of Implication
-
-(** Certain answers over instances with labeled nulls (see {!Certain}). *)
-module Certain : module type of Certain
-
-(** Equality-generating dependencies and their chase (see {!Egd}). *)
-module Egd : module type of Egd

@@ -16,8 +16,6 @@ type t = {
          degree; [explains] is the maximum key *)
   best : Frac.t array;  (* cached multiset maxima ([Frac.zero] when empty) *)
   mutable covered : Frac.t;  (* Σ k·best *)
-  mutable errors : int;
-  mutable size : int;
   mutable cand_cost : Frac.t;
 }
 
@@ -49,16 +47,12 @@ let select st c =
   let p = st.problem in
   st.sel.(c) <- true;
   Array.iter (fun (g, d) -> add_degree st g d) p.Problem.group_covers.(c);
-  st.errors <- st.errors + Cover.error_count p.Problem.stats.(c);
-  st.size <- st.size + p.Problem.stats.(c).Cover.size;
   st.cand_cost <- Frac.add st.cand_cost p.Problem.cand_cost.(c)
 
 let deselect st c =
   let p = st.problem in
   st.sel.(c) <- false;
   Array.iter (fun (g, d) -> remove_degree st g d) p.Problem.group_covers.(c);
-  st.errors <- st.errors - Cover.error_count p.Problem.stats.(c);
-  st.size <- st.size - p.Problem.stats.(c).Cover.size;
   st.cand_cost <- Frac.sub st.cand_cost p.Problem.cand_cost.(c)
 
 (* Hot-path instrumentation: when telemetry is disabled each counter call
@@ -85,8 +79,6 @@ let create (p : Problem.t) sel =
       degrees = Array.make n_groups Fmap.empty;
       best = Array.make n_groups Frac.zero;
       covered = Frac.zero;
-      errors = 0;
-      size = 0;
       cand_cost = Frac.zero;
     }
   in
@@ -136,15 +128,6 @@ let unexplained st =
     (Frac.sub st.n_tuples st.covered)
 
 let value st = Frac.add (unexplained st) st.cand_cost
-
-let breakdown st =
-  let unexplained = unexplained st in
-  {
-    Objective.unexplained;
-    errors = st.errors;
-    size = st.size;
-    total = Frac.add unexplained st.cand_cost;
-  }
 
 let is_selected st c = st.sel.(c)
 

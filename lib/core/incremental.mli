@@ -14,7 +14,7 @@
     each of the group's tuples is the multiset maximum, so committing or
     probing a flip only touches the groups the flipped candidate covers, a
     group of [k] tuples weighing [k]. Running accumulators track the
-    covered mass, error and size counts, and the summed candidate cost.
+    covered mass and the summed candidate cost.
 
     All arithmetic is exact [Util.Frac] rationals: every value produced here
     is bit-identical to the naive evaluator's, which the qcheck differential
@@ -38,10 +38,6 @@ val flip_delta : t -> int -> Util.Frac.t
 
 val value : t -> Util.Frac.t
 (** The objective of the current selection, O(1). *)
-
-val breakdown : t -> Objective.breakdown
-(** The current selection's breakdown, O(1); exactly equal to
-    [Objective.breakdown p (selection st)]. *)
 
 val is_selected : t -> int -> bool
 

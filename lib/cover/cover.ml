@@ -29,8 +29,6 @@ let covers ~j stats t =
   | Some (_, d) -> d
   | None -> Frac.zero
 
-let covered_targets ~j stats = List.map fst (degrees ~j stats)
-
 (* --- tuple pattern matching ------------------------------------------- *)
 
 let matches ~(pattern : Tuple.t) (t : Tuple.t) =
@@ -540,29 +538,6 @@ let fold_triggers ~semantics ~jx ~index tgd triggers =
     size = Tgd.size tgd;
   }
 
-(* A fold against a fresh index of [j], with [covers] filled: the two
-   folds outside a session, the traced benchmark's path. Nothing a
-   selection runs reads [covers]. Each covered row's tuple is read from
-   the relation the fold indexed for it, so this lists no tuple of [j]. *)
-let fold_with_covers ~semantics ~j ~index tgd triggers =
-  let jx = index_j j in
-  let stats = fold_triggers ~semantics ~jx ~index tgd triggers in
-  let rels = Hashtbl.fold (fun _ ri acc -> ri :: acc) jx.rels [] in
-  let tuple i =
-    let holds ri = i >= ri.offset && i < ri.offset + Array.length ri.rows in
-    let ri = List.find holds rels in
-    ri.rows.(ri.offset + Array.length ri.rows - 1 - i)
-  in
-  let covers =
-    Array.fold_left
-      (fun acc (i, d) -> Tuple.Map.add (tuple i) d acc)
-      Tuple.Map.empty stats.rows
-  in
-  { stats with covers }
-
-let stats_of_triggers ?(semantics = Corroborated) ~j ~index tgd triggers =
-  fold_with_covers ~semantics ~j ~index tgd triggers
-
 (* Keep only the trigger tuples that survive into the core of the chased
    target [solution]; a trigger whose whole group was retracted away
    disappears. With coring on, coverage and errors are computed against
@@ -580,13 +555,30 @@ let core_triggers solution triggers =
         | tuples -> Some { tr with Chase.Trigger.tuples })
       triggers
 
+(* A fold against a fresh index of [j], with [covers] filled: the fold
+   outside a session, the traced benchmark's path. Nothing a selection
+   runs reads [covers]. Each covered row's tuple is read from the relation
+   the fold indexed for it, so this lists no tuple of [j]. *)
 let stats_of_result ?(semantics = Corroborated) ?(core = false) ~j ~index tgd
     (result : Chase.result) =
   let triggers =
     if core then core_triggers result.Chase.solution result.Chase.triggers
     else result.Chase.triggers
   in
-  fold_with_covers ~semantics ~j ~index tgd triggers
+  let jx = index_j j in
+  let stats = fold_triggers ~semantics ~jx ~index tgd triggers in
+  let rels = Hashtbl.fold (fun _ ri acc -> ri :: acc) jx.rels [] in
+  let tuple i =
+    let holds ri = i >= ri.offset && i < ri.offset + Array.length ri.rows in
+    let ri = List.find holds rels in
+    ri.rows.(ri.offset + Array.length ri.rows - 1 - i)
+  in
+  let covers =
+    Array.fold_left
+      (fun acc (i, d) -> Tuple.Map.add (tuple i) d acc)
+      Tuple.Map.empty stats.rows
+  in
+  { stats with covers }
 
 module Session = struct
   type t = {

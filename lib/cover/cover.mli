@@ -39,10 +39,10 @@ type tgd_stats = {
   tgd : Logic.Tgd.t;
   covers : Util.Frac.t Relational.Tuple.Map.t;
       (** The degrees of [rows] as a map, kept for the traced path of the
-          pipeline benchmark only: {!stats_of_triggers} and
-          {!stats_of_result} fill it ([Tuple.Map.of_list (degrees ~j s)]),
-          while {!Session.stats} and {!analyze}, the fold every selection
-          runs, leave it empty. Read {!degrees} instead. *)
+          pipeline benchmark only: {!stats_of_result} fills it
+          ([Tuple.Map.of_list (degrees ~j s)]), while {!Session.stats} and
+          {!analyze}, the fold every selection runs, leave it empty. Read
+          {!degrees} instead. *)
   rows : (int * Util.Frac.t) array;
       (** The coverage degrees: per target tuple with a positive degree, its
           row number in [Relational.Instance.tuples j] (relations in
@@ -68,26 +68,6 @@ val covers : j : Relational.Instance.t -> tgd_stats -> Relational.Tuple.t -> Uti
 val error_count : tgd_stats -> int
 (** Number of error tuples, i.e. [Σ_{t'} error(θ, t')]. *)
 
-val covered_targets : j : Relational.Instance.t -> tgd_stats -> Relational.Tuple.t list
-(** Target tuples with a strictly positive coverage degree, from
-    {!degrees}. *)
-
-val stats_of_triggers :
-  ?semantics : semantics ->
-  j : Relational.Instance.t ->
-  index : int ->
-  Logic.Tgd.t ->
-  Chase.Trigger.t list ->
-  tgd_stats
-(** Statistics of one tgd from its chase triggers. The triggers must all
-    belong to the given tgd. Builds a {!Session}-style index over [j] for
-    this one call: each relation a trigger tuple reaches is indexed once,
-    in time and space linear in its size, and then matches are found by
-    posting-list probes (see {!Session}). Analysing several candidates
-    against one [j] through {!analyze} or {!Session} builds that index only
-    once. Fills [covers] with the degrees of {!degrees}, which
-    {!Session.stats} does not. *)
-
 val stats_of_result :
   ?semantics : semantics ->
   ?core : bool ->
@@ -100,10 +80,15 @@ val stats_of_result :
     chased target is first shrunk to its core universal solution
     ({!Chase.Core_solution}): trigger tuples retracted away by the core are
     dropped before coverage and errors are computed, so [produced] counts
-    the cored [K_M]. The default ([false]) is {!stats_of_triggers} on the
-    result's triggers, bit-identical to the historical pipeline. Like
-    {!stats_of_triggers} it indexes [j] for this call only and fills
-    [covers]. *)
+    the cored [K_M]. The default ([false]) folds the result's triggers,
+    bit-identical to the historical pipeline. The triggers must all belong
+    to the given tgd. Builds a {!Session}-style index over [j] for this one
+    call: each relation a trigger tuple reaches is indexed once, in time
+    and space linear in its size, and then matches are found by
+    posting-list probes (see {!Session}). Analysing several candidates
+    against one [j] through {!analyze} or {!Session} builds that index only
+    once. Fills [covers] with the degrees of {!degrees}, which
+    {!Session.stats} does not. *)
 
 val analyze :
   ?semantics : semantics ->

@@ -2,7 +2,7 @@ type failure = {
   oracle : string;
   detail : string;
   original : Case.t;
-  shrunk : Case.t;
+  shrunk : Case.t option;
 }
 
 type summary = {
@@ -15,31 +15,22 @@ type summary = {
   failures : failure list;
 }
 
-(* One worker task: generate case [i], run every oracle on it, shrink any
-   failure. Pure in [(seed, i, oracles)], per the pool's determinism
-   contract — the cache only memoizes bit-identical results, so it leaves
-   the outcomes untouched too. *)
+(* One worker task: generate case [i] and run every oracle on it. Pure in
+   [(seed, i, oracles)], per the pool's determinism contract — the cache
+   only memoizes bit-identical results, so it leaves the verdicts untouched
+   too. Shrinking happens in [run]'s fold, once per family. *)
 let check_case ?cache oracles ~seed i =
   let case = Gen.case ~seed:(Parallel.Seed.derive seed i) in
-  let outcomes =
-    List.map
-      (fun (o : Oracle.t) ->
-        match Oracle.run ?cache o case with
-        | Oracle.Pass -> (o.Oracle.name, Oracle.Pass, None)
-        | Oracle.Skip -> (o.Oracle.name, Oracle.Skip, None)
-        | Oracle.Fail _ as v ->
-          let shrunk = Shrink.shrink ~fails:(Oracle.is_failure ?cache o) case in
-          (* Re-run on the shrunk case for the message that matches what
-             lands in the corpus. *)
-          let v =
-            match Oracle.run ?cache o shrunk with
-            | Oracle.Fail _ as v' -> v'
-            | _ -> v
-          in
-          (o.Oracle.name, v, Some shrunk))
-      oracles
+  (case, List.map (fun (o : Oracle.t) -> (o, Oracle.run ?cache o case)) oracles)
+
+(* The failure message on the 1-minimal shrink of a failing case, and the
+   shrink: what lands in the corpus. *)
+let shrink ?cache (o : Oracle.t) case detail =
+  let shrunk = Shrink.shrink ~fails:(Oracle.is_failure ?cache o) case in
+  let detail =
+    match Oracle.run ?cache o shrunk with Oracle.Fail d -> d | _ -> detail
   in
-  (case, outcomes)
+  (detail, Some shrunk)
 
 (* Campaign counters are bumped in the deterministic fold below — never in
    the worker tasks — so the totals are a pure function of (seed, budget,
@@ -72,7 +63,8 @@ let run ?pool ?cache ?(oracles = Oracle.all) ~seed ~budget () =
       Hashtbl.replace tag_counts case.Case.tag
         (1 + Option.value (Hashtbl.find_opt tag_counts case.Case.tag) ~default:0);
       List.iter
-        (fun (name, verdict, shrunk) ->
+        (fun ((o : Oracle.t), verdict) ->
+          let name = o.Oracle.name in
           let p, s, f = Hashtbl.find counts name in
           match verdict with
           | Oracle.Pass ->
@@ -83,7 +75,10 @@ let run ?pool ?cache ?(oracles = Oracle.all) ~seed ~budget () =
             Hashtbl.replace counts name (p, s + 1, f)
           | Oracle.Fail detail ->
             Hashtbl.replace counts name (p, s, f + 1);
-            let shrunk = Option.value shrunk ~default:case in
+            (* only the family's first failure, in case order, is shrunk *)
+            let detail, shrunk =
+              if f > 0 then (detail, None) else shrink ?cache o case detail
+            in
             failures :=
               { oracle = name; detail; original = case; shrunk } :: !failures)
         outcomes)
@@ -125,21 +120,19 @@ let pp_summary ppf s =
     (fun f ->
       Format.fprintf ppf "  FAIL %s on seed %d (%s): %s@." f.oracle
         f.original.Case.seed f.original.Case.tag f.detail;
-      Format.fprintf ppf "    shrunk to %a@." Case.pp f.shrunk)
+      Option.iter (Format.fprintf ppf "    shrunk to %a@." Case.pp) f.shrunk)
     s.failures;
   Format.fprintf ppf "  %d checks: %d passed, %d skipped, %d failed@."
     (s.passed + s.skipped + failed)
     s.passed s.skipped failed
 
 let save_failures ~dir s =
-  List.map
+  List.filter_map
     (fun f ->
-      Corpus.save ~dir
-        {
-          Corpus.oracle = f.oracle;
-          detail = f.detail;
-          case = f.shrunk;
-        })
+      Option.map
+        (fun case ->
+          Corpus.save ~dir { Corpus.oracle = f.oracle; detail = f.detail; case })
+        f.shrunk)
     s.failures
 
 let replay ?(oracles = Oracle.all) (e : Corpus.entry) =

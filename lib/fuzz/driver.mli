@@ -2,16 +2,22 @@
 
     A campaign runs [budget] generated cases through a set of oracles. Case
     [i] is generated from [Parallel.Seed.derive seed i], cases are fanned
-    out over a {!Parallel.Pool} (shrinking included, in-worker), and the
-    per-case reports are folded into a summary strictly in case order — so
-    for a fixed [seed] and [budget] the summary (and {!pp_summary} output)
-    is bit-identical for any [--jobs]. *)
+    out over a {!Parallel.Pool}, and the per-case reports are folded into a
+    summary strictly in case order — so for a fixed [seed] and [budget] the
+    summary (and {!pp_summary} output) is bit-identical for any [--jobs].
+    The fold shrinks only the first failing case of each oracle family: one
+    bug usually fails many cases, and their shrinks would be
+    near-duplicates. *)
 
 type failure = {
   oracle : string;  (** name of the failing oracle family *)
-  detail : string;  (** failure message on the shrunk case *)
-  original : Case.t;  (** the generated case that first failed *)
-  shrunk : Case.t;  (** its 1-minimal shrink, still failing *)
+  detail : string;
+      (** failure message, on the shrunk case when there is one, else on
+          the original *)
+  original : Case.t;  (** the generated case that failed *)
+  shrunk : Case.t option;
+      (** its 1-minimal shrink, still failing; only for the family's first
+          failure in case order *)
 }
 
 type summary = {
@@ -45,8 +51,8 @@ val pp_summary : Format.formatter -> summary -> unit
     their rendered forms do. *)
 
 val save_failures : dir : string -> summary -> string list
-(** Persists each failure's shrunk case as a corpus entry; returns the
-    paths written, in failure order. *)
+(** Persists each shrunk case as a corpus entry (at most one per family);
+    returns the paths written, in failure order. *)
 
 val replay : ?oracles : Oracle.t list -> Corpus.entry -> (unit, string) result
 (** Re-runs the entry's recorded oracle on its case. [Ok ()] on pass or

@@ -327,7 +327,7 @@ let generate (config : Config.t) =
          pieces)
   in
   let skolem = ref 0 in
-  let mg_triggers = (Chase.run instance_i ground_truth).Chase.triggers in
+  let mg_triggers = Chase.fire instance_i ground_truth in
   let mg_tuples =
     List.concat_map (fun (tr : Chase.Trigger.t) -> tr.Chase.Trigger.tuples) mg_triggers
   in
@@ -393,7 +393,7 @@ let generate (config : Config.t) =
   let spurious_triggers =
     let index = Logic.Cq.Index.build instance_i in
     List.concat_map
-      (fun tgd -> (Chase.run ~index instance_i [ tgd ]).Chase.triggers)
+      (fun tgd -> Chase.fire ~index instance_i [ tgd ])
       spurious
   in
   let spurious_tuples =

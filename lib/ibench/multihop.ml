@@ -179,7 +179,7 @@ let source_instance rng ~relations ~arity ~rows =
    with fresh constants, consistently within each trigger group (the same
    grounding discipline as {!Generator.generate}). *)
 let grounded_chase skolem inst tgds =
-  let triggers = (Chase.run inst tgds).Chase.triggers in
+  let triggers = Chase.fire inst tgds in
   List.fold_left
     (fun acc (tr : Chase.Trigger.t) ->
       let mapping = Hashtbl.create 4 in

@@ -15,8 +15,6 @@ type t = {
   j_clean : Instance.t;
 }
 
-let is_ground_truth t i = List.mem i t.ground_truth_indices
-
 let pp_summary ppf t =
   Format.fprintf ppf
     "@[<v>source: %d relations, target: %d relations@,\

@@ -24,9 +24,6 @@ type t = {
       (** the target instance before data noise (the grounded chase of MG) *)
 }
 
-val is_ground_truth : t -> int -> bool
-(** Is the candidate at this index part of MG? *)
-
 val pp_summary : Format.formatter -> t -> unit
 (** A one-paragraph description: sizes of schemas, instances, candidate
     set. *)

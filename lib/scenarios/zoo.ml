@@ -11,7 +11,7 @@ type entry = {
 let v x = Term.Var x
 
 let ground_chase source mapping =
-  let { Chase.triggers; _ } = Chase.run source mapping in
+  let triggers = Chase.fire source mapping in
   let skolem = ref 0 in
   List.fold_left
     (fun acc (tr : Chase.Trigger.t) ->

@@ -466,71 +466,6 @@ let roundtrip_tests =
         Alcotest.(check int) "one" 1 (List.length got));
   ]
 
-let matcher_tests =
-  [
-    Alcotest.test_case "levenshtein" `Quick (fun () ->
-        Alcotest.(check int) "identical" 0 (Matcher.levenshtein "abc" "abc");
-        Alcotest.(check int) "kitten/sitting" 3 (Matcher.levenshtein "kitten" "sitting");
-        Alcotest.(check int) "empty" 3 (Matcher.levenshtein "" "abc"));
-    Alcotest.test_case "similarity is normalised and case-insensitive" `Quick
-      (fun () ->
-        Alcotest.(check (float 1e-9)) "equal" 1.0 (Matcher.similarity "Name" "name");
-        Alcotest.(check (float 1e-9)) "empty pair" 1.0 (Matcher.similarity "" "");
-        Alcotest.(check bool)
-          "bounded" true
-          (let s = Matcher.similarity "pname" "zzzzz" in
-           s >= 0. && s <= 1.));
-    Alcotest.test_case "propose finds renamed attributes" `Quick (fun () ->
-        (* target attributes are near-copies of the source ones *)
-        let source =
-          Schema.of_relations [ Relation.make "projects" [ "pname"; "emp"; "org" ] ]
-        in
-        let target =
-          Schema.of_relations [ Relation.make "tasks" [ "pname"; "employee"; "oid" ] ]
-        in
-        let corrs = Matcher.propose ~threshold:0.6 ~source ~target () in
-        let has src tgt =
-          List.exists
-            (fun (c : Correspondence.t) ->
-              String.equal c.Correspondence.src_attr src
-              && String.equal c.Correspondence.tgt_attr tgt)
-            corrs
-        in
-        Alcotest.(check bool) "pname" true (has "pname" "pname");
-        Alcotest.(check bool) "employee" true (has "emp" "employee"));
-    Alcotest.test_case "one match per target attribute per source relation"
-      `Quick (fun () ->
-        (* both source relations may map into t.name, but each only once,
-           even though s1 has two name-like attributes *)
-        let source =
-          Schema.of_relations
-            [ Relation.make "s1" [ "name"; "names" ]; Relation.make "s2" [ "name" ] ]
-        in
-        let target = Schema.of_relations [ Relation.make "t" [ "name" ] ] in
-        Alcotest.(check int)
-          "two" 2
-          (List.length (Matcher.propose ~source ~target ())));
-    Alcotest.test_case "threshold filters weak matches" `Quick (fun () ->
-        let source = Schema.of_relations [ Relation.make "s" [ "abcdef" ] ] in
-        let target = Schema.of_relations [ Relation.make "t" [ "zzzzzz" ] ] in
-        Alcotest.(check int)
-          "none" 0
-          (List.length (Matcher.propose ~source ~target ())));
-    Alcotest.test_case "matcher output feeds candidate generation" `Quick
-      (fun () ->
-        (* end to end: matcher -> Clio-style generation on the appendix
-           schemas (attribute names overlap) *)
-        let corrs =
-          Matcher.propose ~threshold:0.7 ~source:Fixtures.source_schema
-            ~target:Fixtures.target_schema ()
-        in
-        let cands =
-          Generate.generate ~source:Fixtures.source_schema
-            ~target:Fixtures.target_schema ~src_fkeys:[] ~tgt_fkeys ~corrs
-        in
-        Alcotest.(check bool) "some candidates" true (cands <> []));
-  ]
-
 let () =
   Alcotest.run "candgen"
     [
@@ -540,5 +475,4 @@ let () =
       ("generate", generate_tests);
       ("dedup", dedup_tests);
       ("roundtrip", roundtrip_tests);
-      ("matcher", matcher_tests);
     ]

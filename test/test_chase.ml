@@ -514,67 +514,6 @@ let implication_tests =
           (Chase.Implication.implies general adversarial));
   ]
 
-let certain_tests =
-  let open Relational in
-  let inst =
-    Instance.of_tuples
-      [
-        Tuple.make "task" [ Value.Const "ML"; Value.Const "Alice"; Value.Null 0 ];
-        Tuple.make "org" [ Value.Null 0; Value.Const "SAP" ];
-        Tuple.of_consts "task" [ "Web"; "Bob"; "77" ];
-      ]
-  in
-  let v = Fixtures.v in
-  [
-    Alcotest.test_case "null bindings are not certain" `Quick (fun () ->
-        let q = [ Atom.make "task" [ v "P"; v "E"; v "I" ] ] in
-        (* naive evaluation returns both tasks; only the ground one is a
-           certain answer *)
-        Alcotest.(check int) "naive 2" 2 (List.length (Cq.answers inst q));
-        Alcotest.(check int) "certain 1" 1 (List.length (Chase.Certain.answers inst q)));
-    Alcotest.test_case "projection past the null is certain" `Quick
-      (fun () ->
-        (* org(_N0, SAP): in every completion _N0 takes some value, so SAP
-           is a certain answer of the projection on the name column *)
-        let q2 = [ Atom.make "org" [ v "I"; v "N" ] ] in
-        let names = Chase.Certain.answer_tuples inst q2 ~head:(Atom.make "ans" [ v "N" ]) in
-        Alcotest.(check int) "one certain name" 1 (List.length names);
-        (* both tasks project to certain (project, employee) pairs *)
-        let q = [ Atom.make "task" [ v "P"; v "E"; v "I" ] ] in
-        let pairs =
-          Chase.Certain.answer_tuples inst q ~head:(Atom.make "ans" [ v "P"; v "E" ])
-        in
-        Alcotest.(check int) "two pairs" 2 (List.length pairs));
-    Alcotest.test_case "boolean queries use naive evaluation" `Quick (fun () ->
-        let q =
-          [ Atom.make "task" [ v "P"; v "E"; v "I" ]; Atom.make "org" [ v "I"; v "N" ] ]
-        in
-        (* the join through the null witnesses the boolean query *)
-        Alcotest.(check bool) "certain" true (Chase.Certain.is_certain inst q));
-    Alcotest.test_case "unbound head variable rejected" `Quick (fun () ->
-        let q = [ Atom.make "task" [ v "P"; v "E"; v "I" ] ] in
-        Alcotest.(check bool)
-          "raises" true
-          (match
-             Chase.Certain.answer_tuples inst q ~head:(Atom.make "ans" [ v "Z" ])
-           with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "answer_tuples deduplicates" `Quick (fun () ->
-        let i2 =
-          Instance.of_tuples
-            [
-              Tuple.of_consts "task" [ "A"; "x"; "1" ];
-              Tuple.of_consts "task" [ "A"; "x"; "2" ];
-            ]
-        in
-        let q = [ Atom.make "task" [ v "P"; v "E"; v "I" ] ] in
-        let tuples =
-          Chase.Certain.answer_tuples i2 q ~head:(Atom.make "ans" [ v "P"; v "E" ])
-        in
-        Alcotest.(check int) "one" 1 (List.length tuples));
-  ]
-
 let minimize_tgd_tests =
   [
     Alcotest.test_case "redundant body atom removed" `Quick (fun () ->
@@ -634,87 +573,6 @@ let minimize_tgd_tests =
           (Chase.Implication.equivalent minimal doubled));
   ]
 
-let egd_tests =
-  let v = Fixtures.v in
-  let schema = Schema.of_relations [ Relation.make "emp" [ "id"; "name"; "dept" ] ] in
-  let key_egds = Chase.Egd.key ~rel:"emp" ~key:[ "id" ] schema in
-  [
-    Alcotest.test_case "key produces one egd per non-key attribute" `Quick
-      (fun () -> Alcotest.(check int) "two" 2 (List.length key_egds));
-    Alcotest.test_case "null merged with constant" `Quick (fun () ->
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.make "emp" [ Value.Const "1"; Value.Const "Ann"; Value.Null 0 ];
-              Tuple.of_consts "emp" [ "1"; "Ann"; "Sales" ];
-            ]
-        in
-        match Chase.Egd.chase inst key_egds with
-        | Error c -> Alcotest.failf "unexpected conflict: %a" Chase.Egd.pp_conflict c
-        | Ok fixed ->
-          Alcotest.(check int) "merged to one tuple" 1 (Instance.cardinal fixed);
-          Alcotest.(check bool) "ground" true (Instance.is_ground fixed);
-          Alcotest.(check bool) "satisfied" true (Chase.Egd.satisfied fixed key_egds));
-    Alcotest.test_case "two constants conflict" `Quick (fun () ->
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.of_consts "emp" [ "1"; "Ann"; "Sales" ];
-              Tuple.of_consts "emp" [ "1"; "Ann"; "HR" ];
-            ]
-        in
-        Alcotest.(check bool)
-          "conflict" true
-          (Result.is_error (Chase.Egd.chase inst key_egds)));
-    Alcotest.test_case "null-null merge is deterministic" `Quick (fun () ->
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.make "emp" [ Value.Const "1"; Value.Const "Ann"; Value.Null 5 ];
-              Tuple.make "emp" [ Value.Const "1"; Value.Const "Ann"; Value.Null 2 ];
-            ]
-        in
-        match Chase.Egd.chase inst key_egds with
-        | Error _ -> Alcotest.fail "no conflict expected"
-        | Ok fixed ->
-          Alcotest.(check int) "one tuple" 1 (Instance.cardinal fixed);
-          (* the smaller label survives *)
-          Alcotest.(check bool)
-            "null 2 kept" true
-            (Value.Set.mem (Value.Null 2) (Instance.null_labels fixed)));
-    Alcotest.test_case "satisfied instance is returned unchanged" `Quick
-      (fun () ->
-        let inst =
-          Instance.of_tuples
-            [
-              Tuple.of_consts "emp" [ "1"; "Ann"; "Sales" ];
-              Tuple.of_consts "emp" [ "2"; "Bob"; "HR" ];
-            ]
-        in
-        match Chase.Egd.chase inst key_egds with
-        | Error _ -> Alcotest.fail "no conflict expected"
-        | Ok fixed -> Alcotest.(check bool) "unchanged" true (Instance.equal inst fixed));
-    Alcotest.test_case "make validates variables" `Quick (fun () ->
-        Alcotest.(check bool)
-          "unknown var rejected" true
-          (match Chase.Egd.make ~body:[ Atom.make "r2" [ v "X"; v "Y" ] ] "X" "Z" with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "tgd chase then egd chase keys the target" `Quick
-      (fun () ->
-        (* exchange the appendix source with theta3, then enforce that oid is
-           a key of org: nothing to merge here, but the pipeline runs *)
-        let solution = Chase.universal_solution Fixtures.instance_i [ Fixtures.theta3 ] in
-        let org_schema = Schema.of_relations [ Relation.make "org" [ "oid"; "oname" ] ] in
-        let egds = Chase.Egd.key ~rel:"org" ~key:[ "oid" ] org_schema in
-        match Chase.Egd.chase solution egds with
-        | Error _ -> Alcotest.fail "no conflict expected"
-        | Ok fixed ->
-          Alcotest.(check int)
-            "same cardinality"
-            (Instance.cardinal solution) (Instance.cardinal fixed));
-  ]
-
 let () =
   Alcotest.run "chase"
     [
@@ -723,7 +581,5 @@ let () =
       ("properties", property_tests);
       ("oracle", chase_oracle_tests @ satisfies_oracle_tests);
       ("implication", implication_tests);
-      ("certain", certain_tests);
       ("minimize-tgd", minimize_tgd_tests);
-      ("egd", egd_tests);
     ]

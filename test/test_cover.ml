@@ -40,7 +40,7 @@ let appendix_tests =
           (covers stats sap_org);
         Alcotest.(check int)
           "only one covered target" 1
-          (List.length (Cover.covered_targets ~j:Fixtures.instance_j stats)));
+          (List.length (Cover.degrees ~j:Fixtures.instance_j stats)));
     Alcotest.test_case "theta1: one error tuple (the BigData task)" `Quick
       (fun () ->
         let stats = (analyze_appendix ()).(0) in
@@ -224,7 +224,8 @@ let property_tests =
       (Gen.pair source_gen target_gen) (fun (src, j) ->
         let stats = Cover.analyze ~source:src ~j [ Fixtures.theta1; Fixtures.theta3 ] in
         Array.for_all
-          (fun s -> List.for_all (fun t -> Instance.mem t j) (Cover.covered_targets ~j s))
+          (fun s ->
+            List.for_all (fun (t, _) -> Instance.mem t j) (Cover.degrees ~j s))
           stats);
     Test.make ~name:"semantics are pointwise ordered" ~count:60
       (Gen.pair source_gen target_gen) (fun (src, j) ->
@@ -269,7 +270,7 @@ let property_tests =
 
 (* Regression pin for the interned homomorphism search: the E1 problem's
    digest covers every stat field (coverage rows, error tuples, produced,
-   size, cost) of both candidates, so any drift in [stats_of_triggers] —
+   size, cost) of both candidates, so any drift in the trigger fold —
    like the interned-J hoist reordering a fold — fails here byte-for-byte. *)
 let regression_tests =
   [
@@ -732,7 +733,7 @@ let fold_tests =
         Alcotest.check frac "m joined to t1" (Frac.make 1 2) (m "x1" "y1");
         Alcotest.(check int)
           "no other m row covered" 5
-          (List.length (Cover.covered_targets ~j stats));
+          (List.length (Cover.degrees ~j stats));
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
     Alcotest.test_case "one layout serves a candidate's 30 groups" `Quick
       (fun () ->
@@ -770,7 +771,7 @@ let fold_tests =
           "groups, layouts, configurations, rows probed" [ 30; 1; 300; 330 ]
           counts;
         Alcotest.(check int) "5 covered rows" 5
-          (List.length (Cover.covered_targets ~j stats));
+          (List.length (Cover.degrees ~j stats));
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
   ]
 

@@ -7,9 +7,9 @@
       (the bounded CI campaign runs a larger one);
    3. injected faults — an Eq. 4 evaluator that overcharges multi-cover
       candidates, a SET COVER closed form with the wrong slope — are
-      caught, shrink to tiny counterexamples
-      (<= 4 candidates, <= 6 tuples), survive a corpus round trip and
-      pass their real oracles;
+      caught, the first failure of a family shrinks to a tiny
+      counterexample (<= 4 candidates, <= 6 tuples) and is the only one
+      shrunk, survives a corpus round trip and passes its real oracle;
    4. the committed corpus/ directory replays clean, forever. *)
 
 let case_eq = Alcotest.testable Fuzz.Case.pp Fuzz.Case.equal
@@ -68,10 +68,10 @@ let test_oracles_clean () =
   let s = Fuzz.Driver.run ~seed:2026 ~budget:200 () in
   List.iter
     (fun (f : Fuzz.Driver.failure) ->
-      Alcotest.failf "oracle %s failed on seed %d (%s): %s@.shrunk: %a"
+      Alcotest.failf "oracle %s failed on seed %d (%s): %s@.case: %a"
         f.Fuzz.Driver.oracle f.Fuzz.Driver.original.Fuzz.Case.seed
         f.Fuzz.Driver.original.Fuzz.Case.tag f.Fuzz.Driver.detail Fuzz.Case.pp
-        f.Fuzz.Driver.shrunk)
+        (Option.value f.Fuzz.Driver.shrunk ~default:f.Fuzz.Driver.original))
     s.Fuzz.Driver.failures;
   Alcotest.(check bool)
     "every oracle exercised (nonzero pass count)" true
@@ -90,9 +90,16 @@ let test_fault name =
   Alcotest.(check bool)
     (name ^ " fault is caught") true
     (s.Fuzz.Driver.failures <> []);
+  let shrunk =
+    List.filter_map
+      (fun (f : Fuzz.Driver.failure) -> f.Fuzz.Driver.shrunk)
+      s.Fuzz.Driver.failures
+  in
+  Alcotest.(check int)
+    (name ^ ": only the first failure is shrunk")
+    1 (List.length shrunk);
   List.iter
-    (fun (f : Fuzz.Driver.failure) ->
-      let sh = f.Fuzz.Driver.shrunk in
+    (fun sh ->
       if Fuzz.Case.num_candidates sh > 4 then
         Alcotest.failf "%s: shrunk case still has %d candidates (%a)" name
           (Fuzz.Case.num_candidates sh) Fuzz.Case.pp sh;
@@ -113,25 +120,13 @@ let test_fault name =
           (name ^ ": real oracle passes the shrunk case")
           false
           (Fuzz.Oracle.is_failure real sh))
-    s.Fuzz.Driver.failures;
-  (* Corpus round trip: save every failure, load the directory back, and
-     replay each entry against the real oracle. *)
+    shrunk;
+  (* Corpus round trip: save the shrunk failure, load the directory back,
+     and replay each entry against the real oracle. *)
   let dir = Printf.sprintf "fuzz-corpus-%s" name in
   let paths = Fuzz.Driver.save_failures ~dir s in
-  Alcotest.(check int)
-    (name ^ ": one corpus file per distinct failure name")
-    (List.length (List.sort_uniq compare paths))
-    (List.length
-       (List.sort_uniq compare
-          (List.map
-             (fun (f : Fuzz.Driver.failure) ->
-               Fuzz.Corpus.filename
-                 {
-                   Fuzz.Corpus.oracle = f.Fuzz.Driver.oracle;
-                   detail = "";
-                   case = f.Fuzz.Driver.shrunk;
-                 })
-             s.Fuzz.Driver.failures)));
+  Alcotest.(check int) (name ^ ": one corpus file per shrunk failure") 1
+    (List.length paths);
   match Fuzz.Corpus.load_dir dir with
   | Error msg -> Alcotest.failf "load_dir: %s" msg
   | Ok entries ->
@@ -152,6 +147,38 @@ let test_fault name =
 let test_fault_multi_cover () = test_fault "multi-cover"
 
 let test_fault_closed_form () = test_fault "closed-form"
+
+(* A fault among all the families: the summary shrinks at most one case per
+   family and stays the same for any pool size. *)
+let test_fault_shrinks_once () =
+  let broken = faulty "multi-cover" in
+  let oracles =
+    List.map
+      (fun (o : Fuzz.Oracle.t) ->
+        if o.Fuzz.Oracle.name = broken.Fuzz.Oracle.name then broken else o)
+      Fuzz.Oracle.all
+  in
+  let run jobs =
+    Parallel.Pool.with_pool ~jobs (fun pool ->
+        Fuzz.Driver.run ~pool ~oracles ~seed:7 ~budget:300 ())
+  in
+  let s = run 1 in
+  let failed = List.length s.Fuzz.Driver.failures in
+  Alcotest.(check bool) "the fault fails more than one case" true (failed > 1);
+  List.iter
+    (fun (name, (_, _, f)) ->
+      let shrunk =
+        List.filter
+          (fun (x : Fuzz.Driver.failure) ->
+            x.Fuzz.Driver.oracle = name && x.Fuzz.Driver.shrunk <> None)
+          s.Fuzz.Driver.failures
+      in
+      Alcotest.(check int)
+        (name ^ ": one shrunk case per failing family")
+        (min f 1) (List.length shrunk))
+    s.Fuzz.Driver.by_oracle;
+  Alcotest.(check string)
+    "jobs=4 equals jobs=1" (summary_string s) (summary_string (run 4))
 
 (* --- corpus format round trip ------------------------------------------- *)
 
@@ -226,6 +253,8 @@ let () =
             test_fault_multi_cover;
           Alcotest.test_case "closed-form fault shrinks and round-trips" `Quick
             test_fault_closed_form;
+          Alcotest.test_case "one shrink per family, any pool size" `Quick
+            test_fault_shrinks_once;
         ] );
       ( "corpus",
         [

@@ -16,17 +16,6 @@ open Core
 
 let frac = Alcotest.testable Frac.pp Frac.equal
 
-let check_breakdown name (expected : Objective.breakdown)
-    (got : Objective.breakdown) =
-  Alcotest.check frac (name ^ ": unexplained") expected.Objective.unexplained
-    got.Objective.unexplained;
-  Alcotest.(check int) (name ^ ": errors") expected.Objective.errors
-    got.Objective.errors;
-  Alcotest.(check int) (name ^ ": size") expected.Objective.size
-    got.Objective.size;
-  Alcotest.check frac (name ^ ": total") expected.Objective.total
-    got.Objective.total
-
 let breakdown_equal (a : Objective.breakdown) (b : Objective.breakdown) =
   Frac.equal a.Objective.unexplained b.Objective.unexplained
   && a.Objective.errors = b.Objective.errors
@@ -46,14 +35,11 @@ let appendix_tests =
         List.iter
           (fun (idx, expected) ->
             let sel = Problem.selection_of_indices p idx in
-            let naive = Objective.breakdown p sel in
-            let incr = Incremental.breakdown (Incremental.create p sel) in
             let name = Printf.sprintf "|M| = %d" (List.length idx) in
             Alcotest.check frac (name ^ ": naive total") expected
-              naive.Objective.total;
+              (Objective.breakdown p sel).Objective.total;
             Alcotest.check frac (name ^ ": incremental total") expected
-              incr.Objective.total;
-            check_breakdown name naive incr)
+              (Incremental.value (Incremental.create p sel)))
           [
             ([], Frac.of_int 4);
             ([ 0 ], Frac.make 22 3);
@@ -63,9 +49,9 @@ let appendix_tests =
         let none =
           Problem.make ~source:Fixtures.instance_i ~j:Fixtures.instance_j []
         in
-        check_breakdown "no candidates"
-          (Objective.breakdown none [||])
-          (Incremental.breakdown (Incremental.create none [||])));
+        Alcotest.check frac "no candidates"
+          (Objective.value none [||])
+          (Incremental.value (Incremental.create none [||])));
     Alcotest.test_case "E1 reached by flips, not create" `Quick (fun () ->
         (* drive one state through {} → {θ1} → {θ1,θ3} → {θ3} → {} and
            compare against the pinned table at every step *)
@@ -107,8 +93,6 @@ let property_tests =
         let agrees () =
           let sel = Incremental.selection st in
           Frac.equal (Incremental.value st) (Objective.value p sel)
-          && breakdown_equal (Objective.breakdown p sel)
-               (Incremental.breakdown st)
         in
         agrees ()
         && List.for_all
@@ -145,19 +129,17 @@ let property_tests =
         List.for_all
           (fun f ->
             let c = f mod Problem.num_candidates p in
-            let before = Incremental.breakdown st in
+            let before = Incremental.value st in
             Incremental.flip st c;
             Incremental.flip st c;
-            breakdown_equal before (Incremental.breakdown st))
+            Frac.equal before (Incremental.value st))
           flips);
     Test.make ~name:"create agrees with the oracle on random masks" ~count:200
       (Gen.pair Fixtures.selection_problem_gen (Gen.int_range 0 255))
       (fun (p, mask) ->
         let sel = initial_selection p mask in
         let st = Incremental.create p sel in
-        Frac.equal (Incremental.value st) (Objective.value p sel)
-        && breakdown_equal (Objective.breakdown p sel)
-             (Incremental.breakdown st));
+        Frac.equal (Incremental.value st) (Objective.value p sel));
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
@@ -463,8 +445,8 @@ let lifted_tests =
           (fun f ->
             let sel = initial_selection p (mask lxor f) in
             breakdown_equal (Tuple_oracle.breakdown p sel) (Objective.breakdown p sel)
-            && breakdown_equal (Tuple_oracle.breakdown p sel)
-                 (Incremental.breakdown (Incremental.create p sel)))
+            && Frac.equal (Tuple_oracle.value p sel)
+                 (Incremental.value (Incremental.create p sel)))
           (0 :: flips)
         && Frac.equal (Tuple_oracle.lower_bound p) (Objective.lower_bound p)
         && Frac.equal (Tuple_oracle.value p (Array.make m false)) (Objective.empty_value p));
