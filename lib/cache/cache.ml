@@ -210,7 +210,6 @@ end
 type payload =
   | Stats of Cover.tgd_stats  (* stored with [index = 0] *)
   | Selection of bool array
-  | Chase_triggers of Chase.Trigger.t list
   | Problem_key of string
 
 (* Completed entries sit in a circular doubly-linked list through a
@@ -382,11 +381,10 @@ let lookup t key compute =
 
 (* --- typed entry points ------------------------------------------------- *)
 
-(* A problem build needs both keys and, on a fully warm build, key
-   derivation is a large share of its cost: one writer holds both frames.
-   The frame ["src"; source] is hashed first; the frame
-   ["data"; source_key; j] is written after it and hashed from where it
-   starts, so the source's bytes are hashed once. *)
+(* On a fully warm build, key derivation is a large share of its cost: one
+   writer holds both frames. The frame ["src"; source] is hashed first; the
+   frame ["data"; source_key; j] is written after it and hashed from where
+   it starts, so the source's bytes are hashed once. *)
 let example_keys ~source ~j =
   Telemetry.with_span "cache.key" (fun () ->
       Key.with_scratch @@ fun w ->
@@ -403,19 +401,7 @@ let example_keys ~source ~j =
       Key.close_part w start;
       if Telemetry.enabled () then
         Telemetry.Counter.add key_bytes_counter (Key.length w);
-      (source_key, Key.md5_hex w ~from:data))
-
-(* The chase depends on (source, tgd) only — not on the target instance —
-   so a sweep over noise levels that perturb only [J] reuses every chase
-   from the neighbouring level. *)
-let chase t ~source_key tgd compute =
-  let key = Key.digest [ "chase"; Key.tgd tgd; source_key ] in
-  let payload =
-    lookup t key (fun () -> Chase_triggers (compute ()))
-  in
-  match payload with
-  | Chase_triggers r -> r
-  | _ -> assert false
+      Key.md5_hex w ~from:data)
 
 (* the core flag joins the key only when set, so uncored keys are the bytes
    they were before the flag existed, while cored and uncored stats can

@@ -1,17 +1,14 @@
 (** Content-addressed memoization of per-candidate evaluation results.
 
     Every solver run re-derives the same expensive structure for a candidate
-    st tgd: chase the source instance, then fold the triggers into the
-    Eq. 9 [covers]/[errors] statistics ({!Cover.tgd_stats}). Across local
+    st tgd: chase the source instance and fold the result into the Eq. 9 [covers]/[errors] statistics ({!Cover.tgd_stats}). Across local
     search restarts, annealing chains, noise-sweep seeds and fuzz cases the
     inputs repeat constantly, so the derivation is cached here, keyed by a
     canonical digest of everything the result depends on — the candidate tgd
     (exact text: variable names fix the chase's null labels), the source and
-    target instances, and the coverage semantics. Four tiers share one
+    target instances, and the coverage semantics. Three tiers share one
     table:
 
-    - {b chase} ({!chase}): a candidate's triggers, keyed by
-      [(tgd, source)];
     - {b stats} ({!tgd_stats}): a candidate's statistics, keyed by
       {!stats_key};
     - {b problem key} ({!problem_key}): a problem build's content digest,
@@ -157,16 +154,16 @@ end
 val example_keys :
   source : Relational.Instance.t ->
   j : Relational.Instance.t ->
-  string * string
-(** [(source_key, data_key)] of one data example: the digests of
-    [["src"; source]] and of [["data"; source_key; j]], the instances
-    rendered by {!Key.add_instance}. [data_key] is the expensive half of a
-    {!stats_key} and [source_key] the key half of the {!chase} tier.
-    Rendering the instances is linear in the data, so callers looking up
-    many candidates against one [(source, j)] pair derive these once and
-    pass them to every lookup; each instance is rendered and hashed once.
-    Runs inside a [cache.key] span and adds the bytes of both frames to
-    [cache.key_bytes] once. *)
+  string
+(** The [data_key] of one data example: the digest of
+    [["data"; source_key; j]], where [source_key] is the digest of
+    [["src"; source]] and the instances are rendered by
+    {!Key.add_instance}. [data_key] is the expensive half of a
+    {!stats_key}. Rendering the instances is linear in the data, so
+    callers looking up many candidates against one [(source, j)] pair
+    derive it once and pass it to every lookup; each instance is rendered
+    and hashed once. Runs inside a [cache.key] span and adds the bytes of
+    both frames to [cache.key_bytes] once. *)
 
 val stats_key :
   ?semantics : Cover.semantics ->
@@ -204,20 +201,6 @@ val problem_key :
     determine the problem's content: [Core.Problem.make] passes its weights,
     its [data_key] and each candidate's {!stats_key} in list order. Only the
     digest is stored, never the problem. *)
-
-val chase :
-  t ->
-  source_key : string ->
-  Logic.Tgd.t ->
-  (unit -> Chase.Trigger.t list) ->
-  Chase.Trigger.t list
-(** [chase t ~source_key tgd compute] memoizes a single-tgd chase of the
-    source, its triggers ({!Chase.fire}), under [(tgd, source_key)]. The
-    chase depends only on the source
-    and the tgd (null labels are deterministic per run), never on the
-    target instance — so a noise sweep that perturbs only [J] hits this
-    tier at every level. The returned result is shared, not copied;
-    callers must treat it as immutable. *)
 
 val selection :
   t ->

@@ -30,12 +30,15 @@ module Trigger : sig
             or the null invented for it *)
     tuples : Relational.Tuple.t list;
         (** head tuples produced, in head-atom order *)
-    nulls : Relational.Value.Set.t;  (** nulls invented by this trigger *)
   }
 
   val subst : t -> Logic.Subst.t
   (** The body homomorphism, extended with the invented nulls for the
       existential variables: [vars.(k) ↦ values.(k)] for every [k]. *)
+
+  val nulls : t -> Relational.Value.Set.t
+  (** The nulls this trigger invented: its [values] past the body's slots,
+      one per existential variable. Computed per call. *)
 
   val pp : Format.formatter -> t -> unit
 end
@@ -45,6 +48,40 @@ type result = {
   triggers : Trigger.t list;
       (** all firings, ordered by tgd index then substitution *)
 }
+
+(** A tgd compiled for firing, as {!fire} compiles each of its tgds: the
+    body as a {!Logic.Cq.Plan}, the trigger variables and the head atoms as
+    templates over them. A reader that wants a tgd's body answers without
+    its triggers runs the plan itself ({!iter_answers}) and instantiates
+    only the head tuples it needs ({!Compiled.head_tuple}). *)
+module Compiled : sig
+  (** A head position. *)
+  type cell =
+    | Fixed of Relational.Value.t  (** a constant of the head *)
+    | Slot of int  (** the trigger's value at this slot of [vars] *)
+
+  type t = private {
+    tgd : Logic.Tgd.t;
+    plan : Logic.Cq.Plan.t;  (** the body *)
+    vars : string array;
+        (** a trigger's [vars]: the plan's slots, then the existential
+            variables in ascending name order *)
+    body : int;  (** how many of [vars] the plan binds *)
+    head : (string * cell array) array;
+        (** per head atom, in order: its relation and its cells *)
+  }
+
+  val make : Logic.Tgd.t -> t
+
+  val head_tuple :
+    t -> answer : int -> Relational.Value.t array -> int -> Relational.Tuple.t
+  (** [head_tuple c ~answer env k] is head atom [k] of the trigger that
+      [fire [c.tgd]] makes from its body answer number [answer] (counted
+      from 0, as {!iter_answers} numbers them) with slots [env]: each body
+      variable's value from [env], and for the [e] existentials the nulls
+      [answer * e .. answer * e + e - 1] the chase invents for that
+      trigger, in [vars] order. No trigger is built. *)
+end
 
 val fire :
   ?nulls : Relational.Null_source.t ->
@@ -58,11 +95,21 @@ val fire :
     drawn from [nulls] (a new source starting at 0 by default). Bodies are
     compiled once per tgd ({!Logic.Cq.Plan}) and evaluated through
     [index] (built on demand when absent), and each head atom is a template
-    filled from the trigger's values; callers that
+    filled from the trigger's values ({!Compiled}); callers that
     chase the same source many times should build the index once with
     [Logic.Cq.Index.build] and pass it in. Recorded as the [chase.run] span
     and the [chase.runs], [chase.triggers] and [chase.tuples_produced]
     counters. *)
+
+val iter_answers :
+  Compiled.t -> Logic.Cq.Index.t -> (int -> Relational.Value.t array -> unit) -> int
+(** [iter_answers c index f] calls [f a env] for each body answer of [c]
+    over [index], numbered [a = 0, 1, ..] in the order {!fire} makes its
+    triggers, and returns the number of answers; [env] holds the body
+    slots and is overwritten after [f] returns. Records the
+    [chase.run] span (around the [f] calls too) and the [chase.runs],
+    [chase.triggers] and [chase.tuples_produced] counters as {!fire} of
+    [c]'s tgd alone would. *)
 
 val solution_of : Trigger.t list -> Relational.Instance.t
 (** The union of the trigger tuples: the canonical universal solution of

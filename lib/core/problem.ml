@@ -273,18 +273,11 @@ let make ?(weights = default_weights) ?semantics ?(core = false) ?cache ~source
        restarts its null labels per run, so the cached stats are
        position-independent and [Cache.tgd_stats] can re-index them for
        this candidate list. The data digest is computed once; the session
-       builds its chase fixture and J index only on a miss, so a fully warm
+       builds its source and J indexes only on a miss, so a fully warm
        build touches neither the chase nor the data beyond this one
        rendering. *)
-    let source_key, data_key = Cache.example_keys ~source ~j in
+    let data_key = Cache.example_keys ~source ~j in
     let session = Cover.Session.make ~source ~j in
-    (* The chase tier sits under the stats tier: a stats miss whose chase
-       was already run for another target instance (a neighbouring sweep
-       point) redoes only the coverage fold. *)
-    let chase tgd =
-      Cache.chase cache ~source_key tgd (fun () ->
-          Cover.Session.chase session tgd)
-    in
     let keys =
       List.map (fun tgd -> Cache.stats_key ?semantics ~core ~data_key tgd) candidates
     in
@@ -293,8 +286,7 @@ let make ?(weights = default_weights) ?semantics ?(core = false) ?cache ~source
         (List.mapi
            (fun index (key, tgd) ->
              Cache.tgd_stats cache ~key ~index (fun () ->
-                 Cover.Session.stats ?semantics ~core session ~index tgd
-                   (chase tgd)))
+                 Cover.Session.stats ?semantics ~core session ~index tgd))
            (List.combine keys candidates))
     in
     let t = of_stats ~weights ~j stats in

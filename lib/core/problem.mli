@@ -74,8 +74,8 @@ val make :
     candidate's chased target to its core universal solution before the
     coverage fold ({!Cover.Session.stats}) — fewer produced tuples and
     errors, hence a different (not bit-identical) problem, cached under
-    core-flagged keys. With [cache], each candidate's chase and coverage
-    statistics are memoized content-addressed (bit-identical to the uncached
+    core-flagged keys. With [cache], each candidate's coverage statistics
+    are memoized content-addressed (bit-identical to the uncached
     analysis; the cached stats are weight-independent, so any weights share
     the entries), and so is {!key}, under the weights, [j] and each
     candidate's statistics key in list order ({!Cache.problem_key}).

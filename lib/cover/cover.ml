@@ -63,6 +63,8 @@ let maps_into pattern inst =
    rows that is above 0. *)
 type rel_index = {
   rows : Tuple.t array;
+  degrees : Frac.t array array;
+      (** per arity [a > 0] of some row: [k/a] reduced, for [k = 0 .. a] *)
   offset : int;
       (** tuples of [J] in relations named before this one: row [r] is
           tuple [offset + length rows - 1 - r] of [Instance.tuples j] *)
@@ -118,9 +120,18 @@ let rel_index jx rel =
   | None ->
     let rows = Array.of_list (Tuple.Set.elements (Instance.tuples_of jx.j rel)) in
     let width = Array.fold_left (fun w t -> max w (Tuple.arity t)) 0 rows in
+    (* a row of arity 0 has no position to cover, so no degree *)
+    let degrees = Array.make (width + 1) [||] in
+    Array.iter
+      (fun t ->
+        let a = Tuple.arity t in
+        if a > 0 && Array.length degrees.(a) = 0 then
+          degrees.(a) <- Array.init (a + 1) (fun k -> Frac.make k a))
+      rows;
     let ri =
       {
         rows;
+        degrees;
         offset =
           Option.value ~default:0 (Hashtbl.find_opt (Lazy.force jx.offsets) rel);
         all_rows = List.init (Array.length rows) Fun.id;
@@ -174,7 +185,7 @@ let take_covers jx =
         let count = ri.best.(!r) in
         if count > 0 then begin
           rows.(!k) <-
-            (ri.offset + last - !r, Frac.make count (Tuple.arity ri.rows.(!r)));
+            (ri.offset + last - !r, ri.degrees.(Tuple.arity ri.rows.(!r)).(count));
           incr k;
           ri.best.(!r) <- 0;
           ri.raised <- ri.raised - 1
@@ -197,9 +208,10 @@ let take_covers jx =
    Everything but [tuples] and the enumeration state from [value] on
    depends only on the group's layout: each tuple's relation and arity,
    which of its positions hold constants, and its nulls numbered by first
-   occurrence. Over a null-free source every trigger of one candidate has
-   the same layout, so a fold lays a group out once and [group_for] reuses
-   it for the candidate's later groups. *)
+   occurrence. Every answer that writes no source null into the head has
+   the head template's layout, so [fold_answers] lays a group out once per
+   candidate, and the trigger-fed fold reuses the last group it laid out
+   through [group_for]. *)
 type group = {
   mutable tuples : Tuple.t array;
   rels : rel_index array;  (** each tuple's relation of J *)
@@ -329,17 +341,21 @@ let same_layout g tuples =
   in
   tuple 0
 
+(* Clears the per-trigger state of a group about to be folded again. *)
+let reset g =
+  Array.fill g.best 0 (Array.length g.best) 0;
+  Array.fill g.found 0 (Array.length g.found) false;
+  Array.fill g.settled 0 (Array.length g.settled) false;
+  g.probed <- 0;
+  g.leaves <- 0
+
 (* The group for [tuples]: [last] with its per-trigger state reset when
    the layout is the same, else a new group. *)
 let group_for jx last tuples =
   match last with
   | Some g when same_layout g tuples ->
     g.tuples <- tuples;
-    Array.fill g.best 0 (Array.length g.best) 0;
-    Array.fill g.found 0 (Array.length g.found) false;
-    Array.fill g.settled 0 (Array.length g.settled) false;
-    g.probed <- 0;
-    g.leaves <- 0;
+    reset g;
     g
   | _ -> group_of jx tuples
 
@@ -504,30 +520,22 @@ and try_rows ~semantics ~jx g d i = function
     end;
     try_rows ~semantics ~jx g d i rest
 
-(* Folds one trigger group and prepends its error tuples to [errors]. *)
-let fold_group ~semantics ~jx g errors =
+(* Folds one trigger group. *)
+let fold_group ~semantics ~jx g =
   explore ~semantics ~jx g 0;
   if Telemetry.enabled () then begin
     Telemetry.Counter.add rows_probed g.probed;
     Telemetry.Counter.add configurations g.leaves
-  end;
+  end
+
+(* Prepends the folded group's error tuples, [tuple i] for group tuple
+   [i], to [errors]. *)
+let add_errors g tuple errors =
   let errors = ref errors in
-  Array.iteri
-    (fun i found -> if not found then errors := g.tuples.(i) :: !errors)
-    g.found;
+  Array.iteri (fun i found -> if not found then errors := tuple i :: !errors) g.found;
   !errors
 
-let fold_triggers ~semantics ~jx ~index tgd triggers =
-  let errors, produced, _ =
-    List.fold_left
-      (fun (errors, produced, last) (tr : Chase.Trigger.t) ->
-        let tuples = Array.of_list tr.Chase.Trigger.tuples in
-        let g = group_for jx last tuples in
-        ( fold_group ~semantics ~jx g errors,
-          produced + Array.length tuples,
-          Some g ))
-      ([], 0, None) triggers
-  in
+let stats_of ~index tgd ~errors ~produced jx =
   {
     index;
     tgd;
@@ -537,6 +545,90 @@ let fold_triggers ~semantics ~jx ~index tgd triggers =
     produced;
     size = Tgd.size tgd;
   }
+
+let fold_triggers ~semantics ~jx ~index tgd triggers =
+  let errors, produced, _ =
+    List.fold_left
+      (fun (errors, produced, last) (tr : Chase.Trigger.t) ->
+        let tuples = Array.of_list tr.Chase.Trigger.tuples in
+        let g = group_for jx last tuples in
+        fold_group ~semantics ~jx g;
+        ( add_errors g (Array.get tuples) errors,
+          produced + Array.length tuples,
+          Some g ))
+      ([], 0, None) triggers
+  in
+  stats_of ~index tgd ~errors ~produced jx
+
+(* The fold on the uncored path: the candidate's body answers over the
+   source, each folded as the trigger group [Chase.fire] would build from
+   it, with no trigger built. An answer that writes no source null into
+   the head gives a group of the head template's layout: each head
+   position a constant, a body variable (a constant position) or an
+   existential (a null, numbered by first occurrence). That group is laid
+   out once, on the first such answer, and each answer writes its body
+   values into the group's tuples in place; the null positions are never
+   read. Only an error tuple is built, with the labels [Chase.fire] would
+   have drawn. An answer that writes a source null into the head may have
+   another layout, or share a null with the ones [Chase.fire] invents, so
+   it is instantiated as [Chase.fire] would and goes through [group_for],
+   like a trigger. *)
+let fold_answers ~semantics ~jx ~index source_index tgd =
+  let module C = Chase.Compiled in
+  let c = C.make tgd in
+  let body = c.C.body and heads = Array.length c.C.head in
+  (* per head position filled from the body: its atom, position and slot *)
+  let writes = ref [] in
+  Array.iteri
+    (fun k (_, cells) ->
+      Array.iteri
+        (fun pos -> function
+          | C.Slot s when s < body -> writes := (k, pos, s) :: !writes
+          | _ -> ())
+        cells)
+    c.C.head;
+  let writes = Array.of_list !writes in
+  let template =
+    lazy
+      (group_of jx
+         (Array.map
+            (fun (rel, cells) ->
+              let cell = function
+                | C.Fixed v -> v
+                | C.Slot s -> if s < body then Value.Const "" else Value.Null s
+              in
+              { Tuple.rel; values = Array.map cell cells })
+            c.C.head))
+  in
+  let rec writes_null env w =
+    w < Array.length writes
+    &&
+    let _, _, s = writes.(w) in
+    Value.is_null env.(s) || writes_null env (w + 1)
+  in
+  let errors = ref [] and last = ref None in
+  let answers =
+    Chase.iter_answers c source_index @@ fun a env ->
+    if writes_null env 0 then begin
+      let tuples = Array.init heads (C.head_tuple c ~answer:a env) in
+      let g = group_for jx !last tuples in
+      last := Some g;
+      fold_group ~semantics ~jx g;
+      errors := add_errors g (Array.get tuples) !errors
+    end
+    else begin
+      let g = Lazy.force template in
+      reset g;
+      for w = 0 to Array.length writes - 1 do
+        let k, pos, s = writes.(w) in
+        g.tuples.(k).Tuple.values.(pos) <- env.(s)
+      done;
+      fold_group ~semantics ~jx g;
+      if Array.mem false g.found then
+        errors := add_errors g (C.head_tuple c ~answer:a env) !errors
+    end
+  in
+  stats_of ~index tgd ~errors:!errors ~produced:(answers * heads) jx
 
 (* Keep only the trigger tuples that survive into the core of the chased
    target [solution]; a trigger whose whole group was retracted away
@@ -590,24 +682,19 @@ module Session = struct
   let make ~source ~j =
     { source; source_index = lazy (Cq.Index.build source); jx = index_j j }
 
-  let chase s tgd =
-    Chase.fire ~index:(Lazy.force s.source_index) s.source [ tgd ]
-
-  (* the uncored fold reads the triggers only: the chased instance is
-     built here, for the core stage, and nowhere else on this path *)
-  let stats ?(semantics = Corroborated) ?(core = false) s ~index tgd triggers =
-    let triggers =
-      if core then core_triggers (Chase.solution_of triggers) triggers
-      else triggers
-    in
-    fold_triggers ~semantics ~jx:s.jx ~index tgd triggers
+  (* only the core stage reads triggers and the chased instance, so only
+     [~core:true] builds them *)
+  let stats ?(semantics = Corroborated) ?(core = false) s ~index tgd =
+    let source_index = Lazy.force s.source_index in
+    if core then
+      let triggers = Chase.fire ~index:source_index s.source [ tgd ] in
+      fold_triggers ~semantics ~jx:s.jx ~index tgd
+        (core_triggers (Chase.solution_of triggers) triggers)
+    else fold_answers ~semantics ~jx:s.jx ~index source_index tgd
 end
 
 let analyze ?semantics ?core ~source ~j tgds =
   Telemetry.with_span "cover.analyze" @@ fun () ->
   let s = Session.make ~source ~j in
   Array.of_list
-    (List.mapi
-       (fun index tgd ->
-         Session.stats ?semantics ?core s ~index tgd (Session.chase s tgd))
-       tgds)
+    (List.mapi (fun index tgd -> Session.stats ?semantics ?core s ~index tgd) tgds)

@@ -100,15 +100,15 @@ val analyze :
 (** Chases [source] with each candidate separately and computes statistics
     for each; [analyze] is the precomputation step of the selection
     pipeline, run through one {!Session}. [I] is indexed once and each
-    candidate is fired over that index with {!Chase.fire}, and [~core:true]
-    applies the {!stats_of_result} core stage per candidate. [J] is indexed
-    once for all candidates, so beyond the chase the cost per candidate is
-    the posting-list probes its trigger groups make, not [|J|] per chase
-    tuple. Each result's [covers] is empty, as from {!Session.stats}.
-    Recorded as the [cover.analyze] span. *)
+    candidate's body is run over that index ({!Session.stats}), and
+    [~core:true] applies the {!stats_of_result} core stage per candidate.
+    [J] is indexed once for all candidates, so beyond the chase the cost
+    per candidate is the posting-list probes its trigger groups make, not
+    [|J|] per chase tuple. Each result's [covers] is empty, as from
+    {!Session.stats}. Recorded as the [cover.analyze] span. *)
 
-(** One analysis of many candidates against one data example [(I, J)]: the
-    chase fixture over [I] and the index over [J], each built on first use
+(** One analysis of many candidates against one data example [(I, J)]: an
+    index over [I] and an index over [J], each built on first use
     and shared by every candidate. {!analyze} is a session run over a
     candidate list; [Core.Problem.make ~cache] runs one so that candidates
     whose statistics are cached never build either half.
@@ -119,10 +119,16 @@ val analyze :
     index costs time and space linear in the relations the candidates
     reach.
 
-    The chase half fires each candidate over one index of [I]
-    ({!Chase.fire}) and builds no chased instance: the fold reads the
-    triggers only, and [~core:true] builds the instance the core stage
-    shrinks.
+    The chase half runs each candidate's compiled body ({!Chase.Compiled})
+    over one index of [I] and folds each body answer as the trigger group
+    {!Chase.fire} would build from it, with no trigger built: the layout
+    comes from the head template (each head position a constant, a body
+    variable or an existential), and each answer writes its body values
+    into that group's tuples in place. Only an error tuple is built, with
+    the null labels {!Chase.fire} would have drawn. An answer that writes
+    a source null into the head is instantiated as {!Chase.fire} would do
+    it. [~core:true] fires the candidate ({!Chase.fire}) and builds the
+    chased instance the core stage shrinks.
 
     A trigger group's configurations are enumerated with the tuples that
     hold a constant decided first. Each tuple is probed under the current
@@ -137,12 +143,14 @@ val analyze :
 
     A group's enumeration state is laid out by the group's layout: each
     tuple's relation and arity, which positions hold constants, and the
-    nulls numbered by first occurrence. Over a null-free source every
-    trigger of one candidate has the same layout, so a fold keeps the last
-    group it laid out and reuses it for the next trigger group of the same
-    layout, resetting only the per-trigger state; a different layout
-    (frontier nulls from the source, or the core stage's filtered groups)
-    is laid out anew.
+    nulls numbered by first occurrence. An answer that writes no source
+    null into the head has the head template's layout, laid out once per
+    candidate fold; an answer that does (frontier nulls from the source)
+    goes through a second group, kept from the last such answer and reused
+    when the next one has its layout, else laid out anew. The core stage's
+    filtered triggers, and {!stats_of_result}'s, are folded the same way,
+    keeping the last group and reusing it for the next trigger group of
+    the same layout.
 
     The index is mutated as it fills and as each candidate is folded: a
     session belongs to one domain. Telemetry counts
@@ -156,13 +164,8 @@ module Session : sig
   type t
 
   val make : source : Relational.Instance.t -> j : Relational.Instance.t -> t
-  (** Touches neither instance: the chase fixture and each relation's index
-      are built when first needed. *)
-
-  val chase : t -> Logic.Tgd.t -> Chase.Trigger.t list
-  (** The candidate's firings over [I] ({!Chase.fire}) on the session's
-      shared fixture, the triggers {!analyze} derives statistics from. No
-      chased instance is built. *)
+  (** Touches neither instance: the index over [I] and each relation's
+      index over [J] are built when first needed. *)
 
   val stats :
     ?semantics : semantics ->
@@ -170,11 +173,14 @@ module Session : sig
     t ->
     index : int ->
     Logic.Tgd.t ->
-    Chase.Trigger.t list ->
     tgd_stats
-  (** {!stats_of_result} against the session's shared index over [J], from
-      the candidate's triggers, but with [covers] empty: its degrees are
-      [rows] only. Only [~core:true] builds the chased instance
+  (** The candidate's statistics against the session's shared indexes, the
+      fold {!analyze} runs: equal to {!stats_of_result} of its
+      [Chase.run ~index source [tgd]], but with [covers] empty, its
+      degrees being [rows] only. Uncored, it folds the body answers and
+      builds no trigger, recording the [chase.run] span around the fold
+      and the chase counters as {!Chase.fire} would. Only [~core:true]
+      fires the candidate and builds the chased instance
       ({!Chase.solution_of}), which the core stage shrinks. *)
 end
 

@@ -213,7 +213,7 @@ let triggers_equal (a : Chase.Trigger.t) (b : Chase.Trigger.t) =
   a.Chase.Trigger.tgd_index = b.Chase.Trigger.tgd_index
   && Subst.equal (Chase.Trigger.subst a) (Chase.Trigger.subst b)
   && List.equal Tuple.equal a.Chase.Trigger.tuples b.Chase.Trigger.tuples
-  && Value.Set.equal a.Chase.Trigger.nulls b.Chase.Trigger.nulls
+  && Value.Set.equal (Chase.Trigger.nulls a) (Chase.Trigger.nulls b)
 
 let results_equal (a : Chase.result) (b : Chase.result) =
   Instance.equal a.Chase.solution b.Chase.solution

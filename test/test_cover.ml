@@ -775,6 +775,103 @@ let fold_tests =
         Alcotest.(check int) "no errors" 0 (Cover.error_count stats));
   ]
 
+(* One candidate whose answers go null-free, then source-null, then
+   null-free: [src(X,Y,Z) -> t(X,Y,N), u(N,Z)] over three source rows, the
+   second [src(b, N0, N1)]. The chase invents [N0], [N1], [N2] for the
+   three answers, so the second answer's head is [t(b, N0, N1)],
+   [u(N1, N1)]: its source nulls reuse the labels the chase invents, one of
+   them its own. The fold must lay that answer out from its instantiated
+   tuples, not from the head template, in which [Y] and [Z] are constant
+   positions: the template would match neither [t(b, q, r)] nor
+   [u(r, r)], and a layout that kept [N] and [Z] apart would also match
+   [u(r, s)]. *)
+let fallback_example () =
+  let var x = Logic.Term.Var x in
+  let tgd =
+    Logic.Tgd.make ~label:"fallback"
+      ~body:[ Logic.Atom.make "src" [ var "X"; var "Y"; var "Z" ] ]
+      ~head:
+        [
+          Logic.Atom.make "t" [ var "X"; var "Y"; var "N" ];
+          Logic.Atom.make "u" [ var "N"; var "Z" ];
+        ]
+      ()
+  in
+  let c x = Value.Const x in
+  let source =
+    Instance.of_tuples
+      [
+        Tuple.make "src" [ c "a"; c "x"; c "p" ];
+        Tuple.make "src" [ c "b"; Value.Null 0; Value.Null 1 ];
+        Tuple.make "src" [ c "c"; c "y"; c "z" ];
+      ]
+  in
+  let j =
+    Instance.of_tuples
+      [
+        Tuple.of_consts "t" [ "a"; "x"; "k" ];
+        Tuple.of_consts "u" [ "k"; "p" ];
+        Tuple.of_consts "t" [ "b"; "q"; "r" ];
+        Tuple.of_consts "u" [ "r"; "r" ];
+        Tuple.of_consts "u" [ "r"; "s" ];
+        Tuple.of_consts "t" [ "c"; "y"; "m" ];
+      ]
+  in
+  (source, j, tgd)
+
+let fallback_tests =
+  [
+    Alcotest.test_case "a source-null answer is folded from its instantiated \
+                        tuples" `Quick (fun () ->
+        let source, j, tgd = fallback_example () in
+        let source_null = function
+          | Some (Value.Null _) -> true
+          | _ -> false
+        in
+        Alcotest.(check (list bool))
+          "null-free, source-null, null-free answers" [ false; true; false ]
+          (List.map
+             (fun tr ->
+               source_null (Logic.Subst.find_opt "Y" (Chase.Trigger.subst tr)))
+             (Chase.fire source [ tgd ]));
+        let counters =
+          [
+            "chase.runs";
+            "chase.triggers";
+            "chase.tuples_produced";
+            "cover.configurations";
+            "cover.rows_probed";
+          ]
+        in
+        List.iter
+          (fun semantics ->
+            let (analyzed, layouts), counts =
+              Fixtures.counting counters (fun () ->
+                  Fixtures.counting [ "cover.layouts" ] (fun () ->
+                      Cover.analyze ~semantics ~source ~j [ tgd ]))
+            in
+            let expected, expected_counts =
+              Fixtures.counting counters (fun () ->
+                  [| Cover.stats_of_result ~semantics ~j ~index:0 tgd
+                       (Chase.run source [ tgd ]) |])
+            in
+            Alcotest.(check bool)
+              "equals stats_of_result" true (same_analysis ~j analyzed expected);
+            Alcotest.(check (list int)) "counters" expected_counts counts;
+            (* the template's layout, and the source-null answer's *)
+            Alcotest.(check (list int)) "cover.layouts" [ 2 ] layouts)
+          Cover.[ Corroborated; Strict; Generous ];
+        let s = (Cover.analyze ~source ~j [ tgd ]).(0) in
+        let degree rel vs = Cover.covers ~j s (Tuple.of_consts rel vs) in
+        (* [N1] is bound to [r] by both tuples of the second group *)
+        Alcotest.check frac "t(b, q, r)" (Frac.make 2 3) (degree "t" [ "b"; "q"; "r" ]);
+        Alcotest.check frac "u(r, r)" Frac.one (degree "u" [ "r"; "r" ]);
+        Alcotest.check frac "u(r, s)" Frac.zero (degree "u" [ "r"; "s" ]);
+        Alcotest.(check (list string))
+          "error tuples carry the chase's labels" [ "u(_N2, z)" ]
+          (List.map (Format.asprintf "%a" Tuple.pp) s.Cover.error_tuples));
+  ]
+
 (* One analysis three ways: [analyze]'s shared session, a fresh index per
    candidate through [stats_of_result], and [Problem.make] through the
    cache, cold and then warm. *)
@@ -871,6 +968,10 @@ let session_tests =
         let _, cold =
           Fixtures.counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds)
         in
+        Alcotest.(check int)
+          "cold build misses once per candidate and for the problem key"
+          (List.length tgds + 1)
+          (Cache.stats cache).Cache.misses;
         let _, warm =
           Fixtures.counting names (fun () -> Core.Problem.make ~cache ~source ~j tgds)
         in
@@ -981,6 +1082,7 @@ let () =
       ("regression", regression_tests);
       ("differential", differential_tests);
       ("fold", fold_tests);
+      ("fallback", fallback_tests);
       ("session", session_tests);
       ("covers-field", covers_field_tests);
     ]
